@@ -6,7 +6,7 @@ re-checkable non-log-canonical certificates ("tigers") with exhaustive
 decomposition obstructions.
 """
 
-from .classify import NO_POLAR_COLLECTIONS, Verdict, classify, classify_anticanonical, classify_polar, cross_check
+from .classify import NO_POLAR_COLLECTIONS, Verdict, classify, classify_anticanonical, classify_polar
 from .divisors import DivisorClass, Generator, GramTable, Relation, UndefinedPairing
 from .embedding import Embedding, OracleUnavailable, oracle_embed
 from .lattice import (
@@ -42,7 +42,6 @@ from .tigers import (
     case_tables,
     decomposition_parts,
     enumerate_decompositions,
-    local_multiplicity,
     part_residual_numbers,
     select_case,
 )
@@ -80,14 +79,12 @@ __all__ = [
     "classify_anticanonical",
     "classify_polar",
     "conditions",
-    "cross_check",
     "decomposition_parts",
     "dim_complete",
     "enumerate_decompositions",
     "enumerate_specs",
     "fundamental_cycle",
     "gram_table",
-    "local_multiplicity",
     "max_multiplicity_budget",
     "oracle_embed",
     "parse_spec_text",

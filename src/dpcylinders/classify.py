@@ -72,44 +72,3 @@ def classify(spec: SurfaceSpec) -> Verdict:
         anticanonical_reason=a_reason,
         polar_reason=p_reason,
     )
-
-
-def cross_check(spec: SurfaceSpec) -> tuple[str, ...]:
-    """Reconcile the classification with the construction engine.
-
-    Returns violation messages; empty means the two agree: every cylinder
-    verdict is backed by a certified construction, every refusal by the
-    engine declining to build.
-    """
-    from .tigers import NoCaseApplies, build_tiger  # local: avoids an import cycle
-
-    verdict = classify(spec)
-    violations = []
-    if verdict.anticanonical_cylinder:
-        try:
-            cert = build_tiger(spec)
-        except NoCaseApplies as exc:
-            violations.append(f"{spec}: cylinder claimed but no case applies ({exc})")
-        else:
-            if cert.status != "certified":
-                violations.append(
-                    f"{spec}: construction left unobstructed decompositions"
-                )
-            if cert.ratio <= 2:
-                violations.append(
-                    f"{spec}: ratio {cert.ratio} does not certify the pair"
-                )
-    else:
-        try:
-            build_tiger(spec)
-        except NoCaseApplies:
-            pass
-        else:
-            violations.append(
-                f"{spec}: no cylinder expected, yet a construction was produced"
-            )
-    if not verdict.h_polar_cylinder and verdict.picard_rank != 1:
-        violations.append(
-            f"{spec}: polar refusal requires Picard rank one, got {verdict.picard_rank}"
-        )
-    return tuple(violations)

@@ -26,7 +26,7 @@ class InvalidSpec(ValueError):
     """Raised for malformed singularity types or over-budget surface specs."""
 
 
-_TYPE_RE = re.compile(r"^([ADE])(\d+)$")
+_TYPE_RE = re.compile(r"^([ADE])([0-9]+)$")
 
 _RANK_BOUNDS = {
     "A": range(1, 9),

@@ -9,6 +9,7 @@ strings in lowest terms ("9/4").
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -29,6 +30,10 @@ from .tigers import (
 
 class SpecFileError(ValueError):
     """Malformed spec file: structure, not semantics."""
+
+
+# ASCII digits only: int() alone would also take "0_3" and non-ASCII digits
+_DEGREE_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_spec_text(text: str) -> SurfaceSpec:
@@ -52,12 +57,11 @@ def parse_spec_text(text: str) -> SurfaceSpec:
         if key == "degree":
             if degree is not None:
                 raise SpecFileError(f"line {lineno}: duplicate 'degree'")
-            try:
-                degree = int(value)
-            except ValueError:
+            if not _DEGREE_RE.fullmatch(value):
                 raise SpecFileError(
                     f"line {lineno}: degree must be an integer, got {value!r}"
-                ) from None
+                )
+            degree = int(value)
         elif key == "singularities":
             if tokens is not None:
                 raise SpecFileError(f"line {lineno}: duplicate 'singularities'")
@@ -169,9 +173,19 @@ def certificate_document(cert: TigerCertificate) -> dict[str, Any]:
 
 
 def certificate_from_document(doc: dict[str, Any]) -> TigerCertificate:
-    """Rebuild a value-equal certificate from its JSON form."""
+    """Rebuild a value-equal certificate from its JSON form.
+
+    Raises ValueError for a document of another kind or one missing a field.
+    """
     if doc.get("kind") != "tiger_certificate":
         raise ValueError("not a tiger certificate document")
+    try:
+        return _certificate_from(doc)
+    except KeyError as exc:
+        raise ValueError(f"certificate document lacks field {exc.args[0]!r}") from None
+
+
+def _certificate_from(doc: dict[str, Any]) -> TigerCertificate:
     outcomes = []
     for entry in doc["decompositions"]:
         dec = Decomposition(

@@ -24,26 +24,14 @@ from itertools import product
 from typing import Callable, Optional
 
 from .classify import classify_anticanonical
-from .divisors import DivisorClass, GramTable, Relation
 from .lattice import DynkinType, SurfaceSpec, gram_table, validate_spec
-from .linear_systems import conditions, dim_complete, max_multiplicity_budget
+from .linear_systems import conditions, max_multiplicity_budget
 
 # Obstruction kinds
 NEGATIVE_SELF_INTERSECTION = "negative_self_intersection"
 DIMENSION_GAP = "dimension_gap"
 MULTIPLICITY_BUDGET = "multiplicity_budget"
 DISJOINTNESS = "disjointness"
-
-# Shared witness field names (shared string objects keep big outcome lists lean)
-_W_PART = "part"
-_W_SQUARE = "square"
-_W_PAIRING = "pairing"
-_W_DIM = "dim"
-_W_REQUIRED = "required"
-_W_CAP1 = "cap_part1"
-_W_CAP2 = "cap_part2"
-_W_CANDIDATE = "candidate_dim"
-_W_PARTS = "parts_dim"
 
 
 class NoCaseApplies(ValueError):
@@ -82,7 +70,13 @@ class PointSpec:
 
 @dataclass(frozen=True)
 class CaseTable:
-    """One construction case: where it applies and what it builds."""
+    """One construction case: where it applies and what it builds.
+
+    ``balanced_split`` names the first part's node coefficients of the one
+    split whose dimension gap is taken against the one-part family through
+    the marked point; ``notes`` are certificate notes, each with the degrees
+    it applies at.
+    """
 
     case_id: str
     degrees: tuple[int, ...]
@@ -92,6 +86,8 @@ class CaseTable:
     e_coefficient: int
     point: PointSpec
     residual_multiplicity: int
+    balanced_split: Optional[tuple[int, ...]] = None
+    notes: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
     @property
     def part_multiples(self) -> tuple[int, int]:
@@ -113,12 +109,32 @@ def _node(a: str, b: str) -> PointSpec:
     return PointSpec("node_intersection", (a, b))
 
 
+NOTE_DEG4_BUDGET = (
+    "degree-4-budget: at degree 4 two splits fail the multiplicity budget "
+    "outright; the dimension comparison only bites at degree 6"
+)
+NOTE_EXACT_BUDGET = (
+    "exact-budget: the candidate family at the marked point has dimension "
+    "exactly 0 (21 conditions against a 21-dimensional system)"
+)
+NOTE_BALANCED_SPLIT = (
+    "balanced-split: the even split is excluded by comparing point-constrained "
+    "family dimensions, candidate against one anticanonical part"
+)
+NOTE_OWN_COEFFICIENTS = (
+    "multiplicity-recount: the local multiplicity uses this configuration's "
+    "own coefficients at the marked point"
+)
+
 _CASE_ROWS = (
     CaseTable("deg7plus", (7, 8, 9), None, 2, (), 0, PointSpec("general"), 5),
-    CaseTable("deg4or6", (4, 6), None, 3, (), 2, PointSpec("on_curve", ("E",)), 5),
+    CaseTable("deg4or6", (4, 6), None, 3, (), 2, PointSpec("on_curve", ("E",)), 5,
+              notes=((NOTE_DEG4_BUDGET, (4,)),)),
     CaseTable("deg5", (5,), None, 4, (), 0, PointSpec("general"), 9),
-    CaseTable("A1deg3", (3,), DynkinType("A", 1), 4, (3,), 0, PointSpec("on_curve", ("D1",)), 6),
-    CaseTable("A2", (2, 3), DynkinType("A", 2), 2, (2, 2), 0, _node("D1", "D2"), 1),
+    CaseTable("A1deg3", (3,), DynkinType("A", 1), 4, (3,), 0, PointSpec("on_curve", ("D1",)), 6,
+              notes=((NOTE_EXACT_BUDGET, (3,)),)),
+    CaseTable("A2", (2, 3), DynkinType("A", 2), 2, (2, 2), 0, _node("D1", "D2"), 1,
+              balanced_split=(1, 1)),
     CaseTable("A3", (2, 3), DynkinType("A", 3), 2, (2, 2, 1), 0, _node("D1", "D2"), 1),
     CaseTable("D4", (2, 3), DynkinType("D", 4), 3, (4, 3, 2, 2), 0, _node("D1", "D2"), 0),
     CaseTable("A4", (1, 2, 3), DynkinType("A", 4), 2, (1, 2, 2, 1), 0, _node("D2", "D3"), 1),
@@ -132,7 +148,8 @@ _CASE_ROWS = (
     CaseTable("D8", (1,), DynkinType("D", 8), 3, (3, 3, 6, 5, 4, 3, 2, 1), 0, _node("D3", "D4"), 0),
     CaseTable("E6", (1, 2, 3), DynkinType("E", 6), 2, (2, 1, 2, 3, 2, 1), 0, _node("D4", "D5"), 0),
     CaseTable("E7", (1, 2), DynkinType("E", 7), 2, (2, 2, 3, 4, 3, 2, 1), 0, _node("D4", "D5"), 0),
-    CaseTable("E8", (1,), DynkinType("E", 8), 2, (3, 2, 4, 6, 5, 4, 3, 2), 0, _node("D4", "D5"), 0),
+    CaseTable("E8", (1,), DynkinType("E", 8), 2, (3, 2, 4, 6, 5, 4, 3, 2), 0, _node("D4", "D5"), 0,
+              notes=((NOTE_OWN_COEFFICIENTS, (1,)),)),
 )
 
 
@@ -182,28 +199,28 @@ class Obstruction:
     def describe(self) -> str:
         w = dict(self.witness)
         if self.kind == NEGATIVE_SELF_INTERSECTION:
-            if _W_SQUARE in w:
-                return f"part {w[_W_PART]} residual has square {w[_W_SQUARE]} <= -2"
-            if _W_PAIRING in w:
+            if "square" in w:
+                return f"part {w['part']} residual has square {w['square']} <= -2"
+            if "pairing" in w:
                 return (
-                    f"part {w[_W_PART]} residual pairs {w[_W_PAIRING]} < 0 "
+                    f"part {w['part']} residual pairs {w['pairing']} < 0 "
                     "with a configuration curve"
                 )
-            return f"part {w[_W_PART]} residual has negative expected dimension {w[_W_DIM]}"
+            return f"part {w['part']} residual has negative expected dimension {w['dim']}"
         if self.kind == DISJOINTNESS:
             return (
-                f"part {w[_W_PART]} cannot meet the marked point's curves at all, "
-                f"and the parts can carry at most {w[_W_CAP1]}+{w[_W_CAP2]} "
-                f"< {w[_W_REQUIRED]} there"
+                f"part {w['part']} cannot meet the marked point's curves at all, "
+                f"and the parts can carry at most {w['cap_part1']}+{w['cap_part2']} "
+                f"< {w['required']} there"
             )
         if self.kind == MULTIPLICITY_BUDGET:
             return (
-                f"parts can carry multiplicity at most {w[_W_CAP1]}+{w[_W_CAP2]} "
-                f"< {w[_W_REQUIRED]} at the marked point"
+                f"parts can carry multiplicity at most {w['cap_part1']}+{w['cap_part2']} "
+                f"< {w['required']} at the marked point"
             )
         return (
-            f"every split family has dimension {w[_W_PARTS]}, below the "
-            f"candidate family's {w[_W_CANDIDATE]}, so a general candidate "
+            f"every split family has dimension {w['parts_dim']}, below the "
+            f"candidate family's {w['candidate_dim']}, so a general candidate "
             "avoids all such splits"
         )
 
@@ -296,10 +313,11 @@ def _point_cap(row: CaseTable, part: PartRecord) -> int:
     return cap
 
 
-def _config_value_at(row: CaseTable, part: PartRecord, label: str) -> int:
+def _coefficient_on(label: str, nodes: tuple[int, ...], e_coefficient: int) -> int:
+    """A configuration's coefficient on one of its curves (D1.., or E)."""
     if label == "E":
-        return part.e_coefficient
-    return part.node_coefficients[int(label[1:]) - 1]
+        return e_coefficient
+    return nodes[int(label[1:]) - 1]
 
 
 def _obstruction_for(
@@ -316,18 +334,18 @@ def _obstruction_for(
         if r.square <= -2:
             return Obstruction(
                 NEGATIVE_SELF_INTERSECTION,
-                ((_W_PART, idx), (_W_SQUARE, r.square)),
+                (("part", idx), ("square", r.square)),
             )
         worst = min((v for lbl, v in r.pairings if lbl != "K"), default=0)
         if worst < 0:
             return Obstruction(
                 NEGATIVE_SELF_INTERSECTION,
-                ((_W_PART, idx), (_W_PAIRING, worst)),
+                (("part", idx), ("pairing", worst)),
             )
         if r.dim < 0:
             return Obstruction(
                 NEGATIVE_SELF_INTERSECTION,
-                ((_W_PART, idx), (_W_DIM, r.dim)),
+                (("part", idx), ("dim", r.dim)),
             )
 
     mu = row.residual_multiplicity
@@ -336,7 +354,8 @@ def _obstruction_for(
         # Distinguish the part that cannot touch the point's curves at all.
         for idx, part in enumerate(parts, start=1):
             carries_nothing = all(
-                _config_value_at(row, part, lbl) == 0 for lbl in row.point.curves
+                _coefficient_on(lbl, part.node_coefficients, part.e_coefficient) == 0
+                for lbl in row.point.curves
             )
             pairs_zero = any(
                 part.residual.pairing(lbl) == 0 for lbl in row.point.curves
@@ -344,12 +363,12 @@ def _obstruction_for(
             if row.point.curves and carries_nothing and pairs_zero:
                 return Obstruction(
                     DISJOINTNESS,
-                    ((_W_PART, idx), (_W_REQUIRED, mu),
-                     (_W_CAP1, caps[0]), (_W_CAP2, caps[1])),
+                    (("part", idx), ("required", mu),
+                     ("cap_part1", caps[0]), ("cap_part2", caps[1])),
                 )
         return Obstruction(
             MULTIPLICITY_BUDGET,
-            ((_W_REQUIRED, mu), (_W_CAP1, caps[0]), (_W_CAP2, caps[1])),
+            (("required", mu), ("cap_part1", caps[0]), ("cap_part2", caps[1])),
         )
 
     full = part_residual_numbers(
@@ -357,13 +376,13 @@ def _obstruction_for(
     )
     candidate_dim = full.dim - conditions(mu)
 
-    # The evenly split A2 case is compared against the one-part family
+    # A row's balanced split is compared against the one-part family
     # through the point, matching the recorded analysis for that case.
-    if row.case_id == "A2" and dec.nodes_part1 == (1, 1):
+    if dec.nodes_part1 == row.balanced_split:
         part_dim = parts[0].residual.dim - conditions(mu)
         return Obstruction(
             DIMENSION_GAP,
-            ((_W_CANDIDATE, candidate_dim), (_W_PARTS, part_dim)),
+            (("candidate_dim", candidate_dim), ("parts_dim", part_dim)),
         )
 
     best = None
@@ -378,7 +397,7 @@ def _obstruction_for(
     if best is not None and best < candidate_dim:
         return Obstruction(
             DIMENSION_GAP,
-            ((_W_CANDIDATE, candidate_dim), (_W_PARTS, best)),
+            (("candidate_dim", candidate_dim), ("parts_dim", best)),
         )
     return None
 
@@ -404,33 +423,6 @@ def enumerate_decompositions(
             DecompositionOutcome(dec, _obstruction_for(row, degree, dec))
         )
     return tuple(outcomes)
-
-
-def local_multiplicity(
-    table: GramTable, config: DivisorClass, point: PointSpec, residual_mult: int
-) -> int:
-    """Lower bound for the multiplicity of configuration + member at the
-    marked point: the coefficients of the curves through the point plus the
-    member's prescribed multiplicity."""
-    if residual_mult < 0:
-        raise ValueError("residual multiplicity must be nonnegative")
-    total = residual_mult
-    curves = [table.find(label) for label in point.curves]
-    for c in curves:
-        coeff = config.coefficient(c)
-        if coeff == 0:
-            raise ValueError(
-                f"point references {c.label}, which is not in the configuration"
-            )
-        if coeff.denominator != 1:
-            raise ValueError(f"non-integer coefficient on {c.label}")
-        total += int(coeff)
-    if point.kind == "node_intersection" and table.pair(curves[0], curves[1]) != 1:
-        raise ValueError(
-            f"{curves[0].label} and {curves[1].label} do not meet; "
-            "no intersection point to mark"
-        )
-    return total
 
 
 @dataclass(frozen=True)
@@ -465,22 +457,6 @@ ASSUME_GENERALITY = (
 )
 ASSUME_E_DISJOINT = (
     "minus-one-curve: E is taken disjoint from every exceptional curve"
-)
-NOTE_DEG4_BUDGET = (
-    "degree-4-budget: at degree 4 two splits fail the multiplicity budget "
-    "outright; the dimension comparison only bites at degree 6"
-)
-NOTE_EXACT_BUDGET = (
-    "exact-budget: the candidate family at the marked point has dimension "
-    "exactly 0 (21 conditions against a 21-dimensional system)"
-)
-NOTE_BALANCED_SPLIT = (
-    "balanced-split: the even split is excluded by comparing point-constrained "
-    "family dimensions, candidate against one anticanonical part"
-)
-NOTE_OWN_COEFFICIENTS = (
-    "multiplicity-recount: the local multiplicity uses this configuration's "
-    "own coefficients at the marked point"
 )
 
 
@@ -524,49 +500,17 @@ def build_tiger(
     emit(f"case {row.case_id}: degree {d}, multiple {m}, "
          f"marked point {row.point.describe()}")
 
-    table = GramTable(d)
-    if row.singularity is not None:
-        curves = table.add_singularity(row.singularity)
-        coeffs = {c: n for c, n in zip(curves, row.node_coefficients)}
-    else:
-        coeffs = {}
-    if row.e_coefficient:
-        e = table.add_minus_one_curve("E")
-        coeffs[e] = row.e_coefficient
-    config = DivisorClass.of(coeffs)
-    relation = Relation(m, config, "N")
-    residual_gen = table.solve_residual(relation)
-    n_class = DivisorClass.of({residual_gen: 1})
-    emit(f"relation: {m}*(-K) = {config} + N" if config.terms
-         else f"relation: {m}*(-K) = N")
+    configuration = tuple(
+        (f"D{i}", c) for i, c in enumerate(row.node_coefficients, start=1) if c
+    ) + ((("E", row.e_coefficient),) if row.e_coefficient else ())
+    terms = [lbl if c == 1 else f"{c}*{lbl}" for lbl, c in configuration]
+    emit(f"relation: {m}*(-K) = {' + '.join(terms + ['N'])}")
 
-    # The relation must hold generator by generator.
-    lhs = m * table.minus_k()
-    rhs = config + n_class
-    for g in table.generators:
-        probe = DivisorClass.of({g: 1})
-        left = table.intersect(lhs, probe)
-        right = table.intersect(rhs, probe)
-        if left != right:
-            raise AssertionError(
-                f"relation violated against {g.label}: {left} != {right}"
-            )
-        emit(f"check {m}*(-K).{g.label} = {left} = {g.label} pairing of both sides")
-
-    pairings = tuple(
-        (g.label, table.pair(residual_gen, g))
-        for g in table.generators
-        if g is not residual_gen
-    )
-    square = table.pair(residual_gen, residual_gen)
-    dim = dim_complete(table, n_class)
-    residual = ResidualNumbers("N", pairings, square, dim)
-    formula = part_residual_numbers(
+    residual = part_residual_numbers(
         row, d, m, row.node_coefficients, row.e_coefficient, "N"
     )
-    if formula != residual:
-        raise AssertionError("closed-form residual numbers disagree with the table")
-    for lbl, v in pairings:
+    square, dim = residual.square, residual.dim
+    for lbl, v in residual.pairings:
         emit(f"N.{lbl} = {v}")
     emit(f"N^2 = {square}")
     emit(f"dim|N| = (N^2 - N.K)/2 = ({square} - ({residual.pairing('K')}))/2 = {dim}")
@@ -580,7 +524,11 @@ def build_tiger(
         )
     emit(f"conditions({mu}) = {conditions(mu)}; candidate family dim = {family_dim}")
 
-    mult = local_multiplicity(table, config, row.point, mu)
+    # the curves through the marked point add their configuration coefficients
+    mult = mu + sum(
+        _coefficient_on(lbl, row.node_coefficients, row.e_coefficient)
+        for lbl in row.point.curves
+    )
     ratio = Fraction(mult, m)
     if ratio <= 2:
         raise AssertionError(f"ratio {ratio} fails the > 2 threshold")
@@ -598,22 +546,14 @@ def build_tiger(
     assumptions = [ASSUME_VANISHING, ASSUME_GENERALITY]
     if row.e_coefficient:
         assumptions.append(ASSUME_E_DISJOINT)
-    if row.case_id == "deg4or6" and d == 4:
-        assumptions.append(NOTE_DEG4_BUDGET)
-    if row.case_id == "A1deg3":
-        assumptions.append(NOTE_EXACT_BUDGET)
-    if row.case_id == "A2":
+    if row.balanced_split is not None:
         assumptions.append(NOTE_BALANCED_SPLIT)
-    if row.case_id == "E8":
-        assumptions.append(NOTE_OWN_COEFFICIENTS)
+    assumptions.extend(text for text, degrees in row.notes if d in degrees)
 
     components = [("N", Fraction(1, m))]
     if row.e_coefficient:
         components.append(("E", Fraction(row.e_coefficient, m)))
 
-    config_items = tuple(
-        (g.label, int(c)) for g, c in config.terms
-    )
     return TigerCertificate(
         degree=d,
         singularities=tuple(str(t) for t in spec.singularities),
@@ -621,7 +561,7 @@ def build_tiger(
         singularity=str(row.singularity) if row.singularity else None,
         singularity_index=sing_index,
         multiple=m,
-        configuration=config_items,
+        configuration=configuration,
         residual=residual,
         point=row.point,
         residual_multiplicity=mu,

@@ -1,5 +1,5 @@
-"""Classification tests: the exclusion lists, reason tags, and the full
-reconciliation of verdicts against the construction engine."""
+"""Classification tests: the exclusion lists and reason tags.  Verdicts are
+reconciled with the construction engine in ``test_acceptance_5``."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from dpcylinders import (
     classify,
     classify_anticanonical,
     classify_polar,
-    cross_check,
     enumerate_specs,
     picard_rank,
     validate_spec,
@@ -115,10 +114,3 @@ def test_sweep_anticanonical_refusal_count():
 def test_classification_is_deterministic():
     spec = validate_spec(2, ("A3", "A1"))
     assert classify(spec) == classify(spec)
-
-
-def test_cross_check_reconciles_every_spec():
-    """Every verdict is backed by the engine: certified constructions for
-    yes, refusals for no.  Any drift between the two layers shows up here."""
-    for spec in enumerate_specs():
-        assert cross_check(spec) == (), str(spec)

@@ -109,6 +109,33 @@ def test_spec_files_allow_comments_and_case(tmp_path, capsys):
     assert json.loads(out)["spec"] == {"degree": 3, "singularities": ["A1"]}
 
 
+@pytest.mark.parametrize("text,code", [
+    ("degree: 0_3\n", cli.EXIT_BAD_FILE),
+    ("degree: \uff13\n", cli.EXIT_BAD_FILE),  # fullwidth 3
+    ("degree: \u0663\n", cli.EXIT_BAD_FILE),  # Arabic-Indic 3
+    ("degree: 3\nsingularities: A\uff11\n", cli.EXIT_BAD_SPEC),  # fullwidth 1
+    ("degree: -1\n", cli.EXIT_BAD_SPEC),
+    ("degree: +3\nsingularities: A1\n", cli.EXIT_OK),
+])
+@pytest.mark.parametrize("command", ["classify", "tiger"])
+def test_spec_digits_are_ascii(tmp_path, capsys, command, text, code):
+    path = tmp_path / "spec.txt"
+    path.write_text(text, encoding="utf-8")
+    got, out, err = run_cli(capsys, command, "--spec", str(path))
+    assert got == code
+    if code != cli.EXIT_OK:
+        assert out == "" and err.startswith("error: ")
+
+
+def test_certificate_loader_names_a_missing_field():
+    with pytest.raises(ValueError, match="'decompositions'"):
+        certificate_from_document({"kind": "tiger_certificate"})
+    doc = certificate_document(build_tiger(validate_spec(5, ())))
+    del doc["decompositions"][0]["part1"]["e_coefficient"]
+    with pytest.raises(ValueError, match="'e_coefficient'"):
+        certificate_from_document(doc)
+
+
 # -------------------------------------------------------------------- tiger
 
 def test_tiger_roundtrip(spec_dir, tmp_path, capsys):

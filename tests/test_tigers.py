@@ -20,12 +20,14 @@ from dpcylinders import (
     NoCaseApplies,
     PointSpec,
     Relation,
+    ResidualNumbers,
     build_tiger,
     case_tables,
     conditions,
     decomposition_parts,
+    dim_complete,
     enumerate_decompositions,
-    local_multiplicity,
+    gram_table,
     max_multiplicity_budget,
     part_residual_numbers,
     select_case,
@@ -50,6 +52,9 @@ CASE_IDS = [
     "D5", "D6", "D7", "D8",
     "E6", "E7", "E8",
 ]
+
+# every (case row, degree) pair
+SPLIT_CASES = [(row, d) for row in case_tables() for d in row.degrees]
 
 
 def row_by_id(case_id):
@@ -88,6 +93,24 @@ def test_case_rows_are_internally_consistent():
                 assert 1 <= int(label[1:]) <= rank
         # the only auxiliary-curve case is the degree 4/6 construction
         assert (row.e_coefficient > 0) == (row.case_id == "deg4or6")
+        for _, degrees in row.notes:
+            assert set(degrees) <= set(row.degrees)
+        if row.balanced_split is not None:
+            assert len(row.balanced_split) == rank
+
+
+def test_marked_points_lie_on_the_configuration():
+    """The local multiplicity adds the row's coefficient on each curve
+    through the marked point, so each such curve must carry one, and the
+    two curves of an intersection point must meet."""
+    for row in case_tables():
+        for label in row.point.curves:
+            coeff = (row.e_coefficient if label == "E"
+                     else row.node_coefficients[int(label[1:]) - 1])
+            assert isinstance(coeff, int) and coeff > 0, (row.case_id, label)
+        if row.point.kind == "node_intersection":
+            i, j = (int(label[1:]) - 1 for label in row.point.curves)
+            assert gram_table(row.singularity)[i][j] == 1, row.case_id
 
 
 def test_point_spec_validation():
@@ -144,6 +167,32 @@ def test_certificates_match_fixtures(case_id):
         if row.e_coefficient:
             assert config["E"] == row.e_coefficient
         assert cert.tiger_components[0] == ("N", Fraction(1, row.multiple))
+
+
+@pytest.mark.parametrize(
+    "row,d", SPLIT_CASES, ids=[f"{row.case_id}-d{d}" for row, d in SPLIT_CASES]
+)
+def test_certificate_residual_matches_symbolic_solve(row, d):
+    """The certificate's closed-form residual and configuration equal the
+    ones the pairing table derives from the relation: label, ordered
+    pairings, square and dim."""
+    table = GramTable(d)
+    coeffs = {}
+    if row.singularity is not None:
+        coeffs = dict(zip(table.add_singularity(row.singularity), row.node_coefficients))
+    if row.e_coefficient:
+        coeffs[table.add_minus_one_curve("E")] = row.e_coefficient
+    config = DivisorClass.of(coeffs)
+    n = table.solve_residual(Relation(row.multiple, config, "N"))
+    symbolic = ResidualNumbers(
+        "N",
+        tuple((g.label, table.pair(n, g)) for g in table.generators if g is not n),
+        table.pair(n, n),
+        dim_complete(table, DivisorClass.of({n: 1})),
+    )
+    cert = build_tiger(validate_spec(*minimal_spec_args(row.case_id, d)))
+    assert cert.residual == symbolic
+    assert cert.configuration == tuple((g.label, int(c)) for g, c in config.terms)
 
 
 def test_part_numbers_match_pairing_table():
@@ -372,9 +421,6 @@ def test_every_witness_recomputes():
                 assert w["parts_dim"] < w["candidate_dim"]
 
 
-SPLIT_CASES = [(row, d) for row in case_tables() for d in row.degrees]
-
-
 @st.composite
 def arbitrary_splits(draw):
     row, d = draw(st.sampled_from(SPLIT_CASES))
@@ -486,39 +532,3 @@ def test_unobstructed_split_forces_discrepancy(monkeypatch):
         assert cert.ratio == Fraction(9, 4)
     finally:
         enumerate_decompositions.cache_clear()
-
-
-# ------------------------------------------------------ local multiplicity
-
-def test_local_multiplicity_counts_coefficients():
-    row = row_by_id("A4")
-    table = GramTable(2)
-    curves = table.add_singularity(row.singularity)
-    config = DivisorClass.of(dict(zip(curves, row.node_coefficients)))
-    assert local_multiplicity(table, config, row.point, 1) == 5
-
-
-def test_local_multiplicity_requires_curves_present():
-    table = GramTable(2)
-    d1, d2 = table.add_singularity(row_by_id("A2").singularity)
-    point = PointSpec("node_intersection", ("D1", "D2"))
-    with pytest.raises(ValueError, match="not in the configuration"):
-        local_multiplicity(table, DivisorClass.of({d1: 2}), point, 1)
-
-
-def test_local_multiplicity_requires_meeting_curves():
-    table = GramTable(2)
-    d1, d2, d3 = table.add_singularity(row_by_id("A3").singularity)
-    point = PointSpec("node_intersection", ("D1", "D3"))
-    with pytest.raises(ValueError, match="do not meet"):
-        local_multiplicity(table, DivisorClass.of({d1: 1, d3: 1}), point, 1)
-
-
-def test_local_multiplicity_rejects_bad_inputs():
-    table = GramTable(2)
-    (d1,) = table.add_singularity(row_by_id("A1deg3").singularity)
-    point = PointSpec("on_curve", ("D1",))
-    with pytest.raises(ValueError, match="nonnegative"):
-        local_multiplicity(table, DivisorClass.of({d1: 3}), point, -1)
-    with pytest.raises(ValueError, match="non-integer"):
-        local_multiplicity(table, DivisorClass.of({d1: Fraction(1, 2)}), point, 1)

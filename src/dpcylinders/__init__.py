@@ -1,26 +1,17 @@
 """Cylinders in singular del Pezzo surfaces: classification and certificates.
 
-Exact-arithmetic tooling for du Val del Pezzo surface specs: intersection
-theory on the minimal resolution, cylinder existence classification, and
-re-checkable non-log-canonical certificates ("tigers") with exhaustive
-decomposition obstructions.
+Exact-arithmetic tooling for du Val del Pezzo surface specs: cylinder
+existence classification and re-checkable non-log-canonical certificates
+("tigers") with exhaustive decomposition obstructions.
+
+The top level exports the product path, parse -> classify -> build_tiger ->
+document.  Everything else, including the symbolic reference layer the
+tests check the engine against, is imported from its own module and is not
+loaded by ``import dpcylinders``.
 """
 
-from .classify import NO_POLAR_COLLECTIONS, Verdict, classify, classify_anticanonical, classify_polar
-from .divisors import DivisorClass, Generator, GramTable, Relation, UndefinedPairing
-from .embedding import Embedding, OracleUnavailable, oracle_embed
-from .lattice import (
-    DynkinType,
-    InvalidSpec,
-    SurfaceSpec,
-    all_types,
-    enumerate_specs,
-    fundamental_cycle,
-    gram_table,
-    picard_rank,
-    validate_spec,
-)
-from .linear_systems import conditions, dim_complete, max_multiplicity_budget, subsystem_dim
+from .classify import Verdict, classify
+from .lattice import DynkinType, InvalidSpec, SurfaceSpec, enumerate_specs
 from .specio import (
     SpecFileError,
     certificate_document,
@@ -30,70 +21,34 @@ from .specio import (
     verdict_document,
 )
 from .tigers import (
-    CaseTable,
-    Decomposition,
-    DecompositionOutcome,
     NoCaseApplies,
-    Obstruction,
-    PointSpec,
-    ResidualNumbers,
     TigerCertificate,
     build_tiger,
     case_tables,
-    decomposition_parts,
     enumerate_decompositions,
-    part_residual_numbers,
     select_case,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaseTable",
-    "Decomposition",
-    "DecompositionOutcome",
-    "DivisorClass",
     "DynkinType",
-    "Embedding",
-    "Generator",
-    "GramTable",
     "InvalidSpec",
-    "NO_POLAR_COLLECTIONS",
     "NoCaseApplies",
-    "Obstruction",
-    "OracleUnavailable",
-    "PointSpec",
-    "Relation",
-    "ResidualNumbers",
     "SpecFileError",
     "SurfaceSpec",
     "TigerCertificate",
-    "UndefinedPairing",
     "Verdict",
-    "all_types",
     "build_tiger",
     "case_tables",
     "certificate_document",
     "certificate_from_document",
     "classify",
-    "classify_anticanonical",
-    "classify_polar",
-    "conditions",
-    "decomposition_parts",
-    "dim_complete",
     "enumerate_decompositions",
     "enumerate_specs",
-    "fundamental_cycle",
-    "gram_table",
-    "max_multiplicity_budget",
-    "oracle_embed",
     "parse_spec_text",
-    "part_residual_numbers",
-    "picard_rank",
     "render_document",
     "select_case",
-    "subsystem_dim",
-    "validate_spec",
     "verdict_document",
     "__version__",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import DynkinType, SurfaceSpec, picard_rank, validate_spec
+from .lattice import DynkinType, SurfaceSpec, picard_rank
 
 _A1 = DynkinType("A", 1)
 _A2 = DynkinType("A", 2)
@@ -62,7 +62,6 @@ def classify_polar(spec: SurfaceSpec) -> tuple[bool, str]:
 
 
 def classify(spec: SurfaceSpec) -> Verdict:
-    spec = validate_spec(spec.degree, spec.singularities)
     anticanonical, a_reason = classify_anticanonical(spec)
     polar, p_reason = classify_polar(spec)
     return Verdict(

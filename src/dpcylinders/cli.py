@@ -6,8 +6,9 @@ Exit codes:
   20  classify: no cylinder for any polarization; tiger: nothing to build
   30  tiger/sweep: construction discrepancy (an unobstructed decomposition
       or a spec no case covers)
-  2   unreadable or malformed spec file
+  2   unreadable, non-UTF-8 or malformed spec file
   3   well-formed file describing an invalid surface spec
+  4   cannot write the --out file
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ EXIT_NO_CYLINDER = 20
 EXIT_DISCREPANCY = 30
 EXIT_BAD_FILE = 2
 EXIT_BAD_SPEC = 3
+EXIT_CANNOT_WRITE = 4
+
+
+class OutputError(Exception):
+    """The --out file cannot be written."""
 
 
 def _load_spec(path: str) -> SurfaceSpec:
@@ -41,15 +47,22 @@ def _load_spec(path: str) -> SurfaceSpec:
             text = fh.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(
+            f"cannot read {path}: not UTF-8 text (bad byte at offset {exc.start})"
+        ) from exc
     return parse_spec_text(text)
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -164,6 +177,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvalidSpec as exc:
         sys.stderr.write(f"error: invalid spec: {exc}\n")
         return EXIT_BAD_SPEC
+    except OutputError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CANNOT_WRITE
 
 
 def entry() -> None:

@@ -8,7 +8,9 @@ and residual classes introduced by relations of the shape
 
 Residuals are opaque: their pairings are derived from the relation, never
 from coordinates.  Pairings that were never defined (e.g. between residuals
-of two unrelated relations) raise rather than guess.
+of two unrelated relations) raise rather than guess.  The expected
+dimension F.(F - K)/2 of a complete linear system, which assumes vanishing
+higher cohomology, is read off the same table (:func:`dim_complete`).
 """
 
 from __future__ import annotations
@@ -250,3 +252,20 @@ class GramTable:
         self._set(residual, residual, int(self_pairing))
         self._generators.append(residual)
         return residual
+
+
+def dim_complete(table: GramTable, c: DivisorClass) -> int:
+    """Expected dimension c.(c - K)/2 of the complete linear system of ``c``.
+
+    Rejects classes where c.(c - K) comes out odd or fractional; every
+    integral class on a smooth surface has even c.(c - K), so a violation
+    means the input was not an honest integral class.
+    """
+    k = table.canonical_class()
+    value = table.intersect(c, c - k)
+    if value.denominator != 1 or value.numerator % 2 != 0:
+        raise ValueError(
+            f"c.(c - K) = {value} is not an even integer; "
+            "not the class of an integral divisor"
+        )
+    return int(value) // 2

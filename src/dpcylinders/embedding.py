@@ -22,6 +22,9 @@ from .lattice import DynkinType, SurfaceSpec, adjacency, gram_table
 
 Vector = tuple[int, ...]
 
+# Candidate placements the embedding search may try before it gives up.
+STEP_LIMIT = 500_000
+
 
 class OracleUnavailable(RuntimeError):
     """No embedding was found within the search budget.
@@ -161,7 +164,6 @@ class Embedding:
 def oracle_embed(
     spec: SurfaceSpec,
     with_minus_one_curve: bool = False,
-    step_limit: int = 500_000,
 ) -> Embedding:
     """Find explicit coordinates for K, every exceptional curve of the spec,
     and optionally one (-1)-curve disjoint from all of them.
@@ -226,9 +228,9 @@ def oracle_embed(
         label, wanted = jobs[job_index]
         for candidate in roots:
             steps += 1
-            if steps > step_limit:
+            if steps > STEP_LIMIT:
                 raise OracleUnavailable(
-                    f"embedding search for {spec} exceeded {step_limit} steps"
+                    f"embedding search for {spec} exceeded {STEP_LIMIT} steps"
                 )
             if any(pairing(candidate, coords[lbl]) != want for lbl, want in wanted):
                 continue

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class InvalidSpec(ValueError):
@@ -106,34 +106,36 @@ def gram_table(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def fundamental_cycle(t: DynkinType) -> tuple[int, ...]:
-    """Smallest z >= (1,...,1) with (G z)_i <= 0 for every node i.
-
-    Computed by the usual increment loop: while some node pairs positively
-    with z, bump that node.  Terminates for negative definite G.
-    """
-    g = gram_table(t)
-    k = t.rank
-    z = [1] * k
-    while True:
-        for i in range(k):
-            if sum(g[i][j] * z[j] for j in range(k)) > 0:
-                z[i] += 1
-                break
-        else:
-            return tuple(z)
-
-
 @dataclass(frozen=True)
 class SurfaceSpec:
     """A degree together with a multiset of singularity types.
 
-    Instances are normally produced by :func:`validate_spec`, which sorts
-    the singularities into canonical order and checks the rank budget.
+    Construction validates: type tokens such as ``"A1"`` are parsed, the
+    singularities are sorted into canonical order, and the degree and rank
+    budget are checked, so every instance is a valid spec.  The exceptional
+    curves all live in the orthogonal complement of the canonical class
+    inside a unimodular lattice of rank 10 - degree, so the total number of
+    nodes can be at most 9 - degree.
     """
 
     degree: int
     singularities: tuple[DynkinType, ...] = ()
+
+    def __post_init__(self) -> None:
+        degree = self.degree
+        if not isinstance(degree, int) or not 1 <= degree <= 9:
+            raise InvalidSpec(f"degree must be an integer in [1, 9], got {degree!r}")
+        resolved = tuple(sorted(
+            t if isinstance(t, DynkinType) else DynkinType.parse(t)
+            for t in self.singularities
+        ))
+        object.__setattr__(self, "singularities", resolved)
+        budget = 9 - degree
+        if self.total_rank > budget:
+            raise InvalidSpec(
+                f"rank budget exceeded: total rank {self.total_rank} > {budget} "
+                f"allowed at degree {degree} (over by {self.total_rank - budget})"
+            )
 
     @property
     def total_rank(self) -> int:
@@ -145,38 +147,13 @@ class SurfaceSpec:
         if not self.singularities:
             return "smooth"
         parts = []
-        for t, group in itertools.groupby(sorted(self.singularities)):
+        for t, group in itertools.groupby(self.singularities):
             n = len(list(group))
             parts.append(f"{n}{t}" if n > 1 else str(t))
         return "+".join(parts)
 
     def __str__(self) -> str:
         return f"degree {self.degree}, {self.singularity_label}"
-
-
-def validate_spec(
-    degree: int, singularities: Iterable[DynkinType | str] = ()
-) -> SurfaceSpec:
-    """Check degree and rank budget; return the spec in canonical order.
-
-    The exceptional curves all live in the orthogonal complement of the
-    canonical class inside a unimodular lattice of rank 10 - degree, so the
-    total number of nodes can be at most 9 - degree.
-    """
-    if not isinstance(degree, int) or not 1 <= degree <= 9:
-        raise InvalidSpec(f"degree must be an integer in [1, 9], got {degree!r}")
-    resolved = tuple(
-        t if isinstance(t, DynkinType) else DynkinType.parse(t)
-        for t in singularities
-    )
-    spec = SurfaceSpec(degree, tuple(sorted(resolved)))
-    budget = 9 - degree
-    if spec.total_rank > budget:
-        raise InvalidSpec(
-            f"rank budget exceeded: total rank {spec.total_rank} > {budget} "
-            f"allowed at degree {degree} (over by {spec.total_rank - budget})"
-        )
-    return spec
 
 
 def picard_rank(spec: SurfaceSpec) -> int:
@@ -204,4 +181,4 @@ def enumerate_specs() -> Iterator[SurfaceSpec]:
     for degree in range(1, 10):
         seen = sorted(set(collections(9 - degree, 0)))
         for coll in seen:
-            yield SurfaceSpec(degree, tuple(sorted(coll)))
+            yield SurfaceSpec(degree, coll)

@@ -1,34 +1,14 @@
-"""Dimension counting for complete linear systems and multiplicity budgets.
+"""Point conditions and multiplicity budgets for linear systems.
 
-On a rational surface with vanishing higher cohomology, the dimension of the
-complete system of a class F is F.(F - K)/2.  Imposing multiplicity >= m at
-a point cuts at most m(m+1)/2 dimensions.  Both facts are used as exact
-integer bookkeeping; nothing here verifies the vanishing hypotheses, and the
-reported value is the expected dimension.
+On a rational surface with vanishing higher cohomology, imposing
+multiplicity >= m at a point cuts at most m(m+1)/2 dimensions from a linear
+system.  This is used as exact integer bookkeeping; nothing here verifies
+the vanishing hypotheses, and the dimensions are expected dimensions.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-
-from .divisors import DivisorClass, GramTable
-
-
-def dim_complete(table: GramTable, c: DivisorClass) -> int:
-    """Expected dimension of the complete linear system of ``c``.
-
-    Rejects classes where c.(c - K) comes out odd or fractional; every
-    integral class on a smooth surface has even c.(c - K), so a violation
-    means the input was not an honest integral class.
-    """
-    k = table.canonical_class()
-    value = table.intersect(c, c - k)
-    if value.denominator != 1 or value.numerator % 2 != 0:
-        raise ValueError(
-            f"c.(c - K) = {value} is not an even integer; "
-            "not the class of an integral divisor"
-        )
-    return int(value) // 2
 
 
 def conditions(m: int) -> int:
@@ -36,12 +16,6 @@ def conditions(m: int) -> int:
     if m < 0:
         raise ValueError(f"multiplicity must be nonnegative, got {m}")
     return m * (m + 1) // 2
-
-
-def subsystem_dim(dim: int, m: int) -> int:
-    """Expected dimension after imposing multiplicity >= m; may be negative,
-    in which case the subsystem is not guaranteed non-empty."""
-    return dim - conditions(m)
 
 
 def max_multiplicity_budget(dim: int) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from .classify import Verdict
-from .lattice import SurfaceSpec, validate_spec
+from .lattice import SurfaceSpec
 from .tigers import (
     CaseTable,
     Decomposition,
@@ -41,7 +41,7 @@ def parse_spec_text(text: str) -> SurfaceSpec:
 
     Structure problems raise SpecFileError; semantically invalid content
     (unknown type token, degree/rank out of range) propagates InvalidSpec
-    from validation.  '#' starts a comment.
+    from the SurfaceSpec constructor.  '#' starts a comment.
     """
     degree: Optional[int] = None
     tokens: Optional[list[str]] = None
@@ -70,7 +70,7 @@ def parse_spec_text(text: str) -> SurfaceSpec:
             raise SpecFileError(f"line {lineno}: unknown key {key!r}")
     if degree is None:
         raise SpecFileError("missing 'degree' line")
-    return validate_spec(degree, tuple(tokens or ()))
+    return SurfaceSpec(degree, tuple(tokens or ()))
 
 
 def render_document(doc: dict[str, Any]) -> str:

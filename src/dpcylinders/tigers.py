@@ -23,8 +23,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional
 
-from .classify import classify_anticanonical
-from .lattice import DynkinType, SurfaceSpec, gram_table, validate_spec
+from .lattice import DynkinType, SurfaceSpec, gram_table
 from .linear_systems import conditions, max_multiplicity_budget
 
 # Obstruction kinds
@@ -35,11 +34,11 @@ DISJOINTNESS = "disjointness"
 
 
 class NoCaseApplies(ValueError):
-    """No construction case covers the given spec.
+    """No row of the case table covers the given spec.
 
-    Raised both for specs without an anticanonical cylinder (where no tiger
-    of this shape is expected) and, defensively, for any cylinder-bearing
-    spec missed by the dispatch table; callers distinguish by message.
+    The rows cover exactly the specs with an anticanonical cylinder, so
+    this is the expected answer for a spec without one and a coverage gap
+    for any other.
     """
 
 
@@ -190,12 +189,6 @@ class Obstruction:
     kind: str
     witness: tuple[tuple[str, int], ...]
 
-    def value(self, name: str) -> int:
-        for key, v in self.witness:
-            if key == name:
-                return v
-        raise KeyError(f"no witness field {name!r}")
-
     def describe(self) -> str:
         w = dict(self.witness)
         if self.kind == NEGATIVE_SELF_INTERSECTION:
@@ -242,13 +235,8 @@ class PartRecord:
 
 
 @lru_cache(maxsize=None)
-def _row_gram(t: Optional[DynkinType]) -> tuple[tuple[int, ...], ...]:
-    return gram_table(t) if t is not None else ()
-
-
-@lru_cache(maxsize=None)
 def _row_neighbors(t: Optional[DynkinType]) -> tuple[tuple[int, ...], ...]:
-    g = _row_gram(t)
+    g = gram_table(t) if t is not None else ()
     k = len(g)
     return tuple(
         tuple(j for j in range(k) if j != i and g[i][j] != 0) for i in range(k)
@@ -482,18 +470,10 @@ def build_tiger(
 ) -> TigerCertificate:
     """Run the applicable case for a spec and assemble its certificate.
 
-    Raises :class:`NoCaseApplies` when the spec has no anticanonical
-    cylinder (nothing to build) or when dispatch finds no row (a coverage
-    bug; the sweep surfaces it loudly).
+    Raises :class:`NoCaseApplies` when no case row covers the spec, which
+    is the case exactly for the specs without an anticanonical cylinder.
     """
-    spec = validate_spec(spec.degree, spec.singularities)
     emit = trace or (lambda line: None)
-    verdict = classify_anticanonical(spec)
-    if not verdict[0]:
-        raise NoCaseApplies(
-            f"{spec} has no anticanonical cylinder ({verdict[1]}); "
-            "no tiger of this shape exists"
-        )
     row, sing_index = select_case(spec)
     d = spec.degree
     m = row.multiple

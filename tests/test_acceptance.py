@@ -14,29 +14,22 @@ import pytest
 
 import conftest
 from dpcylinders import (
-    DivisorClass,
-    GramTable,
     NoCaseApplies,
-    OracleUnavailable,
-    Relation,
-    all_types,
+    SurfaceSpec,
     build_tiger,
     case_tables,
     certificate_document,
     certificate_from_document,
     classify,
-    dim_complete,
     enumerate_decompositions,
     enumerate_specs,
-    gram_table,
-    oracle_embed,
-    picard_rank,
     render_document,
-    validate_spec,
 )
 from dpcylinders import cli, tigers
+from dpcylinders.divisors import DivisorClass, GramTable, Relation, dim_complete
+from dpcylinders.embedding import OracleUnavailable, oracle_embed
 from dpcylinders.embedding import pairing as vec_pairing
-from dpcylinders.lattice import adjacency
+from dpcylinders.lattice import adjacency, all_types, gram_table, picard_rank
 from dpcylinders.tigers import (
     DIMENSION_GAP,
     DISJOINTNESS,
@@ -146,7 +139,7 @@ def test_acceptance_3_residual_fixture_suite():
                     assert table.pair(residual, table.find("E")) == fix.e_pairing
                 assert dim_complete(table, n_class) == ev(fix.dim, d)
                 # route two: the closed-form certificate numbers
-                cert = build_tiger(validate_spec(*minimal_spec_args(row.case_id, d)))
+                cert = build_tiger(SurfaceSpec(*minimal_spec_args(row.case_id, d)))
                 assert cert.residual.square == ev(fix.square, d)
                 assert cert.residual.dim == ev(fix.dim, d)
         # the one-node cubic's three negative split squares
@@ -163,7 +156,7 @@ def test_acceptance_4_oracle_equivalence():
         refused = []
         for row in case_tables():
             for d in row.degrees:
-                spec = validate_spec(*minimal_spec_args(row.case_id, d))
+                spec = SurfaceSpec(*minimal_spec_args(row.case_id, d))
                 with_e = bool(row.e_coefficient)
                 try:
                     embedding = oracle_embed(spec, with_minus_one_curve=with_e)
@@ -304,7 +297,7 @@ def test_acceptance_7_classification():
         ]
         assert len(fixtures) == 20
         for d, sings, anticanonical, polar in fixtures:
-            verdict = classify(validate_spec(d, sings))
+            verdict = classify(SurfaceSpec(d, sings))
             assert verdict.anticanonical_cylinder is anticanonical, (d, sings)
             assert verdict.h_polar_cylinder is polar, (d, sings)
         refused = [
@@ -346,19 +339,19 @@ def test_acceptance_8_cli_contract(tmp_path, capsys, monkeypatch):
         assert cli.main(["tiger", "--spec", str(spec_path)]) == cli.EXIT_OK
         assert capsys.readouterr().out == first
         rebuilt = certificate_from_document(json.loads(first))
-        assert rebuilt == build_tiger(validate_spec(3, ("A1",)))
+        assert rebuilt == build_tiger(SurfaceSpec(3, ("A1",)))
         assert render_document(certificate_document(rebuilt)) == first
 
-        # exit 30 is reserved for engine discrepancies; force one
-        enumerate_decompositions.cache_clear()
+        # exit 30 is reserved for engine discrepancies; force one through an
+        # uncached enumeration, so the shared cache never sees the fake
+        monkeypatch.setattr(
+            tigers, "enumerate_decompositions", enumerate_decompositions.__wrapped__
+        )
         monkeypatch.setattr(
             tigers, "_obstruction_for", lambda row, degree, dec: None
         )
-        try:
-            assert (
-                cli.main(["tiger", "--spec", str(spec_path)])
-                == cli.EXIT_DISCREPANCY
-            )
-        finally:
-            enumerate_decompositions.cache_clear()
-            capsys.readouterr()
+        assert (
+            cli.main(["tiger", "--spec", str(spec_path)])
+            == cli.EXIT_DISCREPANCY
+        )
+        capsys.readouterr()

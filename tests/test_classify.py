@@ -3,15 +3,9 @@ reconciled with the construction engine in ``test_acceptance_5``."""
 
 import pytest
 
-from dpcylinders import (
-    NO_POLAR_COLLECTIONS,
-    classify,
-    classify_anticanonical,
-    classify_polar,
-    enumerate_specs,
-    picard_rank,
-    validate_spec,
-)
+from dpcylinders import SurfaceSpec, classify, enumerate_specs
+from dpcylinders.classify import NO_POLAR_COLLECTIONS, classify_anticanonical, classify_polar
+from dpcylinders.lattice import picard_rank
 
 # degree, singularities, anticanonical cylinder, polar cylinder
 FIXTURES = [
@@ -44,7 +38,7 @@ FIXTURES = [
     ids=[f"d{d}-{'+'.join(s) or 'smooth'}" for d, s, _, _ in FIXTURES],
 )
 def test_fixture_verdicts(degree, sings, anticanonical, polar):
-    spec = validate_spec(degree, sings)
+    spec = SurfaceSpec(degree, sings)
     verdict = classify(spec)
     assert verdict.anticanonical_cylinder is anticanonical
     assert verdict.h_polar_cylinder is polar
@@ -55,20 +49,20 @@ def test_fixture_verdicts(degree, sings, anticanonical, polar):
 
 
 def test_reason_tags():
-    assert classify(validate_spec(3, ())).anticanonical_reason == "smooth-cubic"
+    assert classify(SurfaceSpec(3, ())).anticanonical_reason == "smooth-cubic"
     assert (
-        classify(validate_spec(2, ("A1", "A1", "A1"))).anticanonical_reason
+        classify(SurfaceSpec(2, ("A1", "A1", "A1"))).anticanonical_reason
         == "only-A1-at-degree-2"
     )
-    v = classify(validate_spec(1, ("A1", "A3", "D4")))
+    v = classify(SurfaceSpec(1, ("A1", "A3", "D4")))
     assert v.anticanonical_reason == "only-small-singularities-at-degree-1"
     assert v.polar_reason == "ample-polarization-exists"
     assert v.picard_rank == 1  # rank 8 collection, yet not in the excluded list
 
-    v = classify(validate_spec(1, ("A2", "A2", "A2", "A2")))
+    v = classify(SurfaceSpec(1, ("A2", "A2", "A2", "A2")))
     assert v.polar_reason == "rank-one-excluded-collection"
 
-    v = classify(validate_spec(5, ()))
+    v = classify(SurfaceSpec(5, ()))
     assert v.anticanonical_reason == "outside-excluded-list"
     assert v.polar_reason == "anticanonical-cylinder-transfers"
 
@@ -76,7 +70,7 @@ def test_reason_tags():
 def test_smooth_surfaces_refuse_at_low_degree_only():
     expected = {1: False, 2: False, 3: False}
     for d in range(1, 10):
-        got, _ = classify_anticanonical(validate_spec(d, ()))
+        got, _ = classify_anticanonical(SurfaceSpec(d, ()))
         assert got is expected.get(d, True), d
 
 
@@ -112,5 +106,5 @@ def test_sweep_anticanonical_refusal_count():
 
 
 def test_classification_is_deterministic():
-    spec = validate_spec(2, ("A3", "A1"))
+    spec = SurfaceSpec(2, ("A3", "A1"))
     assert classify(spec) == classify(spec)

@@ -1,18 +1,20 @@
 """Command line behavior: exit codes, document round-trips, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dpcylinders
 from dpcylinders import (
+    SurfaceSpec,
     build_tiger,
     certificate_document,
     certificate_from_document,
-    enumerate_decompositions,
     render_document,
-    validate_spec,
 )
 from dpcylinders import cli, tigers
 
@@ -95,6 +97,27 @@ def test_error_messages_name_the_problem(spec_dir, capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "tiger"])
+def test_non_utf8_spec_file_is_a_bad_file(tmp_path, capsys, command):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, command, "--spec", str(path))
+    assert code == cli.EXIT_BAD_FILE
+    assert out == ""
+    assert err == f"error: cannot read {path}: not UTF-8 text (bad byte at offset 0)\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "tiger", "sweep"])
+def test_unwritable_out_exits_4(spec_dir, tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.json"
+    spec = [] if command == "sweep" else ["--spec", str(spec_dir / "node_cubic.txt")]
+    code, out, err = run_cli(capsys, command, *spec, "--out", str(target))
+    assert code == cli.EXIT_CANNOT_WRITE
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_spec_files_allow_comments_and_case(tmp_path, capsys):
     path = tmp_path / "commented.txt"
     path.write_text(
@@ -130,7 +153,7 @@ def test_spec_digits_are_ascii(tmp_path, capsys, command, text, code):
 def test_certificate_loader_names_a_missing_field():
     with pytest.raises(ValueError, match="'decompositions'"):
         certificate_from_document({"kind": "tiger_certificate"})
-    doc = certificate_document(build_tiger(validate_spec(5, ())))
+    doc = certificate_document(build_tiger(SurfaceSpec(5, ())))
     del doc["decompositions"][0]["part1"]["e_coefficient"]
     with pytest.raises(ValueError, match="'e_coefficient'"):
         certificate_from_document(doc)
@@ -153,7 +176,7 @@ def test_tiger_roundtrip(spec_dir, tmp_path, capsys):
     assert doc["ratio"] == "9/4"
 
     rebuilt = certificate_from_document(doc)
-    assert rebuilt == build_tiger(validate_spec(3, ("A1",)))
+    assert rebuilt == build_tiger(SurfaceSpec(3, ("A1",)))
     # rendering the rebuilt certificate reproduces the file byte for byte
     assert render_document(certificate_document(rebuilt)) == text
 
@@ -185,17 +208,17 @@ def test_tiger_nothing_to_build(spec_dir, capsys):
 
 
 def test_tiger_discrepancy_exit(spec_dir, capsys, monkeypatch):
-    enumerate_decompositions.cache_clear()
+    # an uncached enumeration, so the shared cache never sees the fake
+    monkeypatch.setattr(
+        tigers, "enumerate_decompositions", tigers.enumerate_decompositions.__wrapped__
+    )
     monkeypatch.setattr(tigers, "_obstruction_for", lambda row, degree, dec: None)
-    try:
-        code, out, err = run_cli(
-            capsys, "tiger", "--spec", str(spec_dir / "node_cubic.txt")
-        )
-        assert code == cli.EXIT_DISCREPANCY
-        assert "carry no obstruction" in err
-        assert json.loads(out)["status"] == "discrepancy"
-    finally:
-        enumerate_decompositions.cache_clear()
+    code, out, err = run_cli(
+        capsys, "tiger", "--spec", str(spec_dir / "node_cubic.txt")
+    )
+    assert code == cli.EXIT_DISCREPANCY
+    assert "carry no obstruction" in err
+    assert json.loads(out)["status"] == "discrepancy"
 
 
 # -------------------------------------------------------------------- sweep
@@ -226,3 +249,21 @@ def test_module_entry_point(spec_dir, tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["kind"] == "classification"
+
+
+def test_cli_import_leaves_the_symbolic_layer_unloaded():
+    # divisors and embedding are the tests' reference route, not the CLI's
+    probe = (
+        "import json, sys, dpcylinders.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dpcylinders'))))"
+    )
+    src = str(Path(dpcylinders.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert "dpcylinders.cli" in loaded
+    assert "dpcylinders.divisors" not in loaded
+    assert "dpcylinders.embedding" not in loaded

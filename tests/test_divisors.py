@@ -5,14 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dpcylinders import (
-    DivisorClass,
-    DynkinType,
-    Generator,
-    GramTable,
-    Relation,
-    UndefinedPairing,
-)
+from dpcylinders import DynkinType
+from dpcylinders.divisors import DivisorClass, Generator, GramTable, Relation, UndefinedPairing
 
 
 def table_with(degree, *types, minus_one=False):

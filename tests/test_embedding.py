@@ -2,19 +2,13 @@
 
 import pytest
 
-from dpcylinders import (
-    DivisorClass,
-    DynkinType,
-    GramTable,
-    OracleUnavailable,
-    Relation,
-    case_tables,
-    oracle_embed,
-    validate_spec,
-)
+from dpcylinders import DynkinType, SurfaceSpec, case_tables
+from dpcylinders.divisors import DivisorClass, GramTable, Relation
 from dpcylinders.embedding import (
+    OracleUnavailable,
     canonical_vector,
     minus_one_vectors,
+    oracle_embed,
     pairing,
     root_vectors,
 )
@@ -61,7 +55,7 @@ def test_minus_one_census():
 
 
 def test_oracle_is_deterministic():
-    spec = validate_spec(1, ("A2", "A2", "A2", "A2"))
+    spec = SurfaceSpec(1, ("A2", "A2", "A2", "A2"))
     assert oracle_embed(spec).coordinates == oracle_embed(spec).coordinates
 
 
@@ -85,7 +79,7 @@ UNEMBEDDABLE = {("A6", 3), ("D6", 3), ("D7", 2)}
 def test_case_tables_agree_with_coordinates(row):
     """Every case's pairing table is reproduced by an actual root placement."""
     for degree in row.degrees:
-        spec = validate_spec(
+        spec = SurfaceSpec(
             degree, (str(row.singularity),) if row.singularity else ()
         )
         with_e = bool(row.e_coefficient)
@@ -136,7 +130,7 @@ def test_case_tables_agree_with_coordinates(row):
     ids=lambda s: "+".join(s),
 )
 def test_multi_singularity_collections_embed(sings):
-    spec = validate_spec(1, sings)
+    spec = SurfaceSpec(1, sings)
     embedding = oracle_embed(spec)
 
     table = GramTable(1)
@@ -151,16 +145,16 @@ def test_multi_singularity_collections_embed(sings):
 def test_oracle_reports_impossible_configuration():
     # rank 2 leaves no room for an A2 root pair at degree 7
     with pytest.raises(OracleUnavailable):
-        oracle_embed(validate_spec(7, ("A2",)))
+        oracle_embed(SurfaceSpec(7, ("A2",)))
 
 
 def test_oracle_rejects_degree_nine_minus_one_curve():
     with pytest.raises(OracleUnavailable):
-        oracle_embed(validate_spec(9, ()), with_minus_one_curve=True)
+        oracle_embed(SurfaceSpec(9, ()), with_minus_one_curve=True)
 
 
 def test_minus_one_curve_disjoint_from_roots():
-    spec = validate_spec(4, ("A1", "A2"))
+    spec = SurfaceSpec(4, ("A1", "A2"))
     embedding = oracle_embed(spec, with_minus_one_curve=True)
     e = embedding.vector("E")
     assert pairing(e, e) == -1

@@ -5,18 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dpcylinders import (
-    DynkinType,
-    InvalidSpec,
-    SurfaceSpec,
-    all_types,
-    enumerate_specs,
-    fundamental_cycle,
-    gram_table,
-    picard_rank,
-    validate_spec,
-)
-from dpcylinders.lattice import adjacency
+from dpcylinders import DynkinType, InvalidSpec, SurfaceSpec, enumerate_specs
+from dpcylinders.lattice import adjacency, all_types, gram_table, picard_rank
 
 
 def det(matrix) -> Fraction:
@@ -126,7 +116,23 @@ def test_gram_determinants():
             assert d == {6: 3, 7: 2, 8: 1}[t.rank]
 
 
+def fundamental_cycle(g) -> tuple[int, ...]:
+    """Artin's fundamental cycle of a Gram matrix: the smallest z >= (1,...,1)
+    with (G z)_i <= 0 for every node, by the usual increment loop, which
+    terminates for negative definite G."""
+    k = len(g)
+    z = [1] * k
+    while True:
+        for i in range(k):
+            if sum(g[i][j] * z[j] for j in range(k)) > 0:
+                z[i] += 1
+                break
+        else:
+            return tuple(z)
+
+
 def test_fundamental_cycle_fixtures():
+    # the highest-root coefficients pin each table's node labeling
     cases = {
         ("A", 1): (1,),
         ("A", 5): (1, 1, 1, 1, 1),
@@ -138,52 +144,57 @@ def test_fundamental_cycle_fixtures():
         ("E", 8): (3, 2, 4, 6, 5, 4, 3, 2),
     }
     for (fam, rank), expected in cases.items():
-        assert fundamental_cycle(DynkinType(fam, rank)) == expected
+        assert fundamental_cycle(gram_table(DynkinType(fam, rank))) == expected
 
 
 @types_param
 def test_fundamental_cycle_antinef(t):
-    z = fundamental_cycle(t)
     g = gram_table(t)
+    z = fundamental_cycle(g)
     assert all(c >= 1 for c in z)
-    for i in range(t.rank):
-        assert sum(g[i][j] * z[j] for j in range(t.rank)) <= 0
+    gz = [sum(g[i][j] * z[j] for j in range(t.rank)) for i in range(t.rank)]
+    assert all(v <= 0 for v in gz)
+    # Artin's criterion: the configuration contracts to a rational double point
+    assert sum(z[i] * gz[i] for i in range(t.rank)) == -2
 
 
 def test_validate_spec_sorts_and_accepts():
-    spec = validate_spec(1, ("D4", "A1", "A2"))
+    # construction validates: tokens parse and sort into canonical order
+    spec = SurfaceSpec(1, ("D4", "A1", "A2"))
     assert [str(t) for t in spec.singularities] == ["A1", "A2", "D4"]
     assert spec.degree == 1
-    assert validate_spec(9, ()).singularities == ()
+    assert SurfaceSpec(9, ()).singularities == ()
     # duplicates are fine while the rank budget holds
-    assert len(validate_spec(1, ("A1",) * 8).singularities) == 8
+    assert len(SurfaceSpec(1, ("A1",) * 8).singularities) == 8
+    assert SurfaceSpec(2, [DynkinType("D", 4), "A1"]) == SurfaceSpec(2, ("A1", "D4"))
 
 
 def test_validate_spec_rejects():
+    # every construction checks, not only the parser's
     with pytest.raises(InvalidSpec):
-        validate_spec(0, ())
+        SurfaceSpec(0, ())
     with pytest.raises(InvalidSpec):
-        validate_spec(10, ())
+        SurfaceSpec(10, ())
     with pytest.raises(InvalidSpec):
-        validate_spec(3, ("E7",))  # rank 7 > 6
+        SurfaceSpec(3, ("E7",))  # rank 7 > 6
     with pytest.raises(InvalidSpec):
-        validate_spec(9, ("A1",))  # no room at degree 9
+        SurfaceSpec(9, ("A1",))  # no room at degree 9
     with pytest.raises(InvalidSpec):
-        validate_spec(5, ("A1", "A4"))  # 5 > 4
+        SurfaceSpec(5, ("A1", "A4"))  # 5 > 4
 
 
 def test_picard_rank_fixtures():
-    assert picard_rank(validate_spec(9, ())) == 1
-    assert picard_rank(validate_spec(1, ())) == 9
-    assert picard_rank(validate_spec(1, ("E8",))) == 1
-    assert picard_rank(validate_spec(3, ("A1",))) == 6
-    assert picard_rank(validate_spec(1, ("A1", "A1", "A3", "A3"))) == 1
+    assert picard_rank(SurfaceSpec(9, ())) == 1
+    assert picard_rank(SurfaceSpec(1, ())) == 9
+    assert picard_rank(SurfaceSpec(1, ("E8",))) == 1
+    assert picard_rank(SurfaceSpec(3, ("A1",))) == 6
+    assert picard_rank(SurfaceSpec(1, ("A1", "A1", "A3", "A3"))) == 1
 
 
 def test_singularity_label():
-    assert validate_spec(5, ()).singularity_label == "smooth"
-    assert validate_spec(1, ("A1", "A3", "A1", "A3")).singularity_label == "2A1+2A3"
-    assert validate_spec(2, ("D4",)).singularity_label == "D4"
+    assert SurfaceSpec(5, ()).singularity_label == "smooth"
+    assert SurfaceSpec(1, ("A1", "A3", "A1", "A3")).singularity_label == "2A1+2A3"
+    assert SurfaceSpec(2, ("D4",)).singularity_label == "D4"
 
 
 def test_enumerate_specs_census():
@@ -194,7 +205,7 @@ def test_enumerate_specs_census():
     assert per_degree == {9: 1, 8: 2, 7: 4, 6: 7, 5: 13, 4: 22, 3: 38, 2: 62, 1: 101}
     for s in specs:
         # re-validation is the identity
-        assert validate_spec(s.degree, s.singularities) == s
+        assert SurfaceSpec(s.degree, s.singularities) == s
 
 
 def test_enumerate_specs_deterministic():
@@ -218,7 +229,7 @@ def test_budget_boundary(degree, data):
         fam = data.draw(st.sampled_from([f for f, lo in [("A", 1), ("D", 4), ("E", 6)] if lo <= r <= 8]))
         names.append(f"{fam}{r}")
     if budget:
-        spec = validate_spec(degree, tuple(names))
+        spec = SurfaceSpec(degree, tuple(names))
         assert sum(t.rank for t in spec.singularities) == budget
     with pytest.raises(InvalidSpec):
-        validate_spec(degree, tuple(names) + ("A1",))
+        SurfaceSpec(degree, tuple(names) + ("A1",))

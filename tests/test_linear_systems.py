@@ -5,14 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dpcylinders import (
-    DivisorClass,
-    GramTable,
-    conditions,
-    dim_complete,
-    max_multiplicity_budget,
-    subsystem_dim,
-)
+from dpcylinders.divisors import DivisorClass, GramTable, dim_complete
+from dpcylinders.linear_systems import conditions, max_multiplicity_budget
 
 
 def test_anticanonical_multiples():
@@ -49,12 +43,6 @@ def test_conditions_sequence():
     assert [conditions(m) for m in range(7)] == [0, 1, 3, 6, 10, 15, 21]
     with pytest.raises(ValueError):
         conditions(-1)
-
-
-def test_subsystem_dim():
-    assert subsystem_dim(50, 9) == 5
-    assert subsystem_dim(21, 6) == 0
-    assert subsystem_dim(3, 3) == -3  # may go negative; callers decide
 
 
 def test_budget_fixtures():

@@ -14,25 +14,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpcylinders import (
-    Decomposition,
-    DivisorClass,
-    GramTable,
     NoCaseApplies,
-    PointSpec,
-    Relation,
-    ResidualNumbers,
+    SurfaceSpec,
     build_tiger,
     case_tables,
-    conditions,
-    decomposition_parts,
-    dim_complete,
+    classify,
     enumerate_decompositions,
-    gram_table,
-    max_multiplicity_budget,
-    part_residual_numbers,
+    enumerate_specs,
     select_case,
-    validate_spec,
 )
+from dpcylinders.divisors import DivisorClass, GramTable, Relation, dim_complete
+from dpcylinders.lattice import gram_table
+from dpcylinders.linear_systems import conditions, max_multiplicity_budget
 from dpcylinders import tigers
 from dpcylinders.tigers import (
     ASSUME_E_DISJOINT,
@@ -41,6 +34,11 @@ from dpcylinders.tigers import (
     MULTIPLICITY_BUDGET,
     NEGATIVE_SELF_INTERSECTION,
     NOTE_OWN_COEFFICIENTS,
+    Decomposition,
+    PointSpec,
+    ResidualNumbers,
+    decomposition_parts,
+    part_residual_numbers,
 )
 
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
@@ -148,7 +146,7 @@ def test_certificates_match_fixtures(case_id):
     row = row_by_id(case_id)
     fix = RESIDUAL_FIXTURES[case_id]
     for d in row.degrees:
-        cert = build_tiger(validate_spec(*minimal_spec_args(case_id, d)))
+        cert = build_tiger(SurfaceSpec(*minimal_spec_args(case_id, d)))
         assert cert.case_id == case_id
         assert cert.degree == d
         assert cert.multiple == row.multiple
@@ -190,7 +188,7 @@ def test_certificate_residual_matches_symbolic_solve(row, d):
         table.pair(n, n),
         dim_complete(table, DivisorClass.of({n: 1})),
     )
-    cert = build_tiger(validate_spec(*minimal_spec_args(row.case_id, d)))
+    cert = build_tiger(SurfaceSpec(*minimal_spec_args(row.case_id, d)))
     assert cert.residual == symbolic
     assert cert.configuration == tuple((g.label, int(c)) for g, c in config.terms)
 
@@ -461,26 +459,29 @@ def test_select_case_fixtures():
         ((5, ()), "deg5", None),
     ]
     for (d, sings), case_id, index in picks:
-        row, idx = select_case(validate_spec(d, sings))
+        row, idx = select_case(SurfaceSpec(d, sings))
         assert (row.case_id, idx) == (case_id, index), (d, sings)
 
 
 def test_select_case_coverage_gap_message():
     with pytest.raises(NoCaseApplies, match="coverage gap"):
-        select_case(validate_spec(1, ("A1",)))
+        select_case(SurfaceSpec(1, ("A1",)))
 
 
 def test_build_refuses_specs_without_cylinder():
-    for d, sings in [(3, ()), (2, ("A1",)), (1, ("A2", "A2", "A2", "A2"))]:
-        with pytest.raises(NoCaseApplies, match="no anticanonical cylinder"):
-            build_tiger(validate_spec(d, sings))
+    # the case table alone refuses every spec the classification excludes
+    refused = [s for s in enumerate_specs() if not classify(s).anticanonical_cylinder]
+    assert len(refused) == 62
+    for spec in refused:
+        with pytest.raises(NoCaseApplies, match="no construction case covers"):
+            build_tiger(spec)
 
 
 # ------------------------------------------------------------ certificates
 
 def test_trace_narrates_the_construction():
     lines = []
-    build_tiger(validate_spec(3, ("A1",)), trace=lines.append)
+    build_tiger(SurfaceSpec(3, ("A1",)), trace=lines.append)
     assert lines[0].startswith("case A1deg3: degree 3, multiple 4")
     assert any(line.startswith("relation: 4*(-K) = ") for line in lines)
     assert "N^2 = 30" in lines
@@ -490,7 +491,7 @@ def test_trace_narrates_the_construction():
 
 
 def test_certificate_e8():
-    cert = build_tiger(validate_spec(1, ("E8",)))
+    cert = build_tiger(SurfaceSpec(1, ("E8",)))
     assert cert.case_id == "E8"
     assert cert.singularity == "E8"
     assert cert.singularity_index == 0
@@ -508,7 +509,7 @@ def test_certificate_e8():
 
 
 def test_certificate_degree_six_smooth():
-    cert = build_tiger(validate_spec(6, ()))
+    cert = build_tiger(SurfaceSpec(6, ()))
     assert cert.case_id == "deg4or6"
     assert cert.singularity is None
     assert cert.singularity_index is None
@@ -521,14 +522,14 @@ def test_certificate_degree_six_smooth():
 
 
 def test_unobstructed_split_forces_discrepancy(monkeypatch):
-    # nothing in the real tables is unobstructed, so simulate the failure
-    enumerate_decompositions.cache_clear()
+    # nothing in the real tables is unobstructed, so simulate the failure on
+    # an uncached enumeration, so the shared cache never sees the fake
+    monkeypatch.setattr(
+        tigers, "enumerate_decompositions", enumerate_decompositions.__wrapped__
+    )
     monkeypatch.setattr(tigers, "_obstruction_for", lambda row, degree, dec: None)
-    try:
-        cert = build_tiger(validate_spec(5, ()))
-        assert cert.status == "discrepancy"
-        assert all(o.obstruction is None for o in cert.decompositions)
-        # the construction data itself is still intact
-        assert cert.ratio == Fraction(9, 4)
-    finally:
-        enumerate_decompositions.cache_clear()
+    cert = build_tiger(SurfaceSpec(5, ()))
+    assert cert.status == "discrepancy"
+    assert all(o.obstruction is None for o in cert.decompositions)
+    # the construction data itself is still intact
+    assert cert.ratio == Fraction(9, 4)

@@ -14,8 +14,11 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Optional
+import tempfile
+from contextlib import contextmanager, suppress
+from typing import Callable, Iterator, Optional
 
 from .classify import classify
 from .lattice import InvalidSpec, SurfaceSpec, enumerate_specs
@@ -26,7 +29,7 @@ from .specio import (
     render_document,
     verdict_document,
 )
-from .tigers import NoCaseApplies, build_tiger
+from .tigers import NoCaseApplies, build_tiger, narrate
 
 EXIT_OK = 0
 EXIT_NO_ANTICANONICAL = 10
@@ -54,21 +57,47 @@ def _load_spec(path: str) -> SurfaceSpec:
     return parse_spec_text(text)
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+Writer = Callable[[str], None]
+
+
+@contextmanager
+def _output(out: Optional[str]) -> Iterator[Writer]:
+    """Yield the writer of a command's document: stdout, or a temporary file
+    made next to --out before any work and renamed over it once written, so
+    --out is never partial.  A command that writes nothing leaves no file."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
         return
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".", prefix=".dpcyl-")
     except OSError as exc:
         raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    fh = os.fdopen(fd, "w", encoding="utf-8")
+
+    def write(text: str) -> None:
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except OSError as exc:
+            raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+    try:
+        # mkstemp makes the file private; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        with suppress(OSError):
+            os.fchmod(fd, 0o666 & ~umask)
+        yield write
+    finally:
+        fh.close()
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+def _cmd_classify(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> int:
     verdict = classify(spec)
-    _write_output(render_document(verdict_document(spec, verdict)), args.out)
+    write(render_document(verdict_document(spec, verdict)))
     if verdict.anticanonical_cylinder:
         return EXIT_OK
     if verdict.h_polar_cylinder:
@@ -76,8 +105,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_NO_CYLINDER
 
 
-def _cmd_tiger(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+def _cmd_tiger(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> int:
     verdict = classify(spec)
     if not verdict.anticanonical_cylinder:
         sys.stderr.write(
@@ -85,23 +113,23 @@ def _cmd_tiger(args: argparse.Namespace) -> int:
             f"({verdict.anticanonical_reason}); nothing to build\n"
         )
         return EXIT_NO_CYLINDER
-    trace = (lambda line: sys.stderr.write(line + "\n")) if args.trace else None
     try:
-        cert = build_tiger(spec, trace=trace)
+        cert = build_tiger(spec)
     except NoCaseApplies as exc:
         sys.stderr.write(f"discrepancy: {exc}\n")
         return EXIT_DISCREPANCY
-    _write_output(render_document(certificate_document(cert)), args.out)
+    if args.trace:
+        sys.stderr.writelines(line + "\n" for line in narrate(cert))
+    write(render_document(certificate_document(cert)))
     if cert.status != "certified":
         sys.stderr.write(
-            f"{spec}: {sum(1 for o in cert.decompositions if o.obstruction is None)} "
-            "decomposition(s) carry no obstruction\n"
+            f"{spec}: {len(cert.unobstructed)} decomposition(s) carry no obstruction\n"
         )
         return EXIT_DISCREPANCY
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, _: None, write: Writer) -> int:
     lines = []
     failures = 0
     for spec in enumerate_specs():
@@ -122,12 +150,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             continue
         if cert.status != "certified":
             failures += 1
-            lines.append(f"{head} case={cert.case_id} DISCREPANCY: unobstructed split")
+            lines.append(f"{head} case={cert.row.case_id} DISCREPANCY: unobstructed split")
             continue
-        lines.append(f"{head} case={cert.case_id} ratio={cert.ratio} certified")
+        lines.append(f"{head} case={cert.row.case_id} ratio={cert.row.ratio} certified")
     summary = f"{len(lines)} specs, {failures} discrepancies"
     lines.append(summary)
-    _write_output("\n".join(lines) + "\n", args.out)
+    write("\n".join(lines) + "\n")
     return EXIT_DISCREPANCY if failures else EXIT_OK
 
 
@@ -153,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tiger.add_argument("--out", help="write the JSON certificate here instead of stdout")
     p_tiger.add_argument(
         "--trace", action="store_true",
-        help="echo every derivation step to stderr",
+        help="print the derivation to stderr once the certificate is built",
     )
     p_tiger.set_defaults(func=_cmd_tiger)
 
@@ -170,7 +198,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the spec is read, and --out made, before any command work starts
+        spec = _load_spec(args.spec) if "spec" in args else None
+        with _output(args.out) as write:
+            return args.func(args, spec, write)
     except SpecFileError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_FILE

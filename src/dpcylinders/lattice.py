@@ -54,7 +54,7 @@ class DynkinType:
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
-        m = _TYPE_RE.match(text.strip())
+        m = _TYPE_RE.match(text.strip()) if isinstance(text, str) else None
         if m is None:
             raise InvalidSpec(f"cannot parse singularity type {text!r}")
         return cls(m.group(1), int(m.group(2)))
@@ -123,8 +123,15 @@ class SurfaceSpec:
 
     def __post_init__(self) -> None:
         degree = self.degree
+        if isinstance(degree, bool):
+            raise InvalidSpec(f"degree must be an integer, not the boolean {degree!r}")
         if not isinstance(degree, int) or not 1 <= degree <= 9:
             raise InvalidSpec(f"degree must be an integer in [1, 9], got {degree!r}")
+        if isinstance(self.singularities, str):
+            raise InvalidSpec(
+                "singularities must be a sequence of type tokens, "
+                f"not the string {self.singularities!r}"
+            )
         resolved = tuple(sorted(
             t if isinstance(t, DynkinType) else DynkinType.parse(t)
             for t in self.singularities

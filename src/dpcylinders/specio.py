@@ -10,20 +10,15 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
+from itertools import zip_longest
 from typing import Any, Optional
 
 from .classify import Verdict
 from .lattice import SurfaceSpec
 from .tigers import (
-    CaseTable,
-    Decomposition,
-    DecompositionOutcome,
-    Obstruction,
-    PointSpec,
     ResidualNumbers,
     TigerCertificate,
-    case_tables,
+    build_tiger,
     decomposition_parts,
 )
 
@@ -77,14 +72,14 @@ def render_document(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _spec_block(degree: int, singularities: tuple[str, ...]) -> dict[str, Any]:
-    return {"degree": degree, "singularities": list(singularities)}
+def _spec_block(spec: SurfaceSpec) -> dict[str, Any]:
+    return {"degree": spec.degree, "singularities": [str(t) for t in spec.singularities]}
 
 
 def verdict_document(spec: SurfaceSpec, verdict: Verdict) -> dict[str, Any]:
     return {
         "kind": "classification",
-        "spec": _spec_block(spec.degree, tuple(str(t) for t in spec.singularities)),
+        "spec": _spec_block(spec),
         "picard_rank": verdict.picard_rank,
         "anticanonical_cylinder": {
             "exists": verdict.anticanonical_cylinder,
@@ -106,29 +101,13 @@ def _numbers_block(numbers: ResidualNumbers) -> dict[str, Any]:
     }
 
 
-def _numbers_from(block: dict[str, Any]) -> ResidualNumbers:
-    return ResidualNumbers(
-        label=block["label"],
-        pairings=tuple((lbl, v) for lbl, v in block["pairings"]),
-        square=block["square"],
-        dim=block["dim"],
-    )
-
-
-def _row_for(case_id: str) -> CaseTable:
-    for row in case_tables():
-        if row.case_id == case_id:
-            return row
-    raise ValueError(f"unknown case id {case_id!r}")
-
-
 def certificate_document(cert: TigerCertificate) -> dict[str, Any]:
     """Full JSON form of a certificate, decompositions expanded with each
     part's derived numbers so the document is checkable on its own."""
-    row = _row_for(cert.case_id)
+    row, degree = cert.row, cert.spec.degree
     decs = []
     for outcome in cert.decompositions:
-        part1, part2 = decomposition_parts(row, cert.degree, outcome.decomposition)
+        part1, part2 = decomposition_parts(row, degree, outcome.decomposition)
         entry: dict[str, Any] = {
             "part1": {
                 "multiple": part1.multiple,
@@ -154,68 +133,49 @@ def certificate_document(cert: TigerCertificate) -> dict[str, Any]:
         decs.append(entry)
     return {
         "kind": "tiger_certificate",
-        "spec": _spec_block(cert.degree, cert.singularities),
-        "case": cert.case_id,
-        "singularity": cert.singularity,
+        "spec": _spec_block(cert.spec),
+        "case": row.case_id,
+        "singularity": str(row.singularity) if row.singularity else None,
         "singularity_index": cert.singularity_index,
-        "multiple": cert.multiple,
-        "configuration": [[lbl, c] for lbl, c in cert.configuration],
-        "residual": _numbers_block(cert.residual),
-        "point": {"kind": cert.point.kind, "curves": list(cert.point.curves)},
-        "residual_multiplicity": cert.residual_multiplicity,
-        "local_multiplicity": cert.local_multiplicity,
-        "ratio": str(cert.ratio),
-        "tiger_components": [[lbl, str(c)] for lbl, c in cert.tiger_components],
+        "multiple": row.multiple,
+        "configuration": [[lbl, c] for lbl, c in row.configuration],
+        "residual": _numbers_block(row.residual(degree)),
+        "point": {"kind": row.point.kind, "curves": list(row.point.curves)},
+        "residual_multiplicity": row.residual_multiplicity,
+        "local_multiplicity": row.local_multiplicity,
+        "ratio": str(row.ratio),
+        "tiger_components": [[lbl, str(c)] for lbl, c in row.tiger_components],
         "decompositions": decs,
-        "assumptions": list(cert.assumptions),
+        "assumptions": list(row.assumptions(degree)),
         "status": cert.status,
     }
 
 
-def certificate_from_document(doc: dict[str, Any]) -> TigerCertificate:
-    """Rebuild a value-equal certificate from its JSON form.
+def certificate_from_document(doc: Any) -> TigerCertificate:
+    """Re-derive the certificate a document states from its spec block.
 
-    Raises ValueError for a document of another kind or one missing a field.
+    The document must render exactly as that certificate's own document,
+    value for value and type for type; anything else raises ValueError
+    naming the first line where the two renderings differ.
     """
-    if doc.get("kind") != "tiger_certificate":
+    if type(doc) is not dict or doc.get("kind") != "tiger_certificate":
         raise ValueError("not a tiger certificate document")
-    try:
-        return _certificate_from(doc)
-    except KeyError as exc:
-        raise ValueError(f"certificate document lacks field {exc.args[0]!r}") from None
-
-
-def _certificate_from(doc: dict[str, Any]) -> TigerCertificate:
-    outcomes = []
-    for entry in doc["decompositions"]:
-        dec = Decomposition(
-            tuple(entry["part1"]["node_coefficients"]),
-            entry["part1"]["e_coefficient"],
+    block = doc.get("spec")
+    if (type(block) is not dict or type(block.get("degree")) is not int
+            or type(block.get("singularities")) is not list):
+        raise ValueError(
+            "field 'spec' must be an object with an integer 'degree' "
+            "and a 'singularities' array"
         )
-        ob = entry["obstruction"]
-        obstruction = (
-            Obstruction(ob["kind"], tuple((k, v) for k, v in ob["witness"]))
-            if ob is not None
-            else None
+    cert = build_tiger(SurfaceSpec(block["degree"], tuple(block["singularities"])))
+    want, got = render_document(certificate_document(cert)), render_document(doc)
+    if want != got:
+        lines = zip_longest(want.splitlines(), got.splitlines(), fillvalue="")
+        number, should, found = next(
+            (n, w.strip(), g.strip()) for n, (w, g) in enumerate(lines, start=1) if w != g
         )
-        outcomes.append(DecompositionOutcome(dec, obstruction))
-    return TigerCertificate(
-        degree=doc["spec"]["degree"],
-        singularities=tuple(doc["spec"]["singularities"]),
-        case_id=doc["case"],
-        singularity=doc["singularity"],
-        singularity_index=doc["singularity_index"],
-        multiple=doc["multiple"],
-        configuration=tuple((lbl, c) for lbl, c in doc["configuration"]),
-        residual=_numbers_from(doc["residual"]),
-        point=PointSpec(doc["point"]["kind"], tuple(doc["point"]["curves"])),
-        residual_multiplicity=doc["residual_multiplicity"],
-        local_multiplicity=doc["local_multiplicity"],
-        ratio=Fraction(doc["ratio"]),
-        tiger_components=tuple(
-            (lbl, Fraction(v)) for lbl, v in doc["tiger_components"]
-        ),
-        decompositions=tuple(outcomes),
-        assumptions=tuple(doc["assumptions"]),
-        status=doc["status"],
-    )
+        raise ValueError(
+            f"not the certificate's own rendering: line {number} "
+            f"should read {should!r}, not {found!r}"
+        )
+    return cert

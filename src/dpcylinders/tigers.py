@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 from .lattice import DynkinType, SurfaceSpec, gram_table
 from .linear_systems import conditions, max_multiplicity_budget
@@ -44,25 +44,20 @@ class NoCaseApplies(ValueError):
 
 @dataclass(frozen=True)
 class PointSpec:
-    """Marked point of a case: a general smooth point, a general point on a
-    named curve, or the intersection point of two named curves."""
+    """Marked point of a case, by the named curves through it: none for a
+    general smooth point, one for a general point on that curve, two for
+    their intersection point."""
 
-    kind: str  # "general" | "on_curve" | "node_intersection"
     curves: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        expected = {"general": 0, "on_curve": 1, "node_intersection": 2}
-        if self.kind not in expected:
-            raise ValueError(f"unknown point kind {self.kind!r}")
-        if len(self.curves) != expected[self.kind]:
-            raise ValueError(
-                f"point kind {self.kind!r} needs {expected[self.kind]} curve labels"
-            )
+    @property
+    def kind(self) -> str:
+        return ("general", "on_curve", "node_intersection")[len(self.curves)]
 
     def describe(self) -> str:
-        if self.kind == "general":
+        if not self.curves:
             return "a general smooth point"
-        if self.kind == "on_curve":
+        if len(self.curves) == 1:
             return f"a general point on {self.curves[0]}"
         return f"the intersection of {self.curves[0]} and {self.curves[1]}"
 
@@ -93,6 +88,49 @@ class CaseTable:
         # splits always take one anticanonical part off the candidate
         return (1, self.multiple - 1)
 
+    @property
+    def configuration(self) -> tuple[tuple[str, int], ...]:
+        """The curves of the relation with nonzero coefficients, E last."""
+        nodes = tuple(
+            (f"D{i}", c) for i, c in enumerate(self.node_coefficients, start=1) if c
+        )
+        return nodes + ((("E", self.e_coefficient),) if self.e_coefficient else ())
+
+    @property
+    def local_multiplicity(self) -> int:
+        # the curves through the marked point add their configuration coefficients
+        return self.residual_multiplicity + sum(
+            _coefficient_on(lbl, self.node_coefficients, self.e_coefficient)
+            for lbl in self.point.curves
+        )
+
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.local_multiplicity, self.multiple)
+
+    @property
+    def tiger_components(self) -> tuple[tuple[str, Fraction], ...]:
+        components = (("N", Fraction(1, self.multiple)),)
+        if self.e_coefficient:
+            components += (("E", Fraction(self.e_coefficient, self.multiple)),)
+        return components
+
+    def residual(self, degree: int) -> ResidualNumbers:
+        """The relation's residual class N at a degree, by the closed form."""
+        return part_residual_numbers(
+            self, degree, self.multiple, self.node_coefficients, self.e_coefficient, "N"
+        )
+
+    def assumptions(self, degree: int) -> tuple[str, ...]:
+        """What the construction leans on at a degree, notes last."""
+        assumptions = [ASSUME_VANISHING, ASSUME_GENERALITY]
+        if self.e_coefficient:
+            assumptions.append(ASSUME_E_DISJOINT)
+        if self.balanced_split is not None:
+            assumptions.append(NOTE_BALANCED_SPLIT)
+        assumptions.extend(text for text, degrees in self.notes if degree in degrees)
+        return tuple(assumptions)
+
 
 def case_tables() -> tuple[CaseTable, ...]:
     """All construction cases, in dispatch order.
@@ -104,8 +142,21 @@ def case_tables() -> tuple[CaseTable, ...]:
     return _CASE_ROWS
 
 
-def _node(a: str, b: str) -> PointSpec:
-    return PointSpec("node_intersection", (a, b))
+def _point(*curves: str) -> PointSpec:
+    return PointSpec(curves)
+
+
+ASSUME_VANISHING = (
+    "expected-dimension: linear system dimensions come from Riemann-Roch "
+    "with vanishing higher cohomology assumed throughout"
+)
+ASSUME_GENERALITY = (
+    "asserted-generality: existence and generality of members of the counted "
+    "families is asserted by dimension budget, not constructed"
+)
+ASSUME_E_DISJOINT = (
+    "minus-one-curve: E is taken disjoint from every exceptional curve"
+)
 
 
 NOTE_DEG4_BUDGET = (
@@ -126,28 +177,28 @@ NOTE_OWN_COEFFICIENTS = (
 )
 
 _CASE_ROWS = (
-    CaseTable("deg7plus", (7, 8, 9), None, 2, (), 0, PointSpec("general"), 5),
-    CaseTable("deg4or6", (4, 6), None, 3, (), 2, PointSpec("on_curve", ("E",)), 5,
+    CaseTable("deg7plus", (7, 8, 9), None, 2, (), 0, _point(), 5),
+    CaseTable("deg4or6", (4, 6), None, 3, (), 2, _point("E"), 5,
               notes=((NOTE_DEG4_BUDGET, (4,)),)),
-    CaseTable("deg5", (5,), None, 4, (), 0, PointSpec("general"), 9),
-    CaseTable("A1deg3", (3,), DynkinType("A", 1), 4, (3,), 0, PointSpec("on_curve", ("D1",)), 6,
+    CaseTable("deg5", (5,), None, 4, (), 0, _point(), 9),
+    CaseTable("A1deg3", (3,), DynkinType("A", 1), 4, (3,), 0, _point("D1"), 6,
               notes=((NOTE_EXACT_BUDGET, (3,)),)),
-    CaseTable("A2", (2, 3), DynkinType("A", 2), 2, (2, 2), 0, _node("D1", "D2"), 1,
+    CaseTable("A2", (2, 3), DynkinType("A", 2), 2, (2, 2), 0, _point("D1", "D2"), 1,
               balanced_split=(1, 1)),
-    CaseTable("A3", (2, 3), DynkinType("A", 3), 2, (2, 2, 1), 0, _node("D1", "D2"), 1),
-    CaseTable("D4", (2, 3), DynkinType("D", 4), 3, (4, 3, 2, 2), 0, _node("D1", "D2"), 0),
-    CaseTable("A4", (1, 2, 3), DynkinType("A", 4), 2, (1, 2, 2, 1), 0, _node("D2", "D3"), 1),
-    CaseTable("A5", (1, 2, 3), DynkinType("A", 5), 3, (1, 2, 3, 3, 2), 0, _node("D3", "D4"), 1),
-    CaseTable("A6", (1, 2, 3), DynkinType("A", 6), 3, (1, 2, 3, 3, 2, 1), 0, _node("D3", "D4"), 1),
-    CaseTable("A7", (1, 2), DynkinType("A", 7), 4, (1, 2, 3, 4, 4, 3, 2), 0, _node("D4", "D5"), 1),
-    CaseTable("A8", (1,), DynkinType("A", 8), 4, (1, 2, 3, 4, 4, 3, 2, 1), 0, _node("D4", "D5"), 1),
-    CaseTable("D5", (1, 2, 3), DynkinType("D", 5), 2, (2, 2, 3, 2, 1), 0, _node("D3", "D4"), 0),
-    CaseTable("D6", (1, 2, 3), DynkinType("D", 6), 2, (2, 2, 4, 3, 2, 1), 0, _node("D3", "D4"), 0),
-    CaseTable("D7", (1, 2), DynkinType("D", 7), 3, (3, 3, 6, 5, 4, 3, 2), 0, _node("D3", "D4"), 0),
-    CaseTable("D8", (1,), DynkinType("D", 8), 3, (3, 3, 6, 5, 4, 3, 2, 1), 0, _node("D3", "D4"), 0),
-    CaseTable("E6", (1, 2, 3), DynkinType("E", 6), 2, (2, 1, 2, 3, 2, 1), 0, _node("D4", "D5"), 0),
-    CaseTable("E7", (1, 2), DynkinType("E", 7), 2, (2, 2, 3, 4, 3, 2, 1), 0, _node("D4", "D5"), 0),
-    CaseTable("E8", (1,), DynkinType("E", 8), 2, (3, 2, 4, 6, 5, 4, 3, 2), 0, _node("D4", "D5"), 0,
+    CaseTable("A3", (2, 3), DynkinType("A", 3), 2, (2, 2, 1), 0, _point("D1", "D2"), 1),
+    CaseTable("D4", (2, 3), DynkinType("D", 4), 3, (4, 3, 2, 2), 0, _point("D1", "D2"), 0),
+    CaseTable("A4", (1, 2, 3), DynkinType("A", 4), 2, (1, 2, 2, 1), 0, _point("D2", "D3"), 1),
+    CaseTable("A5", (1, 2, 3), DynkinType("A", 5), 3, (1, 2, 3, 3, 2), 0, _point("D3", "D4"), 1),
+    CaseTable("A6", (1, 2, 3), DynkinType("A", 6), 3, (1, 2, 3, 3, 2, 1), 0, _point("D3", "D4"), 1),
+    CaseTable("A7", (1, 2), DynkinType("A", 7), 4, (1, 2, 3, 4, 4, 3, 2), 0, _point("D4", "D5"), 1),
+    CaseTable("A8", (1,), DynkinType("A", 8), 4, (1, 2, 3, 4, 4, 3, 2, 1), 0, _point("D4", "D5"), 1),
+    CaseTable("D5", (1, 2, 3), DynkinType("D", 5), 2, (2, 2, 3, 2, 1), 0, _point("D3", "D4"), 0),
+    CaseTable("D6", (1, 2, 3), DynkinType("D", 6), 2, (2, 2, 4, 3, 2, 1), 0, _point("D3", "D4"), 0),
+    CaseTable("D7", (1, 2), DynkinType("D", 7), 3, (3, 3, 6, 5, 4, 3, 2), 0, _point("D3", "D4"), 0),
+    CaseTable("D8", (1,), DynkinType("D", 8), 3, (3, 3, 6, 5, 4, 3, 2, 1), 0, _point("D3", "D4"), 0),
+    CaseTable("E6", (1, 2, 3), DynkinType("E", 6), 2, (2, 1, 2, 3, 2, 1), 0, _point("D4", "D5"), 0),
+    CaseTable("E7", (1, 2), DynkinType("E", 7), 2, (2, 2, 3, 4, 3, 2, 1), 0, _point("D4", "D5"), 0),
+    CaseTable("E8", (1,), DynkinType("E", 8), 2, (3, 2, 4, 6, 5, 4, 3, 2), 0, _point("D4", "D5"), 0,
               notes=((NOTE_OWN_COEFFICIENTS, (1,)),)),
 )
 
@@ -415,37 +466,27 @@ def enumerate_decompositions(
 
 @dataclass(frozen=True)
 class TigerCertificate:
-    """Complete, re-checkable record of one construction."""
+    """Complete, re-checkable record of one construction: the spec, the
+    case row that builds its tiger, the matched singularity instance (None
+    for the degree-driven rows) and every split with its obstruction.
 
-    degree: int
-    singularities: tuple[str, ...]
-    case_id: str
-    singularity: Optional[str]
+    Every other number of the certificate is read off the case row.
+    """
+
+    spec: SurfaceSpec
+    row: CaseTable
     singularity_index: Optional[int]
-    multiple: int
-    configuration: tuple[tuple[str, int], ...]
-    residual: ResidualNumbers
-    point: PointSpec
-    residual_multiplicity: int
-    local_multiplicity: int
-    ratio: Fraction
-    tiger_components: tuple[tuple[str, Fraction], ...]
     decompositions: tuple[DecompositionOutcome, ...]
-    assumptions: tuple[str, ...]
-    status: str  # "certified" | "discrepancy"
 
+    @property
+    def unobstructed(self) -> tuple[Decomposition, ...]:
+        return tuple(
+            o.decomposition for o in self.decompositions if o.obstruction is None
+        )
 
-ASSUME_VANISHING = (
-    "expected-dimension: linear system dimensions come from Riemann-Roch "
-    "with vanishing higher cohomology assumed throughout"
-)
-ASSUME_GENERALITY = (
-    "asserted-generality: existence and generality of members of the counted "
-    "families is asserted by dimension budget, not constructed"
-)
-ASSUME_E_DISJOINT = (
-    "minus-one-curve: E is taken disjoint from every exceptional curve"
-)
+    @property
+    def status(self) -> str:
+        return "discrepancy" if self.unobstructed else "certified"
 
 
 def select_case(spec: SurfaceSpec) -> tuple[CaseTable, Optional[int]]:
@@ -465,90 +506,47 @@ def select_case(spec: SurfaceSpec) -> tuple[CaseTable, Optional[int]]:
     )
 
 
-def build_tiger(
-    spec: SurfaceSpec, trace: Optional[Callable[[str], None]] = None
-) -> TigerCertificate:
-    """Run the applicable case for a spec and assemble its certificate.
+def build_tiger(spec: SurfaceSpec) -> TigerCertificate:
+    """Select the case for a spec and enumerate its splits.
 
     Raises :class:`NoCaseApplies` when no case row covers the spec, which
     is the case exactly for the specs without an anticanonical cylinder.
     """
-    emit = trace or (lambda line: None)
     row, sing_index = select_case(spec)
-    d = spec.degree
-    m = row.multiple
-    emit(f"case {row.case_id}: degree {d}, multiple {m}, "
-         f"marked point {row.point.describe()}")
-
-    configuration = tuple(
-        (f"D{i}", c) for i, c in enumerate(row.node_coefficients, start=1) if c
-    ) + ((("E", row.e_coefficient),) if row.e_coefficient else ())
-    terms = [lbl if c == 1 else f"{c}*{lbl}" for lbl, c in configuration]
-    emit(f"relation: {m}*(-K) = {' + '.join(terms + ['N'])}")
-
-    residual = part_residual_numbers(
-        row, d, m, row.node_coefficients, row.e_coefficient, "N"
-    )
-    square, dim = residual.square, residual.dim
-    for lbl, v in residual.pairings:
-        emit(f"N.{lbl} = {v}")
-    emit(f"N^2 = {square}")
-    emit(f"dim|N| = (N^2 - N.K)/2 = ({square} - ({residual.pairing('K')}))/2 = {dim}")
-
     mu = row.residual_multiplicity
-    family_dim = dim - conditions(mu)
-    if family_dim < 0:
+    dim = row.residual(spec.degree).dim
+    if dim < conditions(mu):
         raise AssertionError(
             f"case {row.case_id} cannot afford multiplicity {mu}: "
             f"{dim} < {conditions(mu)}"
         )
-    emit(f"conditions({mu}) = {conditions(mu)}; candidate family dim = {family_dim}")
-
-    # the curves through the marked point add their configuration coefficients
-    mult = mu + sum(
-        _coefficient_on(lbl, row.node_coefficients, row.e_coefficient)
-        for lbl in row.point.curves
-    )
-    ratio = Fraction(mult, m)
-    if ratio <= 2:
-        raise AssertionError(f"ratio {ratio} fails the > 2 threshold")
-    emit(f"local multiplicity = {mult}; ratio = {mult}/{m}")
-
-    outcomes = enumerate_decompositions(row, d)
-    unobstructed = sum(1 for o in outcomes if o.obstruction is None)
-    for o in outcomes:
-        if o.obstruction is None:
-            emit(f"split nodes={o.decomposition.nodes_part1} "
-                 f"e={o.decomposition.e_part1}: NO OBSTRUCTION")
-    emit(f"decompositions: {len(outcomes)} splits, {unobstructed} unobstructed")
-    status = "certified" if unobstructed == 0 else "discrepancy"
-
-    assumptions = [ASSUME_VANISHING, ASSUME_GENERALITY]
-    if row.e_coefficient:
-        assumptions.append(ASSUME_E_DISJOINT)
-    if row.balanced_split is not None:
-        assumptions.append(NOTE_BALANCED_SPLIT)
-    assumptions.extend(text for text, degrees in row.notes if d in degrees)
-
-    components = [("N", Fraction(1, m))]
-    if row.e_coefficient:
-        components.append(("E", Fraction(row.e_coefficient, m)))
-
+    if row.ratio <= 2:
+        raise AssertionError(f"ratio {row.ratio} fails the > 2 threshold")
     return TigerCertificate(
-        degree=d,
-        singularities=tuple(str(t) for t in spec.singularities),
-        case_id=row.case_id,
-        singularity=str(row.singularity) if row.singularity else None,
-        singularity_index=sing_index,
-        multiple=m,
-        configuration=configuration,
-        residual=residual,
-        point=row.point,
-        residual_multiplicity=mu,
-        local_multiplicity=mult,
-        ratio=ratio,
-        tiger_components=tuple(components),
-        decompositions=outcomes,
-        assumptions=tuple(assumptions),
-        status=status,
+        spec, row, sing_index, enumerate_decompositions(row, spec.degree)
     )
+
+
+def narrate(cert: TigerCertificate) -> Iterator[str]:
+    """The derivation behind a certificate, one line per step, as
+    ``dpcyl tiger --trace`` prints it."""
+    row, d, m = cert.row, cert.spec.degree, cert.row.multiple
+    yield (f"case {row.case_id}: degree {d}, multiple {m}, "
+           f"marked point {row.point.describe()}")
+    terms = [lbl if c == 1 else f"{c}*{lbl}" for lbl, c in row.configuration]
+    yield f"relation: {m}*(-K) = {' + '.join(terms + ['N'])}"
+
+    residual = row.residual(d)
+    square, dim = residual.square, residual.dim
+    for lbl, v in residual.pairings:
+        yield f"N.{lbl} = {v}"
+    yield f"N^2 = {square}"
+    yield f"dim|N| = (N^2 - N.K)/2 = ({square} - ({residual.pairing('K')}))/2 = {dim}"
+    mu = row.residual_multiplicity
+    yield f"conditions({mu}) = {conditions(mu)}; candidate family dim = {dim - conditions(mu)}"
+    yield f"local multiplicity = {row.local_multiplicity}; ratio = {row.local_multiplicity}/{m}"
+
+    unobstructed = cert.unobstructed
+    for dec in unobstructed:
+        yield f"split nodes={dec.nodes_part1} e={dec.e_part1}: NO OBSTRUCTION"
+    yield f"decompositions: {len(cert.decompositions)} splits, {len(unobstructed)} unobstructed"

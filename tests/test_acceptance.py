@@ -140,8 +140,8 @@ def test_acceptance_3_residual_fixture_suite():
                 assert dim_complete(table, n_class) == ev(fix.dim, d)
                 # route two: the closed-form certificate numbers
                 cert = build_tiger(SurfaceSpec(*minimal_spec_args(row.case_id, d)))
-                assert cert.residual.square == ev(fix.square, d)
-                assert cert.residual.dim == ev(fix.dim, d)
+                assert cert.row.residual(d).square == ev(fix.square, d)
+                assert cert.row.residual(d).dim == ev(fix.dim, d)
         # the one-node cubic's three negative split squares
         row = next(r for r in case_tables() if r.case_id == "A1deg3")
         squares = [
@@ -218,10 +218,10 @@ def test_acceptance_5_tiger_certificates():
                 continue
             cert = build_tiger(spec)
             assert cert.status == "certified", str(spec)
-            assert cert.ratio == RESIDUAL_FIXTURES[cert.case_id].ratio, str(spec)
-            assert cert.ratio > 2
+            row = cert.row
+            assert row.ratio == RESIDUAL_FIXTURES[row.case_id].ratio, str(spec)
+            assert row.ratio > 2
             # relation identity, rechecked generator by generator
-            row = next(r for r in case_tables() if r.case_id == cert.case_id)
             table = GramTable(spec.degree)
             coeffs = {}
             if row.singularity is not None:
@@ -230,8 +230,8 @@ def test_acceptance_5_tiger_certificates():
             if row.e_coefficient:
                 coeffs[table.add_minus_one_curve("E")] = row.e_coefficient
             config = DivisorClass.of(coeffs)
-            residual = table.solve_residual(Relation(cert.multiple, config))
-            lhs = cert.multiple * table.minus_k()
+            residual = table.solve_residual(Relation(row.multiple, config))
+            lhs = row.multiple * table.minus_k()
             rhs = config + DivisorClass.of({residual: 1})
             for g in table.generators:
                 probe = DivisorClass.of({g: 1})

@@ -1,12 +1,17 @@
 """Command line behavior: exit codes, document round-trips, reproducibility."""
 
+import copy
 import json
 import os
+import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dpcylinders
 from dpcylinders import (
@@ -118,6 +123,53 @@ def test_unwritable_out_exits_4(spec_dir, tmp_path, capsys, command):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "tiger", "sweep"])
+def test_unwritable_out_fails_before_any_work(spec_dir, tmp_path, capsys, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("classify", "enumerate_specs", "build_tiger"):
+        monkeypatch.setattr(cli, name, never)
+    target = tmp_path / "missing" / "out.json"
+    spec = [] if command == "sweep" else ["--spec", str(spec_dir / "node_cubic.txt")]
+    code, _, _ = run_cli(capsys, command, *spec, "--out", str(target))
+    assert code == cli.EXIT_CANNOT_WRITE
+
+
+def test_refused_or_failed_command_leaves_no_file(spec_dir, tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "cert.json"
+    code, out, _ = run_cli(
+        capsys, "tiger", "--spec", str(spec_dir / "smooth_cubic.txt"), "--out", str(target)
+    )
+    assert code == cli.EXIT_NO_CYLINDER
+    assert list(out_dir.iterdir()) == []
+
+    def crash(spec):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(cli, "build_tiger", crash)
+    with pytest.raises(RuntimeError):
+        cli.main(["tiger", "--spec", str(spec_dir / "node_cubic.txt"), "--out", str(target)])
+    assert list(out_dir.iterdir()) == []
+
+
+def test_out_replaces_the_target_whole(spec_dir, tmp_path, capsys):
+    target = tmp_path / "verdict.json"
+    target.write_text("stale and much longer than the new document " * 100, encoding="utf-8")
+    code, _, _ = run_cli(
+        capsys, "classify", "--spec", str(spec_dir / "node_cubic.txt"), "--out", str(target)
+    )
+    assert code == cli.EXIT_OK
+    _, stdout, _ = run_cli(capsys, "classify", "--spec", str(spec_dir / "node_cubic.txt"))
+    assert target.read_text(encoding="utf-8") == stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["verdict.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
 def test_spec_files_allow_comments_and_case(tmp_path, capsys):
     path = tmp_path / "commented.txt"
     path.write_text(
@@ -151,12 +203,95 @@ def test_spec_digits_are_ascii(tmp_path, capsys, command, text, code):
 
 
 def test_certificate_loader_names_a_missing_field():
-    with pytest.raises(ValueError, match="'decompositions'"):
+    with pytest.raises(ValueError, match="'spec'"):
         certificate_from_document({"kind": "tiger_certificate"})
     doc = certificate_document(build_tiger(SurfaceSpec(5, ())))
     del doc["decompositions"][0]["part1"]["e_coefficient"]
-    with pytest.raises(ValueError, match="'e_coefficient'"):
+    with pytest.raises(ValueError, match=re.escape("""should read '"e_coefficient": 0,'""")):
         certificate_from_document(doc)
+
+
+BAD_SPEC_BLOCK = "field 'spec' must be an object with an integer 'degree'"
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("decompositions",), 5, """line 8 should read '"decompositions": [', not '"decompositions": 5,'"""),
+    (("decompositions", 0, "obstruction", "witness"), 3,
+     """line 13 should read '"witness": [', not '"witness": 3'"""),
+    (("spec",), [], BAD_SPEC_BLOCK),
+    (("spec", "degree"), True, BAD_SPEC_BLOCK),
+    (("spec", "singularities"), "A1", BAD_SPEC_BLOCK),
+    (("spec", "singularities"), [3], "cannot parse singularity type 3"),
+    (("spec", "degree"), 3, "no construction case covers degree 3, smooth"),
+    (("ratio",), "1/0", """should read '"ratio": "9/4",', not '"ratio": "1/0",'"""),
+    (("ratio",), "1/3", """should read '"ratio": "9/4",', not '"ratio": "1/3",'"""),
+    (("decompositions", 0, "part2", "residual", "dim"), 3,
+     """line 45 should read '"dim": 30,', not '"dim": 3,'"""),
+    (("decompositions", 0, "part2", "residual", "dim"), 4.0,
+     """line 45 should read '"dim": 30,', not '"dim": 4.0,'"""),
+    (("decompositions",), [], """not '"decompositions": [],'"""),
+    (("status",), "discrepancy", """not '"status": "discrepancy",'"""),
+    (("extra",), 1, """not '"extra": 1,'"""),
+], ids=[
+    "decompositions-int", "witness-int", "spec-array", "degree-bool", "singularities-string",
+    "singularity-int", "uncovered-spec", "ratio-1/0", "ratio-1/3", "part2-dim", "part2-dim-float",
+    "no-splits", "status", "extra-field",
+])
+def test_certificate_loader_rejects_a_tampered_document(path, value, message):
+    doc = certificate_document(build_tiger(SurfaceSpec(5, ())))
+    *parents, last = path
+    block = doc
+    for key in parents:
+        block = block[key]
+    block[last] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        certificate_from_document(doc)
+
+
+def test_certificate_loader_rejects_other_documents():
+    for doc in (None, [], "tiger_certificate", {"kind": "classification"}):
+        with pytest.raises(ValueError, match="not a tiger certificate"):
+            certificate_from_document(doc)
+
+
+DEGREE_FIVE = certificate_document(build_tiger(SurfaceSpec(5, ())))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, prefix=()):
+    """Every (container path, key or index) of a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix, key
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@given(st.sampled_from(list(_paths(DEGREE_FIVE))), st.none() | json_values)
+def test_certificate_loader_takes_one_edit_or_refuses(where, replacement):
+    """Delete one key (None) or replace one value: the loader returns the
+    certificate its spec derives, whose rendering is the edited document,
+    or raises ValueError, and nothing else."""
+    doc = copy.deepcopy(DEGREE_FIVE)
+    prefix, key = where
+    block = doc
+    for step in prefix:
+        block = block[step]
+    if replacement is None:
+        del block[key]
+    else:
+        block[key] = replacement
+    try:
+        cert = certificate_from_document(doc)
+    except ValueError:
+        return
+    assert cert == build_tiger(cert.spec)
+    assert render_document(certificate_document(cert)) == render_document(doc)
 
 
 # -------------------------------------------------------------------- tiger
@@ -197,6 +332,56 @@ def test_tiger_trace_on_stderr(spec_dir, capsys):
     assert "relation: 4*(-K) = " in err
     assert "decompositions: 4 splits, 0 unobstructed" in err
     json.loads(out)  # stdout stays pure JSON
+
+
+# the whole --trace stderr, byte for byte, for a point on a node curve, a
+# point on the (-1)-curve E and a node intersection with a balanced split
+PINNED_TRACES = {
+    "degree: 3\nsingularities: A1\n": (
+        "case A1deg3: degree 3, multiple 4, marked point a general point on D1\n"
+        "relation: 4*(-K) = 3*D1 + N\n"
+        "N.K = -12\n"
+        "N.D1 = 6\n"
+        "N^2 = 30\n"
+        "dim|N| = (N^2 - N.K)/2 = (30 - (-12))/2 = 21\n"
+        "conditions(6) = 21; candidate family dim = 0\n"
+        "local multiplicity = 9; ratio = 9/4\n"
+        "decompositions: 4 splits, 0 unobstructed\n"
+    ),
+    "degree: 4\n": (
+        "case deg4or6: degree 4, multiple 3, marked point a general point on E\n"
+        "relation: 3*(-K) = 2*E + N\n"
+        "N.K = -10\n"
+        "N.E = 5\n"
+        "N^2 = 20\n"
+        "dim|N| = (N^2 - N.K)/2 = (20 - (-10))/2 = 15\n"
+        "conditions(5) = 15; candidate family dim = 0\n"
+        "local multiplicity = 7; ratio = 7/3\n"
+        "decompositions: 3 splits, 0 unobstructed\n"
+    ),
+    "degree: 2\nsingularities: A2\n": (
+        "case A2: degree 2, multiple 2, marked point the intersection of D1 and D2\n"
+        "relation: 2*(-K) = 2*D1 + 2*D2 + N\n"
+        "N.K = -4\n"
+        "N.D1 = 2\n"
+        "N.D2 = 2\n"
+        "N^2 = 0\n"
+        "dim|N| = (N^2 - N.K)/2 = (0 - (-4))/2 = 2\n"
+        "conditions(1) = 1; candidate family dim = 1\n"
+        "local multiplicity = 5; ratio = 5/2\n"
+        "decompositions: 9 splits, 0 unobstructed\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", PINNED_TRACES, ids=["A1-d3", "smooth-d4", "A2-d2"])
+def test_tiger_trace_is_pinned(tmp_path, capsys, text):
+    path = tmp_path / "spec.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "tiger", "--spec", str(path), "--trace")
+    assert code == cli.EXIT_OK
+    assert err == PINNED_TRACES[text]
+    json.loads(out)
 
 
 def test_tiger_nothing_to_build(spec_dir, capsys):

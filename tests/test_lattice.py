@@ -181,6 +181,13 @@ def test_validate_spec_rejects():
         SurfaceSpec(9, ("A1",))  # no room at degree 9
     with pytest.raises(InvalidSpec):
         SurfaceSpec(5, ("A1", "A4"))  # 5 > 4
+    # a bare string is not a sequence of tokens, and a bool is not a degree
+    with pytest.raises(InvalidSpec, match="not the string 'A1'"):
+        SurfaceSpec(3, "A1")
+    with pytest.raises(InvalidSpec, match="not the string ''"):
+        SurfaceSpec(3, "")
+    with pytest.raises(InvalidSpec, match="not the boolean True"):
+        SurfaceSpec(True)
 
 
 def test_picard_rank_fixtures():

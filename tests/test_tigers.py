@@ -38,6 +38,7 @@ from dpcylinders.tigers import (
     PointSpec,
     ResidualNumbers,
     decomposition_parts,
+    narrate,
     part_residual_numbers,
 )
 
@@ -111,15 +112,13 @@ def test_marked_points_lie_on_the_configuration():
             assert gram_table(row.singularity)[i][j] == 1, row.case_id
 
 
-def test_point_spec_validation():
-    with pytest.raises(ValueError):
-        PointSpec("nowhere")
-    with pytest.raises(ValueError):
-        PointSpec("on_curve", ())
-    with pytest.raises(ValueError):
-        PointSpec("general", ("D1",))
-    assert PointSpec("general").describe() == "a general smooth point"
-    assert "D1 and D2" in PointSpec("node_intersection", ("D1", "D2")).describe()
+def test_point_kind_follows_its_curves():
+    assert PointSpec().kind == "general"
+    assert PointSpec().describe() == "a general smooth point"
+    assert PointSpec(("E",)).kind == "on_curve"
+    assert PointSpec(("E",)).describe() == "a general point on E"
+    assert PointSpec(("D1", "D2")).kind == "node_intersection"
+    assert PointSpec(("D1", "D2")).describe() == "the intersection of D1 and D2"
 
 
 # ----------------------------------------------------- residual class numbers
@@ -147,24 +146,23 @@ def test_certificates_match_fixtures(case_id):
     fix = RESIDUAL_FIXTURES[case_id]
     for d in row.degrees:
         cert = build_tiger(SurfaceSpec(*minimal_spec_args(case_id, d)))
-        assert cert.case_id == case_id
-        assert cert.degree == d
-        assert cert.multiple == row.multiple
+        assert cert.row == row
+        assert cert.spec.degree == d
         assert cert.status == "certified"
-        assert cert.residual.square == ev(fix.square, d)
-        assert cert.residual.dim == ev(fix.dim, d)
-        assert cert.residual.pairing("K") == ev(fix.k_pairing, d)
-        assert cert.local_multiplicity == fix.local_multiplicity
-        assert cert.ratio == fix.ratio
-        assert cert.ratio > 2
-        assert cert.residual_multiplicity == row.residual_multiplicity
+        residual = row.residual(d)
+        assert residual.square == ev(fix.square, d)
+        assert residual.dim == ev(fix.dim, d)
+        assert residual.pairing("K") == ev(fix.k_pairing, d)
+        assert row.local_multiplicity == fix.local_multiplicity
+        assert row.ratio == fix.ratio
+        assert row.ratio > 2
         # configuration records the row coefficients verbatim
-        config = dict(cert.configuration)
+        config = dict(row.configuration)
         for i, c in enumerate(row.node_coefficients):
             assert config.get(f"D{i + 1}", 0) == c
         if row.e_coefficient:
             assert config["E"] == row.e_coefficient
-        assert cert.tiger_components[0] == ("N", Fraction(1, row.multiple))
+        assert row.tiger_components[0] == ("N", Fraction(1, row.multiple))
 
 
 @pytest.mark.parametrize(
@@ -188,9 +186,9 @@ def test_certificate_residual_matches_symbolic_solve(row, d):
         table.pair(n, n),
         dim_complete(table, DivisorClass.of({n: 1})),
     )
-    cert = build_tiger(SurfaceSpec(*minimal_spec_args(row.case_id, d)))
-    assert cert.residual == symbolic
-    assert cert.configuration == tuple((g.label, int(c)) for g, c in config.terms)
+    assert select_case(SurfaceSpec(*minimal_spec_args(row.case_id, d)))[0] == row
+    assert row.residual(d) == symbolic
+    assert row.configuration == tuple((g.label, int(c)) for g, c in config.terms)
 
 
 def test_part_numbers_match_pairing_table():
@@ -480,8 +478,7 @@ def test_build_refuses_specs_without_cylinder():
 # ------------------------------------------------------------ certificates
 
 def test_trace_narrates_the_construction():
-    lines = []
-    build_tiger(SurfaceSpec(3, ("A1",)), trace=lines.append)
+    lines = list(narrate(build_tiger(SurfaceSpec(3, ("A1",)))))
     assert lines[0].startswith("case A1deg3: degree 3, multiple 4")
     assert any(line.startswith("relation: 4*(-K) = ") for line in lines)
     assert "N^2 = 30" in lines
@@ -492,33 +489,35 @@ def test_trace_narrates_the_construction():
 
 def test_certificate_e8():
     cert = build_tiger(SurfaceSpec(1, ("E8",)))
-    assert cert.case_id == "E8"
-    assert cert.singularity == "E8"
+    row = cert.row
+    assert row.case_id == "E8"
+    assert str(row.singularity) == "E8"
     assert cert.singularity_index == 0
-    assert cert.multiple == 2
-    assert dict(cert.configuration) == {
+    assert row.multiple == 2
+    assert dict(row.configuration) == {
         "D1": 3, "D2": 2, "D3": 4, "D4": 6, "D5": 5, "D6": 4, "D7": 3, "D8": 2,
     }
-    assert cert.point.kind == "node_intersection"
-    assert cert.point.curves == ("D4", "D5")
-    assert cert.local_multiplicity == 11
-    assert cert.ratio == Fraction(11, 2)
-    assert cert.tiger_components == (("N", Fraction(1, 2)),)
-    assert NOTE_OWN_COEFFICIENTS in cert.assumptions
+    assert row.point.kind == "node_intersection"
+    assert row.point.curves == ("D4", "D5")
+    assert row.local_multiplicity == 11
+    assert row.ratio == Fraction(11, 2)
+    assert row.tiger_components == (("N", Fraction(1, 2)),)
+    assert NOTE_OWN_COEFFICIENTS in row.assumptions(1)
     assert cert.status == "certified"
 
 
 def test_certificate_degree_six_smooth():
     cert = build_tiger(SurfaceSpec(6, ()))
-    assert cert.case_id == "deg4or6"
-    assert cert.singularity is None
+    row = cert.row
+    assert row.case_id == "deg4or6"
+    assert row.singularity is None
     assert cert.singularity_index is None
-    assert dict(cert.configuration) == {"E": 2}
-    assert cert.tiger_components == (
+    assert dict(row.configuration) == {"E": 2}
+    assert row.tiger_components == (
         ("N", Fraction(1, 3)), ("E", Fraction(2, 3)),
     )
-    assert ASSUME_E_DISJOINT in cert.assumptions
-    assert cert.ratio == Fraction(7, 3)
+    assert ASSUME_E_DISJOINT in row.assumptions(6)
+    assert row.ratio == Fraction(7, 3)
 
 
 def test_unobstructed_split_forces_discrepancy(monkeypatch):
@@ -531,5 +530,9 @@ def test_unobstructed_split_forces_discrepancy(monkeypatch):
     cert = build_tiger(SurfaceSpec(5, ()))
     assert cert.status == "discrepancy"
     assert all(o.obstruction is None for o in cert.decompositions)
-    # the construction data itself is still intact
-    assert cert.ratio == Fraction(9, 4)
+    assert cert.unobstructed == tuple(o.decomposition for o in cert.decompositions)
+    lines = list(narrate(cert))
+    assert lines[-2:] == [
+        "split nodes=() e=0: NO OBSTRUCTION",
+        "decompositions: 1 splits, 1 unobstructed",
+    ]

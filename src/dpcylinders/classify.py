@@ -51,23 +51,22 @@ def classify_anticanonical(spec: SurfaceSpec) -> tuple[bool, str]:
     return True, "outside-excluded-list"
 
 
-def classify_polar(spec: SurfaceSpec) -> tuple[bool, str]:
-    """Whether some ample polarization admits a cylinder, with a reason tag."""
-    anticanonical, _ = classify_anticanonical(spec)
-    if anticanonical:
-        return True, "anticanonical-cylinder-transfers"
-    if picard_rank(spec) == 1 and spec.singularities in NO_POLAR_COLLECTIONS:
-        return False, "rank-one-excluded-collection"
-    return True, "ample-polarization-exists"
-
-
 def classify(spec: SurfaceSpec) -> Verdict:
+    """Both verdicts with their reason tags: an anticanonical cylinder is
+    also an H-polar one, and otherwise only the rank-one excluded
+    collections have no cylinder for any polarization."""
     anticanonical, a_reason = classify_anticanonical(spec)
-    polar, p_reason = classify_polar(spec)
+    rank = picard_rank(spec)
+    if anticanonical:
+        polar, p_reason = True, "anticanonical-cylinder-transfers"
+    elif rank == 1 and spec.singularities in NO_POLAR_COLLECTIONS:
+        polar, p_reason = False, "rank-one-excluded-collection"
+    else:
+        polar, p_reason = True, "ample-polarization-exists"
     return Verdict(
         anticanonical_cylinder=anticanonical,
         h_polar_cylinder=polar,
-        picard_rank=picard_rank(spec),
+        picard_rank=rank,
         anticanonical_reason=a_reason,
         polar_reason=p_reason,
     )

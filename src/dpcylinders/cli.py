@@ -8,7 +8,8 @@ Exit codes:
       or a spec no case covers)
   2   unreadable, non-UTF-8 or malformed spec file
   3   well-formed file describing an invalid surface spec
-  4   cannot write the --out file
+  4   cannot write the document: the --out file, or stdout (a closed
+      stream, or a reader that left before the whole document was read)
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ EXIT_CANNOT_WRITE = 4
 
 
 class OutputError(Exception):
-    """The --out file cannot be written."""
+    """The --out file or stdout cannot be written."""
 
 
 def _load_spec(path: str) -> SurfaceSpec:
@@ -60,13 +61,43 @@ def _load_spec(path: str) -> SurfaceSpec:
 Writer = Callable[[str], None]
 
 
+def _write_stdout(text: str) -> None:
+    """Write a document to stdout whole, or raise OutputError.
+
+    The bytes go to the binary layer in a loop: an unbuffered stdout may
+    take only part of a write, and the text layer would drop the rest.
+    """
+    stream = sys.stdout
+    if stream is None:  # the process started with stdout closed
+        raise OutputError("cannot write stdout: stdout is closed")
+    try:
+        stream.flush()
+        binary = getattr(stream, "buffer", None)
+        if binary is None:  # a text-only stand-in such as StringIO
+            stream.write(text)
+            return
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+        while data:
+            data = data[binary.write(data):]
+        binary.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again on exit; send what is left
+        # to the null device so that flush cannot fail a second time
+        with suppress(AttributeError, OSError, ValueError):
+            fd = stream.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise OutputError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 @contextmanager
 def _output(out: Optional[str]) -> Iterator[Writer]:
     """Yield the writer of a command's document: stdout, or a temporary file
     made next to --out before any work and renamed over it once written, so
     --out is never partial.  A command that writes nothing leaves no file."""
     if out is None:
-        yield sys.stdout.write
+        yield _write_stdout
         return
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".", prefix=".dpcyl-")

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class InvalidSpec(ValueError):
     """Raised for malformed singularity types or over-budget surface specs."""
 
 
-_TYPE_RE = re.compile(r"^([ADE])([0-9]+)$")
+_TYPE_RE = re.compile(r"^([ADE])0*([0-9]+)$")
 
 _RANK_BOUNDS = {
     "A": range(1, 9),
@@ -57,7 +57,11 @@ class DynkinType:
         m = _TYPE_RE.match(text.strip()) if isinstance(text, str) else None
         if m is None:
             raise InvalidSpec(f"cannot parse singularity type {text!r}")
-        return cls(m.group(1), int(m.group(2)))
+        family, digits = m.groups()
+        if len(digits) > 1:
+            # every valid rank has one digit, and int() refuses thousands
+            raise InvalidSpec(f"{family} with a {len(digits)}-digit rank is not a valid type")
+        return cls(family, int(digits))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -127,14 +131,15 @@ class SurfaceSpec:
             raise InvalidSpec(f"degree must be an integer, not the boolean {degree!r}")
         if not isinstance(degree, int) or not 1 <= degree <= 9:
             raise InvalidSpec(f"degree must be an integer in [1, 9], got {degree!r}")
-        if isinstance(self.singularities, str):
+        tokens = self.singularities
+        if isinstance(tokens, str) or not isinstance(tokens, Iterable):
+            what = "the string " if isinstance(tokens, str) else ""
             raise InvalidSpec(
-                "singularities must be a sequence of type tokens, "
-                f"not the string {self.singularities!r}"
+                f"singularities must be a sequence of type tokens, not {what}{tokens!r}"
             )
         resolved = tuple(sorted(
             t if isinstance(t, DynkinType) else DynkinType.parse(t)
-            for t in self.singularities
+            for t in tokens
         ))
         object.__setattr__(self, "singularities", resolved)
         budget = 9 - degree

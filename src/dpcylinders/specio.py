@@ -14,13 +14,8 @@ from itertools import zip_longest
 from typing import Any, Optional
 
 from .classify import Verdict
-from .lattice import SurfaceSpec
-from .tigers import (
-    ResidualNumbers,
-    TigerCertificate,
-    build_tiger,
-    decomposition_parts,
-)
+from .lattice import InvalidSpec, SurfaceSpec
+from .tigers import CaseTable, Part, TigerCertificate, build_tiger, split_parts
 
 
 class SpecFileError(ValueError):
@@ -28,15 +23,15 @@ class SpecFileError(ValueError):
 
 
 # ASCII digits only: int() alone would also take "0_3" and non-ASCII digits
-_DEGREE_RE = re.compile(r"[+-]?[0-9]+")
+_DEGREE_RE = re.compile(r"([+-]?)0*([0-9]+)")
 
 
 def parse_spec_text(text: str) -> SurfaceSpec:
     """Parse spec file content.
 
     Structure problems raise SpecFileError; semantically invalid content
-    (unknown type token, degree/rank out of range) propagates InvalidSpec
-    from the SurfaceSpec constructor.  '#' starts a comment.
+    (unknown type token, degree/rank out of range) raises InvalidSpec, most
+    of it from the SurfaceSpec constructor.  '#' starts a comment.
     """
     degree: Optional[int] = None
     tokens: Optional[list[str]] = None
@@ -52,11 +47,18 @@ def parse_spec_text(text: str) -> SurfaceSpec:
         if key == "degree":
             if degree is not None:
                 raise SpecFileError(f"line {lineno}: duplicate 'degree'")
-            if not _DEGREE_RE.fullmatch(value):
+            m = _DEGREE_RE.fullmatch(value)
+            if m is None:
                 raise SpecFileError(
                     f"line {lineno}: degree must be an integer, got {value!r}"
                 )
-            degree = int(value)
+            sign, digits = m.groups()
+            if len(digits) > 1:
+                # every valid degree has one digit, and int() refuses thousands
+                raise InvalidSpec(
+                    f"degree must be an integer in [1, 9], got a {len(digits)}-digit number"
+                )
+            degree = int(sign + digits)
         elif key == "singularities":
             if tokens is not None:
                 raise SpecFileError(f"line {lineno}: duplicate 'singularities'")
@@ -92,12 +94,23 @@ def verdict_document(spec: SurfaceSpec, verdict: Verdict) -> dict[str, Any]:
     }
 
 
-def _numbers_block(numbers: ResidualNumbers) -> dict[str, Any]:
+def _numbers_block(row: CaseTable, label: str, part: Part) -> dict[str, Any]:
     return {
-        "label": numbers.label,
-        "pairings": [[lbl, v] for lbl, v in numbers.pairings],
-        "square": numbers.square,
-        "dim": numbers.dim,
+        "label": label,
+        "pairings": [[lbl, v] for lbl, v in zip(("K",) + row.curves, part.pairings)],
+        "square": part.square,
+        "dim": part.dim,
+    }
+
+
+def _part_block(row: CaseTable, label: str, part: Part) -> dict[str, Any]:
+    # the coefficient vector runs over the nodes, then E when the row uses it
+    k = len(row.node_coefficients)
+    return {
+        "multiple": part.multiple,
+        "node_coefficients": list(part.coefficients[:k]),
+        "e_coefficient": part.coefficients[k] if row.e_coefficient else 0,
+        "residual": _numbers_block(row, label, part),
     }
 
 
@@ -106,29 +119,19 @@ def certificate_document(cert: TigerCertificate) -> dict[str, Any]:
     part's derived numbers so the document is checkable on its own."""
     row, degree = cert.row, cert.spec.degree
     decs = []
-    for outcome in cert.decompositions:
-        part1, part2 = decomposition_parts(row, degree, outcome.decomposition)
+    for split in cert.decompositions:
+        part1, part2 = split_parts(row, degree, split.part1)
         entry: dict[str, Any] = {
-            "part1": {
-                "multiple": part1.multiple,
-                "node_coefficients": list(part1.node_coefficients),
-                "e_coefficient": part1.e_coefficient,
-                "residual": _numbers_block(part1.residual),
-            },
-            "part2": {
-                "multiple": part2.multiple,
-                "node_coefficients": list(part2.node_coefficients),
-                "e_coefficient": part2.e_coefficient,
-                "residual": _numbers_block(part2.residual),
-            },
+            "part1": _part_block(row, "F1", part1),
+            "part2": _part_block(row, "F2", part2),
         }
-        if outcome.obstruction is None:
+        if split.obstruction is None:
             entry["obstruction"] = None
         else:
             entry["obstruction"] = {
-                "kind": outcome.obstruction.kind,
-                "witness": [[k, v] for k, v in outcome.obstruction.witness],
-                "description": outcome.obstruction.describe(),
+                "kind": split.obstruction.kind,
+                "witness": [[k, v] for k, v in split.obstruction.witness],
+                "description": split.obstruction.describe(),
             }
         decs.append(entry)
     return {
@@ -139,7 +142,7 @@ def certificate_document(cert: TigerCertificate) -> dict[str, Any]:
         "singularity_index": cert.singularity_index,
         "multiple": row.multiple,
         "configuration": [[lbl, c] for lbl, c in row.configuration],
-        "residual": _numbers_block(row.residual(degree)),
+        "residual": _numbers_block(row, "N", row.residual(degree)),
         "point": {"kind": row.point.kind, "curves": list(row.point.curves)},
         "residual_multiplicity": row.residual_multiplicity,
         "local_multiplicity": row.local_multiplicity,

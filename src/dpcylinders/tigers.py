@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator, Optional
 
@@ -66,7 +66,9 @@ class PointSpec:
 class CaseTable:
     """One construction case: where it applies and what it builds.
 
-    ``balanced_split`` names the first part's node coefficients of the one
+    The row's curves are D1..Dk of the singular point, then E when the row
+    uses it; coefficient vectors and pairings run over them in that order.
+    ``balanced_split`` is the first part's coefficient vector of the one
     split whose dimension gap is taken against the one-part family through
     the marked point; ``notes`` are certificate notes, each with the degrees
     it applies at.
@@ -83,25 +85,47 @@ class CaseTable:
     balanced_split: Optional[tuple[int, ...]] = None
     notes: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
-    @property
-    def part_multiples(self) -> tuple[int, int]:
-        # splits always take one anticanonical part off the candidate
-        return (1, self.multiple - 1)
+    @cached_property
+    def curves(self) -> tuple[str, ...]:
+        """The curve labels, in coefficient order."""
+        rank = self.singularity.rank if self.singularity else 0
+        return tuple(f"D{i}" for i in range(1, rank + 1)) + (
+            ("E",) if self.e_coefficient else ()
+        )
+
+    @cached_property
+    def coefficients(self) -> tuple[int, ...]:
+        """The relation's coefficient vector over the row's curves."""
+        return self.node_coefficients + (
+            (self.e_coefficient,) if self.e_coefficient else ()
+        )
+
+    @cached_property
+    def curve_form(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Each curve's square, K-degree and neighbours (the curves it meets
+        once): the nodes are (-2)-curves meeting along the Dynkin diagram, E
+        is a (-1)-curve taken disjoint from them."""
+        gram = gram_table(self.singularity) if self.singularity else ()
+        nodes = range(len(gram))
+        return tuple(
+            (-2, 0, tuple(j for j in nodes if j != i and gram[i][j])) for i in nodes
+        ) + (((-1, -1, ()),) if self.e_coefficient else ())
+
+    @cached_property
+    def point_indices(self) -> tuple[int, ...]:
+        """Where the curves through the marked point sit among the row's curves."""
+        return tuple(self.curves.index(label) for label in self.point.curves)
 
     @property
     def configuration(self) -> tuple[tuple[str, int], ...]:
         """The curves of the relation with nonzero coefficients, E last."""
-        nodes = tuple(
-            (f"D{i}", c) for i, c in enumerate(self.node_coefficients, start=1) if c
-        )
-        return nodes + ((("E", self.e_coefficient),) if self.e_coefficient else ())
+        return tuple((lbl, c) for lbl, c in zip(self.curves, self.coefficients) if c)
 
     @property
     def local_multiplicity(self) -> int:
         # the curves through the marked point add their configuration coefficients
         return self.residual_multiplicity + sum(
-            _coefficient_on(lbl, self.node_coefficients, self.e_coefficient)
-            for lbl in self.point.curves
+            self.coefficients[i] for i in self.point_indices
         )
 
     @property
@@ -115,11 +139,9 @@ class CaseTable:
             components += (("E", Fraction(self.e_coefficient, self.multiple)),)
         return components
 
-    def residual(self, degree: int) -> ResidualNumbers:
+    def residual(self, degree: int) -> Part:
         """The relation's residual class N at a degree, by the closed form."""
-        return part_residual_numbers(
-            self, degree, self.multiple, self.node_coefficients, self.e_coefficient, "N"
-        )
+        return part_numbers(self, degree, self.multiple, self.coefficients)
 
     def assumptions(self, degree: int) -> tuple[str, ...]:
         """What the construction leans on at a degree, notes last."""
@@ -204,32 +226,16 @@ _CASE_ROWS = (
 
 
 @dataclass(frozen=True, slots=True)
-class ResidualNumbers:
-    """All derived intersection data of one residual class."""
+class Part:
+    """The class  multiple*(-K) - sum(coefficients[i] * C_i)  over the row's
+    curves C_i, with its intersection numbers: ``pairings`` against K, then
+    against each of the row's curves in order."""
 
-    label: str
-    pairings: tuple[tuple[str, int], ...]
+    multiple: int
+    coefficients: tuple[int, ...]
+    pairings: tuple[int, ...]
     square: int
     dim: int
-
-    def pairing(self, label: str) -> int:
-        for lbl, value in self.pairings:
-            if lbl == label:
-                return value
-        raise KeyError(f"no pairing recorded against {label!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class Decomposition:
-    """One coefficientwise split of a case's configuration.
-
-    Only the first part's coefficients are stored; the second part is the
-    complement and the part multiples are (1, m-1).  Full per-part data is
-    recovered with :func:`decomposition_parts`.
-    """
-
-    nodes_part1: tuple[int, ...]
-    e_part1: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,121 +276,90 @@ class Obstruction:
 
 
 @dataclass(frozen=True, slots=True)
-class DecompositionOutcome:
-    decomposition: Decomposition
+class Split:
+    """One coefficientwise split of a case's configuration: the first
+    part's coefficient vector over the row's curves (the second part is the
+    complement, the part multiples are (1, m-1)), with its obstruction."""
+
+    part1: tuple[int, ...]
     obstruction: Optional[Obstruction]
 
 
-@dataclass(frozen=True, slots=True)
-class PartRecord:
-    """One side of a split, with its residual's derived numbers."""
+def part_numbers(
+    row: CaseTable, degree: int, multiple: int, coefficients: tuple[int, ...]
+) -> Part:
+    """Intersection numbers of  P = multiple*(-K) - sum(c_i C_i)  in closed form.
 
-    multiple: int
-    node_coefficients: tuple[int, ...]
-    e_coefficient: int
-    residual: ResidualNumbers
-
-
-@lru_cache(maxsize=None)
-def _row_neighbors(t: Optional[DynkinType]) -> tuple[tuple[int, ...], ...]:
-    g = gram_table(t) if t is not None else ()
-    k = len(g)
-    return tuple(
-        tuple(j for j in range(k) if j != i and g[i][j] != 0) for i in range(k)
-    )
-
-
-def part_residual_numbers(
-    row: CaseTable, degree: int, part_multiple: int,
-    nodes: tuple[int, ...], e_coefficient: int, label: str = "F",
-) -> ResidualNumbers:
-    """Intersection data of  part_multiple*(-K) - sum(nodes) - e*E.
-
-    Closed forms over the Gram table; the relation residual itself is the
-    special case part_multiple = row.multiple with the full configuration.
+    With k_i = K.C_i and G the Gram matrix of the row's curves:
+    P^2 = m^2 d + 2m k.c + c.Gc,  P.K = -m d - k.c,  P.C_i = -m k_i - (Gc)_i.
+    The relation residual itself is  row.residual(degree).
     """
-    if len(nodes) != len(row.node_coefficients):
-        raise ValueError("node coefficient length does not match the case")
-    nbrs = _row_neighbors(row.singularity)
-    k = len(nodes)
-    ga = [sum(nodes[j] for j in nbrs[i]) - 2 * nodes[i] for i in range(k)]
+    gc = []
+    kc = 0
+    for c, (curve_square, k_degree, neighbours) in zip(coefficients, row.curve_form):
+        gc.append(curve_square * c + sum(coefficients[j] for j in neighbours))
+        kc += k_degree * c
     square = (
-        part_multiple * part_multiple * degree
-        - 2 * part_multiple * e_coefficient
-        - e_coefficient * e_coefficient
-        + sum(nodes[i] * ga[i] for i in range(k))
+        multiple * multiple * degree + 2 * multiple * kc
+        + sum(c * g for c, g in zip(coefficients, gc))
     )
-    k_pairing = -part_multiple * degree + e_coefficient
-    pairings = [("K", k_pairing)]
-    pairings.extend((f"D{i + 1}", -ga[i]) for i in range(k))
-    if row.e_coefficient:
-        pairings.append(("E", part_multiple + e_coefficient))
+    k_pairing = -multiple * degree - kc
+    pairings = (k_pairing, *(
+        -multiple * k_degree - g for (_, k_degree, _), g in zip(row.curve_form, gc)
+    ))
     numerator = square - k_pairing
     if numerator % 2 != 0:
         raise ValueError("residual class has odd self-pairing parity")
-    return ResidualNumbers(label, tuple(pairings), square, numerator // 2)
+    return Part(multiple, coefficients, pairings, square, numerator // 2)
 
 
-def decomposition_parts(
-    row: CaseTable, degree: int, dec: Decomposition
-) -> tuple[PartRecord, PartRecord]:
-    """Expand a stored split into its two full part records."""
-    m1, m2 = row.part_multiples
-    nodes2 = tuple(
-        c - a for c, a in zip(row.node_coefficients, dec.nodes_part1)
-    )
-    e2 = row.e_coefficient - dec.e_part1
+def split_parts(
+    row: CaseTable, degree: int, part1: tuple[int, ...]
+) -> tuple[Part, Part]:
+    """Both parts of the split whose first part has coefficients ``part1``:
+    a split always takes one anticanonical part off the candidate."""
+    part2 = tuple(c - a for c, a in zip(row.coefficients, part1))
     return (
-        PartRecord(m1, dec.nodes_part1, dec.e_part1,
-                   part_residual_numbers(row, degree, m1, dec.nodes_part1, dec.e_part1, "F1")),
-        PartRecord(m2, nodes2, e2,
-                   part_residual_numbers(row, degree, m2, nodes2, e2, "F2")),
+        part_numbers(row, degree, 1, part1),
+        part_numbers(row, degree, row.multiple - 1, part2),
     )
 
 
-def _point_cap(row: CaseTable, part: PartRecord) -> int:
-    """Largest multiplicity the part's residual can carry at the marked point:
-    bounded by the dimension budget and by its pairing with each curve
-    through the point."""
-    cap = max_multiplicity_budget(part.residual.dim)
-    for label in row.point.curves:
-        cap = min(cap, part.residual.pairing(label))
-    return cap
-
-
-def _coefficient_on(label: str, nodes: tuple[int, ...], e_coefficient: int) -> int:
-    """A configuration's coefficient on one of its curves (D1.., or E)."""
-    if label == "E":
-        return e_coefficient
-    return nodes[int(label[1:]) - 1]
+def _point_cap(row: CaseTable, part: Part) -> int:
+    """Largest multiplicity the part can carry at the marked point: bounded
+    by the dimension budget and by its pairing with each curve through the
+    point."""
+    return min((
+        max_multiplicity_budget(part.dim),
+        *(part.pairings[1 + i] for i in row.point_indices),
+    ))
 
 
 def _obstruction_for(
-    row: CaseTable, degree: int, dec: Decomposition
+    row: CaseTable, degree: int, part1: tuple[int, ...]
 ) -> Optional[Obstruction]:
     """Find the numeric contradiction for one split, or None if there is
     none (which downgrades the certificate)."""
-    parts = decomposition_parts(row, degree, dec)
+    parts = split_parts(row, degree, part1)
 
-    # A part whose residual has square <= -2, a negative pairing with a
-    # configuration curve, or negative expected dimension cannot occur.
+    # A part with square <= -2, a negative pairing with a configuration
+    # curve, or negative expected dimension cannot occur.
     for idx, part in enumerate(parts, start=1):
-        r = part.residual
-        if r.square <= -2:
+        if part.square <= -2:
             return Obstruction(
                 NEGATIVE_SELF_INTERSECTION,
-                (("part", idx), ("square", r.square)),
+                (("part", idx), ("square", part.square)),
             )
-        worst = min((v for lbl, v in r.pairings if lbl != "K"), default=0)
+        worst = min(part.pairings[1:], default=0)
         if worst < 0:
             return Obstruction(
                 NEGATIVE_SELF_INTERSECTION,
                 (("part", idx), ("pairing", worst)),
             )
-        if r.dim < 0:
+        if part.dim < 0:
             return Obstruction(
                 NEGATIVE_SELF_INTERSECTION,
-                (("part", idx), ("dim", r.dim)),
+                (("part", idx), ("dim", part.dim)),
             )
 
     mu = row.residual_multiplicity
@@ -392,14 +367,9 @@ def _obstruction_for(
     if caps[0] + caps[1] < mu:
         # Distinguish the part that cannot touch the point's curves at all.
         for idx, part in enumerate(parts, start=1):
-            carries_nothing = all(
-                _coefficient_on(lbl, part.node_coefficients, part.e_coefficient) == 0
-                for lbl in row.point.curves
-            )
-            pairs_zero = any(
-                part.residual.pairing(lbl) == 0 for lbl in row.point.curves
-            )
-            if row.point.curves and carries_nothing and pairs_zero:
+            carries_nothing = all(part.coefficients[i] == 0 for i in row.point_indices)
+            pairs_zero = any(part.pairings[1 + i] == 0 for i in row.point_indices)
+            if row.point_indices and carries_nothing and pairs_zero:
                 return Obstruction(
                     DISJOINTNESS,
                     (("part", idx), ("required", mu),
@@ -410,30 +380,24 @@ def _obstruction_for(
             (("required", mu), ("cap_part1", caps[0]), ("cap_part2", caps[1])),
         )
 
-    full = part_residual_numbers(
-        row, degree, row.multiple, row.node_coefficients, row.e_coefficient, "N"
-    )
-    candidate_dim = full.dim - conditions(mu)
+    candidate_dim = row.residual(degree).dim - conditions(mu)
 
     # A row's balanced split is compared against the one-part family
     # through the point, matching the recorded analysis for that case.
-    if dec.nodes_part1 == row.balanced_split:
-        part_dim = parts[0].residual.dim - conditions(mu)
+    if part1 == row.balanced_split:
+        part_dim = parts[0].dim - conditions(mu)
         return Obstruction(
             DIMENSION_GAP,
             (("candidate_dim", candidate_dim), ("parts_dim", part_dim)),
         )
 
-    best = None
-    for t1 in range(max(0, mu - caps[1]), min(caps[0], mu) + 1):
-        t2 = mu - t1
-        total = (
-            parts[0].residual.dim - conditions(t1)
-            + parts[1].residual.dim - conditions(t2)
-        )
-        if best is None or total > best:
-            best = total
-    if best is not None and best < candidate_dim:
+    # the best share of the multiplicity between the parts; as the caps
+    # are >= 0 and add up to >= mu here, there is at least one share
+    best = max(
+        parts[0].dim - conditions(t1) + parts[1].dim - conditions(mu - t1)
+        for t1 in range(max(0, mu - caps[1]), min(caps[0], mu) + 1)
+    )
+    if best < candidate_dim:
         return Obstruction(
             DIMENSION_GAP,
             (("candidate_dim", candidate_dim), ("parts_dim", best)),
@@ -442,26 +406,19 @@ def _obstruction_for(
 
 
 @lru_cache(maxsize=None)
-def enumerate_decompositions(
-    row: CaseTable, degree: int
-) -> tuple[DecompositionOutcome, ...]:
+def enumerate_decompositions(row: CaseTable, degree: int) -> tuple[Split, ...]:
     """Every coefficientwise split of the configuration, each paired with
     its obstruction (or None, which later surfaces as a discrepancy).
 
     Splits run in ascending lexicographic order of the first part's
-    coefficient vector, the (-1)-curve coefficient last.
+    coefficient vector over the row's curves, E last.
     """
     if degree not in row.degrees:
         raise ValueError(f"case {row.case_id} does not apply at degree {degree}")
-    ranges = [range(c + 1) for c in row.node_coefficients]
-    ranges.append(range(row.e_coefficient + 1))
-    outcomes = []
-    for split in product(*ranges):
-        dec = Decomposition(split[:-1], split[-1])
-        outcomes.append(
-            DecompositionOutcome(dec, _obstruction_for(row, degree, dec))
-        )
-    return tuple(outcomes)
+    return tuple(
+        Split(part1, _obstruction_for(row, degree, part1))
+        for part1 in product(*(range(c + 1) for c in row.coefficients))
+    )
 
 
 @dataclass(frozen=True)
@@ -476,13 +433,11 @@ class TigerCertificate:
     spec: SurfaceSpec
     row: CaseTable
     singularity_index: Optional[int]
-    decompositions: tuple[DecompositionOutcome, ...]
+    decompositions: tuple[Split, ...]
 
     @property
-    def unobstructed(self) -> tuple[Decomposition, ...]:
-        return tuple(
-            o.decomposition for o in self.decompositions if o.obstruction is None
-        )
+    def unobstructed(self) -> tuple[Split, ...]:
+        return tuple(s for s in self.decompositions if s.obstruction is None)
 
     @property
     def status(self) -> str:
@@ -538,15 +493,17 @@ def narrate(cert: TigerCertificate) -> Iterator[str]:
 
     residual = row.residual(d)
     square, dim = residual.square, residual.dim
-    for lbl, v in residual.pairings:
+    for lbl, v in zip(("K",) + row.curves, residual.pairings):
         yield f"N.{lbl} = {v}"
     yield f"N^2 = {square}"
-    yield f"dim|N| = (N^2 - N.K)/2 = ({square} - ({residual.pairing('K')}))/2 = {dim}"
+    yield f"dim|N| = (N^2 - N.K)/2 = ({square} - ({residual.pairings[0]}))/2 = {dim}"
     mu = row.residual_multiplicity
     yield f"conditions({mu}) = {conditions(mu)}; candidate family dim = {dim - conditions(mu)}"
     yield f"local multiplicity = {row.local_multiplicity}; ratio = {row.local_multiplicity}/{m}"
 
     unobstructed = cert.unobstructed
-    for dec in unobstructed:
-        yield f"split nodes={dec.nodes_part1} e={dec.e_part1}: NO OBSTRUCTION"
+    k = len(row.node_coefficients)
+    for split in unobstructed:
+        e = split.part1[k] if row.e_coefficient else 0
+        yield f"split nodes={split.part1[:k]} e={e}: NO OBSTRUCTION"
     yield f"decompositions: {len(cert.decompositions)} splits, {len(unobstructed)} unobstructed"

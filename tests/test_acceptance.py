@@ -145,7 +145,7 @@ def test_acceptance_3_residual_fixture_suite():
         # the one-node cubic's three negative split squares
         row = next(r for r in case_tables() if r.case_id == "A1deg3")
         squares = [
-            tigers.decomposition_parts(row, 3, o.decomposition)[0].residual.square
+            tigers.split_parts(row, 3, o.part1)[0].square
             for o in enumerate_decompositions(row, 3)
         ]
         assert squares[1:] == [1, -5, -15]

@@ -4,7 +4,7 @@ reconciled with the construction engine in ``test_acceptance_5``."""
 import pytest
 
 from dpcylinders import SurfaceSpec, classify, enumerate_specs
-from dpcylinders.classify import NO_POLAR_COLLECTIONS, classify_anticanonical, classify_polar
+from dpcylinders.classify import NO_POLAR_COLLECTIONS
 from dpcylinders.lattice import picard_rank
 
 # degree, singularities, anticanonical cylinder, polar cylinder
@@ -43,9 +43,6 @@ def test_fixture_verdicts(degree, sings, anticanonical, polar):
     assert verdict.anticanonical_cylinder is anticanonical
     assert verdict.h_polar_cylinder is polar
     assert verdict.picard_rank == picard_rank(spec)
-    # the tuple-returning variants agree with the bundled verdict
-    assert classify_anticanonical(spec)[0] is anticanonical
-    assert classify_polar(spec)[0] is polar
 
 
 def test_reason_tags():
@@ -70,7 +67,7 @@ def test_reason_tags():
 def test_smooth_surfaces_refuse_at_low_degree_only():
     expected = {1: False, 2: False, 3: False}
     for d in range(1, 10):
-        got, _ = classify_anticanonical(SurfaceSpec(d, ()))
+        got = classify(SurfaceSpec(d, ())).anticanonical_cylinder
         assert got is expected.get(d, True), d
 
 

@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 
 import dpcylinders
 from dpcylinders import (
+    InvalidSpec,
+    SpecFileError,
     SurfaceSpec,
     build_tiger,
     certificate_document,
     certificate_from_document,
+    parse_spec_text,
     render_document,
 )
 from dpcylinders import cli, tigers
@@ -191,6 +194,11 @@ def test_spec_files_allow_comments_and_case(tmp_path, capsys):
     ("degree: 3\nsingularities: A\uff11\n", cli.EXIT_BAD_SPEC),  # fullwidth 1
     ("degree: -1\n", cli.EXIT_BAD_SPEC),
     ("degree: +3\nsingularities: A1\n", cli.EXIT_OK),
+    # well-formed but overlong: past the interpreter's int() digit limit
+    pytest.param("degree: " + "9" * 5000 + "\n", cli.EXIT_BAD_SPEC,
+                 id="degree: 5000 nines"),
+    pytest.param("degree: 3\nsingularities: A" + "1" * 5000 + "\n", cli.EXIT_BAD_SPEC,
+                 id="singularities: A and 5000 ones"),
 ])
 @pytest.mark.parametrize("command", ["classify", "tiger"])
 def test_spec_digits_are_ascii(tmp_path, capsys, command, text, code):
@@ -200,6 +208,36 @@ def test_spec_digits_are_ascii(tmp_path, capsys, command, text, code):
     assert got == code
     if code != cli.EXIT_OK:
         assert out == "" and err.startswith("error: ")
+
+
+# a degree line, a singularities line, each maybe, and maybe arbitrary text
+SPEC_TEXTS = st.builds(
+    lambda lines, extra: "\n".join([line for line in lines if line is not None] + extra),
+    st.tuples(
+        st.none() | st.builds(
+            "degree: {}".format,
+            st.integers(-12, 12) | st.text("0123456789+-_ #\uff13", max_size=6),
+        ),
+        st.none() | st.builds(
+            lambda tokens: "singularities: " + ", ".join(tokens),
+            st.lists(
+                st.sampled_from(["A1", "A4", "D4", "E6", "E8", "A9", "A01", "B2", ""])
+                | st.text("ADE019\uff11 ", max_size=4),
+                max_size=4,
+            ),
+        ),
+    ),
+    st.lists(st.text(), max_size=1),
+)
+
+
+@given(SPEC_TEXTS)
+def test_spec_parser_gives_a_spec_or_a_named_refusal(text):
+    try:
+        spec = parse_spec_text(text)
+    except (SpecFileError, InvalidSpec):
+        return
+    assert isinstance(spec, SurfaceSpec)
 
 
 def test_certificate_loader_names_a_missing_field():
@@ -422,6 +460,65 @@ def test_sweep_reports_every_spec(tmp_path, capsys):
 
     code, _, _ = run_cli(capsys, "sweep", "--out", str(out_path))
     assert out_path.read_text(encoding="utf-8") == report  # reproducible
+
+
+# ------------------------------------------------------------------- stdout
+
+def test_stdout_with_no_reader_exits_4(spec_dir, capsys, monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["classify", "--spec", str(spec_dir / "node_cubic.txt")])
+    assert code == cli.EXIT_CANNOT_WRITE
+    assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_closed_stdout_exits_4(spec_dir, capsys, monkeypatch):
+    # the interpreter sets sys.stdout to None when fd 1 is closed at start
+    monkeypatch.setattr(sys, "stdout", None)
+    code = cli.main(["classify", "--spec", str(spec_dir / "node_cubic.txt")])
+    assert code == cli.EXIT_CANNOT_WRITE
+    assert capsys.readouterr().err == "error: cannot write stdout: stdout is closed\n"
+
+
+def run_module(*args, **kwargs):
+    src = str(Path(dpcylinders.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **kwargs.pop("env", {})}
+    return subprocess.Popen(
+        [sys.executable, "-m", "dpcylinders.cli", *args], env=env, **kwargs
+    )
+
+
+def test_stdout_reader_gone_before_the_write_exits_4(spec_dir):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    child = run_module(
+        "classify", "--spec", str(spec_dir / "node_cubic.txt"),
+        stdout=write_end, stderr=subprocess.PIPE, text=True,
+    )
+    os.close(write_end)
+    _, err = child.communicate()
+    assert child.returncode == cli.EXIT_CANNOT_WRITE
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_stdout_reader_leaving_early_exits_4(tmp_path, unbuffered):
+    # a 350 KB certificate against a 64 KB pipe: the write is still going
+    # when the reader leaves, and an unbuffered stdout used to drop the rest
+    # of a short write and exit 0
+    spec = tmp_path / "a5.txt"
+    spec.write_text("degree: 3\nsingularities: A5\n", encoding="utf-8")
+    child = run_module(
+        "tiger", "--spec", str(spec), env={"PYTHONUNBUFFERED": unbuffered},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert child.stdout.read(10) == "{\n  \"assum"
+    child.stdout.close()
+    assert child.wait() == cli.EXIT_CANNOT_WRITE
+    assert child.stderr.read() == "error: cannot write stdout: Broken pipe\n"
+    child.stderr.close()
 
 
 # ------------------------------------------------------------- entry point

@@ -188,6 +188,11 @@ def test_validate_spec_rejects():
         SurfaceSpec(3, "")
     with pytest.raises(InvalidSpec, match="not the boolean True"):
         SurfaceSpec(True)
+    # singularities that are no sequence at all
+    with pytest.raises(InvalidSpec, match="not None"):
+        SurfaceSpec(3, None)
+    with pytest.raises(InvalidSpec, match="not 5"):
+        SurfaceSpec(3, 5)
 
 
 def test_picard_rank_fixtures():

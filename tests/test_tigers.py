@@ -7,10 +7,10 @@ path.
 """
 
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcylinders import (
@@ -34,12 +34,10 @@ from dpcylinders.tigers import (
     MULTIPLICITY_BUDGET,
     NEGATIVE_SELF_INTERSECTION,
     NOTE_OWN_COEFFICIENTS,
-    Decomposition,
     PointSpec,
-    ResidualNumbers,
-    decomposition_parts,
     narrate,
-    part_residual_numbers,
+    part_numbers,
+    split_parts,
 )
 
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
@@ -60,13 +58,18 @@ def row_by_id(case_id):
     return next(r for r in case_tables() if r.case_id == case_id)
 
 
+def labelled(row, part):
+    """A part's pairings by label: K, then the row's curves."""
+    return dict(zip(("K",) + row.curves, part.pairings, strict=True))
+
+
 def point_caps(row, parts):
     """Recompute the multiplicity each part can carry at the marked point."""
     caps = []
     for part in parts:
-        cap = max_multiplicity_budget(part.residual.dim)
+        cap = max_multiplicity_budget(part.dim)
         for label in row.point.curves:
-            cap = min(cap, part.residual.pairing(label))
+            cap = min(cap, labelled(row, part)[label])
         caps.append(cap)
     return tuple(caps)
 
@@ -81,7 +84,6 @@ def test_case_rows_are_internally_consistent():
     for row in case_tables():
         rank = row.singularity.rank if row.singularity else 0
         assert len(row.node_coefficients) == rank
-        assert row.part_multiples == (1, row.multiple - 1)
         assert row.multiple >= 2
         assert all(1 <= d <= 9 for d in row.degrees)
         assert row.residual_multiplicity >= 0
@@ -95,7 +97,15 @@ def test_case_rows_are_internally_consistent():
         for _, degrees in row.notes:
             assert set(degrees) <= set(row.degrees)
         if row.balanced_split is not None:
-            assert len(row.balanced_split) == rank
+            assert len(row.balanced_split) == len(row.curves)
+        # one ordered list of curves: the nodes, then E when the row uses it
+        assert row.curves == tuple(f"D{i}" for i in range(1, rank + 1)) + (
+            ("E",) if row.e_coefficient else ()
+        )
+        assert len(row.coefficients) == len(row.curve_form) == len(row.curves)
+        assert row.coefficients[:rank] == row.node_coefficients
+        assert row.coefficients[rank:] == ((row.e_coefficient,) if row.e_coefficient else ())
+        assert [row.curves[i] for i in row.point_indices] == list(row.point.curves)
 
 
 def test_marked_points_lie_on_the_configuration():
@@ -128,14 +138,13 @@ def test_residual_formulas_match_fixtures(case_id):
     row = row_by_id(case_id)
     fix = RESIDUAL_FIXTURES[case_id]
     for d in row.degrees:
-        numbers = part_residual_numbers(
-            row, d, row.multiple, row.node_coefficients, row.e_coefficient, "N"
-        )
-        assert numbers.pairing("K") == ev(fix.k_pairing, d)
+        numbers = part_numbers(row, d, row.multiple, row.coefficients)
+        pairings = labelled(row, numbers)
+        assert pairings["K"] == ev(fix.k_pairing, d)
         for i, expected in enumerate(fix.node_pairings):
-            assert numbers.pairing(f"D{i + 1}") == expected, (case_id, d, i)
+            assert pairings[f"D{i + 1}"] == expected, (case_id, d, i)
         if fix.e_pairing is not None:
-            assert numbers.pairing("E") == fix.e_pairing
+            assert pairings["E"] == fix.e_pairing
         assert numbers.square == ev(fix.square, d)
         assert numbers.dim == ev(fix.dim, d)
 
@@ -152,7 +161,7 @@ def test_certificates_match_fixtures(case_id):
         residual = row.residual(d)
         assert residual.square == ev(fix.square, d)
         assert residual.dim == ev(fix.dim, d)
-        assert residual.pairing("K") == ev(fix.k_pairing, d)
+        assert labelled(row, residual)["K"] == ev(fix.k_pairing, d)
         assert row.local_multiplicity == fix.local_multiplicity
         assert row.ratio == fix.ratio
         assert row.ratio > 2
@@ -170,7 +179,7 @@ def test_certificates_match_fixtures(case_id):
 )
 def test_certificate_residual_matches_symbolic_solve(row, d):
     """The certificate's closed-form residual and configuration equal the
-    ones the pairing table derives from the relation: label, ordered
+    ones the pairing table derives from the relation: ordered labelled
     pairings, square and dim."""
     table = GramTable(d)
     coeffs = {}
@@ -180,14 +189,14 @@ def test_certificate_residual_matches_symbolic_solve(row, d):
         coeffs[table.add_minus_one_curve("E")] = row.e_coefficient
     config = DivisorClass.of(coeffs)
     n = table.solve_residual(Relation(row.multiple, config, "N"))
-    symbolic = ResidualNumbers(
-        "N",
-        tuple((g.label, table.pair(n, g)) for g in table.generators if g is not n),
-        table.pair(n, n),
-        dim_complete(table, DivisorClass.of({n: 1})),
-    )
+    residual = row.residual(d)
     assert select_case(SurfaceSpec(*minimal_spec_args(row.case_id, d)))[0] == row
-    assert row.residual(d) == symbolic
+    assert tuple(labelled(row, residual).items()) == tuple(
+        (g.label, table.pair(n, g)) for g in table.generators if g is not n
+    )
+    assert residual.square == table.pair(n, n)
+    assert residual.dim == dim_complete(table, DivisorClass.of({n: 1}))
+    assert (residual.multiple, residual.coefficients) == (row.multiple, row.coefficients)
     assert row.configuration == tuple((g.label, int(c)) for g, c in config.terms)
 
 
@@ -201,22 +210,22 @@ def test_part_numbers_match_pairing_table():
         curves = table.add_singularity(row.singularity) if row.singularity else ()
         e = table.add_minus_one_curve("E") if row.e_coefficient else None
         k_class = table.canonical_class()
-        for outcome in enumerate_decompositions(row, d):
-            dec = outcome.decomposition
-            for part in decomposition_parts(row, d, dec):
+        for split in enumerate_decompositions(row, d):
+            for part in split_parts(row, d, split.part1):
+                pairings = labelled(row, part)
                 cls = part.multiple * table.minus_k()
-                negated = {c: -a for c, a in zip(curves, part.node_coefficients)}
+                negated = {c: -a for c, a in zip(curves, part.coefficients)}
                 if e is not None:
-                    negated[e] = -part.e_coefficient
+                    negated[e] = -part.coefficients[-1]
                 cls = cls + DivisorClass.of(negated)
-                assert table.intersect(cls, cls) == part.residual.square
-                assert table.intersect(cls, k_class) == part.residual.pairing("K")
+                assert table.intersect(cls, cls) == part.square
+                assert table.intersect(cls, k_class) == pairings["K"]
                 for i, c in enumerate(curves):
                     probe = DivisorClass.of({c: 1})
-                    assert table.intersect(cls, probe) == part.residual.pairing(f"D{i + 1}")
+                    assert table.intersect(cls, probe) == pairings[f"D{i + 1}"]
                 if e is not None:
                     probe = DivisorClass.of({e: 1})
-                    assert table.intersect(cls, probe) == part.residual.pairing("E")
+                    assert table.intersect(cls, probe) == pairings["E"]
 
 
 def test_residual_parity_guard():
@@ -224,14 +233,7 @@ def test_residual_parity_guard():
     # fractional multiples instead of silently flooring the dimension
     row = row_by_id("deg7plus")
     with pytest.raises(ValueError, match="parity"):
-        part_residual_numbers(row, 7, Fraction(1, 2), (), 0)
-
-
-def test_pairing_lookup_unknown_label():
-    row = row_by_id("A2")
-    numbers = part_residual_numbers(row, 3, 2, (2, 2), 0)
-    with pytest.raises(KeyError):
-        numbers.pairing("D9")
+        part_numbers(row, 7, Fraction(1, 2), ())
 
 
 # ------------------------------------------------------- split enumeration
@@ -239,12 +241,7 @@ def test_pairing_lookup_unknown_label():
 def test_a1_cubic_outcomes_exactly():
     """The four splits of 4(-K) ~ 3D1 + N and their four distinct failures."""
     outcomes = enumerate_decompositions(row_by_id("A1deg3"), 3)
-    assert [o.decomposition for o in outcomes] == [
-        Decomposition((0,), 0),
-        Decomposition((1,), 0),
-        Decomposition((2,), 0),
-        Decomposition((3,), 0),
-    ]
+    assert [o.part1 for o in outcomes] == [(0,), (1,), (2,), (3,)]
     kinds = [(o.obstruction.kind, dict(o.obstruction.witness)) for o in outcomes]
     assert kinds == [
         (DISJOINTNESS,
@@ -276,10 +273,8 @@ def test_degree_five_gap():
 def test_degree_four_or_six_outcomes():
     row = row_by_id("deg4or6")
 
-    by_split = {
-        o.decomposition.e_part1: o.obstruction
-        for o in enumerate_decompositions(row, 6)
-    }
+    # the row's only curve is E, so a split is its coefficient on E
+    by_split = {o.part1[0]: o.obstruction for o in enumerate_decompositions(row, 6)}
     assert by_split[0].kind == DIMENSION_GAP
     assert dict(by_split[0].witness) == {"candidate_dim": 12, "parts_dim": 6}
     assert by_split[1].kind == DIMENSION_GAP
@@ -287,10 +282,7 @@ def test_degree_four_or_six_outcomes():
     assert by_split[2].kind == NEGATIVE_SELF_INTERSECTION
     assert dict(by_split[2].witness) == {"part": 1, "square": -2}
 
-    by_split = {
-        o.decomposition.e_part1: o.obstruction
-        for o in enumerate_decompositions(row, 4)
-    }
+    by_split = {o.part1[0]: o.obstruction for o in enumerate_decompositions(row, 4)}
     assert by_split[0].kind == MULTIPLICITY_BUDGET
     assert dict(by_split[0].witness) == {"required": 5, "cap_part1": 1, "cap_part2": 2}
     assert by_split[1].kind == MULTIPLICITY_BUDGET
@@ -306,7 +298,7 @@ def test_a2_splits(d):
     outcomes = enumerate_decompositions(row_by_id("A2"), d)
     assert len(outcomes) == 9
     for o in outcomes:
-        if o.decomposition.nodes_part1 == (1, 1):
+        if o.part1 == (1, 1):
             assert o.obstruction.kind == DIMENSION_GAP
             assert dict(o.obstruction.witness) == {
                 "candidate_dim": 3 * d - 5, "parts_dim": d - 2,
@@ -314,8 +306,7 @@ def test_a2_splits(d):
         else:
             assert o.obstruction.kind == NEGATIVE_SELF_INTERSECTION
     # spot values
-    by_nodes = {o.decomposition.nodes_part1: dict(o.obstruction.witness)
-                for o in outcomes}
+    by_nodes = {o.part1: dict(o.obstruction.witness) for o in outcomes}
     assert by_nodes[(0, 0)] == {"part": 2, "square": d - 8}
     assert by_nodes[(0, 1)] == {"part": 1, "pairing": -1}
     assert by_nodes[(2, 2)] == {"part": 1, "square": d - 8}
@@ -332,9 +323,11 @@ def test_every_split_everywhere_is_obstructed():
             assert len(outcomes) == expected, (row.case_id, d)
             assert all(o.obstruction is not None for o in outcomes), (row.case_id, d)
             # ascending lexicographic order, (-1)-curve coefficient last
-            seen = [o.decomposition.nodes_part1 + (o.decomposition.e_part1,)
-                    for o in outcomes]
+            seen = [o.part1 for o in outcomes]
             assert seen == sorted(seen)
+            assert seen[-1] == row.node_coefficients + (
+                (row.e_coefficient,) if row.e_coefficient else ()
+            )
 
 
 def test_enumeration_rejects_wrong_degree():
@@ -351,39 +344,37 @@ def test_every_witness_recomputes():
     for row in case_tables():
         mu = row.residual_multiplicity
         for d in row.degrees:
-            full = part_residual_numbers(
-                row, d, row.multiple, row.node_coefficients, row.e_coefficient
-            )
+            full = part_numbers(row, d, row.multiple, row.coefficients)
             for o in enumerate_decompositions(row, d):
                 obs = o.obstruction
                 w = dict(obs.witness)
-                parts = decomposition_parts(row, d, o.decomposition)
+                parts = split_parts(row, d, o.part1)
                 assert obs.describe()
 
                 if obs.kind == NEGATIVE_SELF_INTERSECTION:
-                    r = parts[w["part"] - 1].residual
+                    r = parts[w["part"] - 1]
+                    curve_pairings = [v for lbl, v in labelled(row, r).items() if lbl != "K"]
                     if w["part"] == 2:
                         # part 1 must have passed all three checks first
-                        r1 = parts[0].residual
+                        r1 = parts[0]
                         assert r1.square > -2
-                        assert all(v >= 0 for lbl, v in r1.pairings if lbl != "K")
+                        assert all(v >= 0 for lbl, v in labelled(row, r1).items() if lbl != "K")
                         assert r1.dim >= 0
                     if "square" in w:
                         assert r.square == w["square"] <= -2
                     elif "pairing" in w:
                         assert r.square > -2
-                        worst = min(v for lbl, v in r.pairings if lbl != "K")
-                        assert worst == w["pairing"] < 0
+                        assert min(curve_pairings) == w["pairing"] < 0
                     else:
                         assert r.square > -2
-                        assert all(v >= 0 for lbl, v in r.pairings if lbl != "K")
+                        assert all(v >= 0 for v in curve_pairings)
                         assert r.dim == w["dim"] < 0
                     continue
 
                 # beyond this point both parts are effective-looking
                 for part in parts:
-                    assert part.residual.square > -2
-                    assert part.residual.dim >= 0
+                    assert part.square > -2
+                    assert part.dim >= 0
                 caps = point_caps(row, parts)
 
                 if obs.kind in (DISJOINTNESS, MULTIPLICITY_BUDGET):
@@ -392,56 +383,83 @@ def test_every_witness_recomputes():
                     assert caps[0] + caps[1] < mu
                     if obs.kind == DISJOINTNESS:
                         part = parts[w["part"] - 1]
-                        values = [
-                            part.e_coefficient if lbl == "E"
-                            else part.node_coefficients[int(lbl[1:]) - 1]
-                            for lbl in row.point.curves
-                        ]
-                        assert row.point.curves and all(v == 0 for v in values)
-                        assert any(part.residual.pairing(lbl) == 0
-                                   for lbl in row.point.curves)
+                        coefficients = dict(zip(row.curves, part.coefficients))
+                        assert row.point.curves
+                        assert all(coefficients[lbl] == 0 for lbl in row.point.curves)
+                        assert any(labelled(row, part)[lbl] == 0 for lbl in row.point.curves)
                     continue
 
                 assert obs.kind == DIMENSION_GAP
                 assert caps[0] + caps[1] >= mu
                 assert w["candidate_dim"] == full.dim - conditions(mu)
-                if row.case_id == "A2" and o.decomposition.nodes_part1 == (1, 1):
-                    expected = parts[0].residual.dim - conditions(mu)
+                if row.case_id == "A2" and o.part1 == (1, 1):
+                    expected = parts[0].dim - conditions(mu)
                 else:
                     expected = max(
-                        parts[0].residual.dim - conditions(t1)
-                        + parts[1].residual.dim - conditions(mu - t1)
+                        parts[0].dim - conditions(t1)
+                        + parts[1].dim - conditions(mu - t1)
                         for t1 in range(max(0, mu - caps[1]), min(caps[0], mu) + 1)
                     )
                 assert w["parts_dim"] == expected
                 assert w["parts_dim"] < w["candidate_dim"]
 
 
+def draw_part1(draw, row):
+    """An arbitrary first-part coefficient vector of one of the row's splits."""
+    return tuple(draw(st.integers(0, c)) for c in row.coefficients)
+
+
 @st.composite
 def arbitrary_splits(draw):
     row, d = draw(st.sampled_from(SPLIT_CASES))
-    nodes = tuple(draw(st.integers(0, c)) for c in row.node_coefficients)
-    e1 = draw(st.integers(0, row.e_coefficient))
-    return row, d, Decomposition(nodes, e1)
+    return row, d, draw_part1(draw, row)
 
 
 @given(arbitrary_splits())
 def test_parts_reassemble_to_the_residual(case):
-    row, d, dec = case
-    part1, part2 = decomposition_parts(row, d, dec)
-    full = part_residual_numbers(
-        row, d, row.multiple, row.node_coefficients, row.e_coefficient
-    )
-    assert part1.multiple + part2.multiple == row.multiple
+    row, d, part1 = case
+    first, second = split_parts(row, d, part1)
+    full = row.residual(d)
+    assert (first.multiple, second.multiple) == (1, row.multiple - 1)
+    assert first.coefficients == part1
     assert tuple(
-        a + b for a, b in zip(part1.node_coefficients, part2.node_coefficients)
-    ) == row.node_coefficients
-    assert part1.e_coefficient + part2.e_coefficient == row.e_coefficient
+        a + b for a, b in zip(first.coefficients, second.coefficients, strict=True)
+    ) == row.coefficients
     # the pairing is bilinear, so the parts' numbers sum to the residual's
-    for (label, v1), (_, v2), (_, vf) in zip(
-        part1.residual.pairings, part2.residual.pairings, full.pairings
-    ):
-        assert v1 + v2 == vf, label
+    for v1, v2, vf in zip(first.pairings, second.pairings, full.pairings, strict=True):
+        assert v1 + v2 == vf
+
+
+@lru_cache(maxsize=None)
+def symbolic_curves(row, d):
+    """The pairing table of a (row, degree) pair and its curves in the
+    row's order: the singular point's nodes, then E when the row uses it."""
+    table = GramTable(d)
+    curves = table.add_singularity(row.singularity) if row.singularity else ()
+    if row.e_coefficient:
+        curves += (table.add_minus_one_curve("E"),)
+    return table, curves
+
+
+@pytest.mark.parametrize(
+    "row,d", SPLIT_CASES, ids=[f"{row.case_id}-d{d}" for row, d in SPLIT_CASES]
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_split_parts_match_the_pairing_table(row, d, data):
+    """Both parts of an arbitrary split, closed form against the literal
+    pairing table: square, K-pairing, each labelled curve pairing, dim."""
+    table, curves = symbolic_curves(row, d)
+    for part in split_parts(row, d, draw_part1(data.draw, row)):
+        pairings = labelled(row, part)
+        cls = part.multiple * table.minus_k() - DivisorClass.of(
+            dict(zip(curves, part.coefficients, strict=True))
+        )
+        assert table.intersect(cls, cls) == part.square
+        assert table.intersect(cls, table.canonical_class()) == pairings["K"]
+        for c in curves:
+            assert table.intersect(cls, DivisorClass.of({c: 1})) == pairings[c.label]
+        assert dim_complete(table, cls) == part.dim
 
 
 # ------------------------------------------------------------ dispatching
@@ -530,7 +548,7 @@ def test_unobstructed_split_forces_discrepancy(monkeypatch):
     cert = build_tiger(SurfaceSpec(5, ()))
     assert cert.status == "discrepancy"
     assert all(o.obstruction is None for o in cert.decompositions)
-    assert cert.unobstructed == tuple(o.decomposition for o in cert.decompositions)
+    assert cert.unobstructed == cert.decompositions
     lines = list(narrate(cert))
     assert lines[-2:] == [
         "split nodes=() e=0: NO OBSTRUCTION",

@@ -10,6 +10,8 @@ Exit codes:
   3   well-formed file describing an invalid surface spec
   4   cannot write the document: the --out file, or stdout (a closed
       stream, or a reader that left before the whole document was read)
+
+Messages go to stderr; a closed stderr drops them and keeps the exit code.
 """
 
 from __future__ import annotations
@@ -91,6 +93,16 @@ def _write_stdout(text: str) -> None:
         raise OutputError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
+def _write_stderr(text: str) -> None:
+    """Write a message to stderr, or drop it when stderr is closed or fails:
+    the exit code, not the message, is what a caller can rely on."""
+    if sys.stderr is None:  # the process started with stderr closed
+        return
+    with suppress(OSError):
+        sys.stderr.write(text)
+        sys.stderr.flush()
+
+
 @contextmanager
 def _output(out: Optional[str]) -> Iterator[Writer]:
     """Yield the writer of a command's document: stdout, or a temporary file
@@ -139,7 +151,7 @@ def _cmd_classify(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) ->
 def _cmd_tiger(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> int:
     verdict = classify(spec)
     if not verdict.anticanonical_cylinder:
-        sys.stderr.write(
+        _write_stderr(
             f"{spec}: no anticanonical cylinder "
             f"({verdict.anticanonical_reason}); nothing to build\n"
         )
@@ -147,13 +159,13 @@ def _cmd_tiger(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> in
     try:
         cert = build_tiger(spec)
     except NoCaseApplies as exc:
-        sys.stderr.write(f"discrepancy: {exc}\n")
+        _write_stderr(f"discrepancy: {exc}\n")
         return EXIT_DISCREPANCY
     if args.trace:
-        sys.stderr.writelines(line + "\n" for line in narrate(cert))
+        _write_stderr("".join(line + "\n" for line in narrate(cert)))
     write(render_document(certificate_document(cert)))
     if cert.status != "certified":
-        sys.stderr.write(
+        _write_stderr(
             f"{spec}: {len(cert.unobstructed)} decomposition(s) carry no obstruction\n"
         )
         return EXIT_DISCREPANCY
@@ -234,13 +246,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         with _output(args.out) as write:
             return args.func(args, spec, write)
     except SpecFileError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write_stderr(f"error: {exc}\n")
         return EXIT_BAD_FILE
     except InvalidSpec as exc:
-        sys.stderr.write(f"error: invalid spec: {exc}\n")
+        _write_stderr(f"error: invalid spec: {exc}\n")
         return EXIT_BAD_SPEC
     except OutputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write_stderr(f"error: {exc}\n")
         return EXIT_CANNOT_WRITE
 
 

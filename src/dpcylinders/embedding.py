@@ -1,7 +1,7 @@
 """Independent coordinate oracle for generator configurations.
 
-Everything in :mod:`dpcylinders.divisors` is symbolic.  This module checks
-those symbolic pairings against explicit coordinates in the standard odd
+:mod:`dpcylinders.divisors` writes the pairing down from the Dynkin types.
+This module checks it against explicit coordinates in the standard odd
 unimodular lattice of rank 10 - degree, with basis (H, e_1, ..., e_n),
 H.H = 1, e_i.e_i = -1, n = 9 - degree, and K = -3H + e_1 + ... + e_n.
 
@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .lattice import DynkinType, SurfaceSpec, adjacency, gram_table
+from .lattice import DynkinType, SurfaceSpec, gram_table
 
 Vector = tuple[int, ...]
 
@@ -145,14 +145,10 @@ def _placement_order(t: DynkinType) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Coordinates for each generator label, plus the ambient rank data."""
+    """Coordinates for each generator label."""
 
     degree: int
     coordinates: dict[str, Vector]
-
-    @property
-    def n(self) -> int:
-        return 9 - self.degree
 
     def vector(self, label: str) -> Vector:
         return self.coordinates[label]
@@ -168,8 +164,8 @@ def oracle_embed(
     """Find explicit coordinates for K, every exceptional curve of the spec,
     and optionally one (-1)-curve disjoint from all of them.
 
-    Labels match the ones a :class:`~dpcylinders.divisors.GramTable` produces
-    when singularities are added in spec order: the curves of singularity
+    Labels match the ones a :class:`~dpcylinders.divisors.PairingTable` gives
+    the spec's singularities, in spec order: the curves of singularity
     number s (1-based) are ``D1``..``Dk`` for s = 1 and carry the suffix
     ``_s`` afterwards; the (-1)-curve is ``E``.
     """
@@ -205,7 +201,6 @@ def oracle_embed(
     suffix = {i: "" if i == 0 else f"_{i + 1}" for i in range(len(spec.singularities))}
     for si in order_of_sings:
         t = spec.singularities[si]
-        edges = adjacency(t)
         g = gram_table(t)
         local_done: list[int] = []
         for node in _placement_order(t):

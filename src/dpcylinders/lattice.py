@@ -26,6 +26,19 @@ class InvalidSpec(ValueError):
     """Raised for malformed singularity types or over-budget surface specs."""
 
 
+# The longest quotation of an input that an error message carries whole.
+EXCERPT_LIMIT = 80
+
+
+def excerpt(value: object) -> str:
+    """repr(value) for an error message, cut after EXCERPT_LIMIT characters
+    so that an overlong input still gives a short message."""
+    quoted = repr(value)
+    if len(quoted) <= EXCERPT_LIMIT:
+        return quoted
+    return f"{quoted[:EXCERPT_LIMIT]}... ({len(quoted)} characters in full)"
+
+
 _TYPE_RE = re.compile(r"^([ADE])0*([0-9]+)$")
 
 _RANK_BOUNDS = {
@@ -44,7 +57,7 @@ class DynkinType:
 
     def __post_init__(self) -> None:
         if self.family not in _RANK_BOUNDS:
-            raise InvalidSpec(f"unknown family {self.family!r}, expected A, D or E")
+            raise InvalidSpec(f"unknown family {excerpt(self.family)}, expected A, D or E")
         if self.rank not in _RANK_BOUNDS[self.family]:
             lo = _RANK_BOUNDS[self.family][0]
             raise InvalidSpec(
@@ -56,7 +69,7 @@ class DynkinType:
     def parse(cls, text: str) -> "DynkinType":
         m = _TYPE_RE.match(text.strip()) if isinstance(text, str) else None
         if m is None:
-            raise InvalidSpec(f"cannot parse singularity type {text!r}")
+            raise InvalidSpec(f"cannot parse singularity type {excerpt(text)}")
         family, digits = m.groups()
         if len(digits) > 1:
             # every valid rank has one digit, and int() refuses thousands
@@ -130,12 +143,12 @@ class SurfaceSpec:
         if isinstance(degree, bool):
             raise InvalidSpec(f"degree must be an integer, not the boolean {degree!r}")
         if not isinstance(degree, int) or not 1 <= degree <= 9:
-            raise InvalidSpec(f"degree must be an integer in [1, 9], got {degree!r}")
+            raise InvalidSpec(f"degree must be an integer in [1, 9], got {excerpt(degree)}")
         tokens = self.singularities
         if isinstance(tokens, str) or not isinstance(tokens, Iterable):
             what = "the string " if isinstance(tokens, str) else ""
             raise InvalidSpec(
-                f"singularities must be a sequence of type tokens, not {what}{tokens!r}"
+                f"singularities must be a sequence of type tokens, not {what}{excerpt(tokens)}"
             )
         resolved = tuple(sorted(
             t if isinstance(t, DynkinType) else DynkinType.parse(t)
@@ -177,7 +190,7 @@ def enumerate_specs() -> Iterator[SurfaceSpec]:
     """All valid specs, degree ascending, singularities in canonical order.
 
     Multisets are generated with types nondecreasing, which yields each
-    collection exactly once.
+    collection exactly once and in sorted order.
     """
     types = all_types()
 
@@ -191,6 +204,5 @@ def enumerate_specs() -> Iterator[SurfaceSpec]:
                 yield (t,) + rest
 
     for degree in range(1, 10):
-        seen = sorted(set(collections(9 - degree, 0)))
-        for coll in seen:
+        for coll in collections(9 - degree, 0):
             yield SurfaceSpec(degree, coll)

@@ -14,7 +14,7 @@ from itertools import zip_longest
 from typing import Any, Optional
 
 from .classify import Verdict
-from .lattice import InvalidSpec, SurfaceSpec
+from .lattice import InvalidSpec, SurfaceSpec, excerpt
 from .tigers import CaseTable, Part, TigerCertificate, build_tiger, split_parts
 
 
@@ -41,7 +41,7 @@ def parse_spec_text(text: str) -> SurfaceSpec:
             continue
         key, sep, value = line.partition(":")
         if not sep:
-            raise SpecFileError(f"line {lineno}: expected 'key: value', got {raw.strip()!r}")
+            raise SpecFileError(f"line {lineno}: expected 'key: value', got {excerpt(raw.strip())}")
         key = key.strip().lower()
         value = value.strip()
         if key == "degree":
@@ -50,7 +50,7 @@ def parse_spec_text(text: str) -> SurfaceSpec:
             m = _DEGREE_RE.fullmatch(value)
             if m is None:
                 raise SpecFileError(
-                    f"line {lineno}: degree must be an integer, got {value!r}"
+                    f"line {lineno}: degree must be an integer, got {excerpt(value)}"
                 )
             sign, digits = m.groups()
             if len(digits) > 1:
@@ -64,7 +64,7 @@ def parse_spec_text(text: str) -> SurfaceSpec:
                 raise SpecFileError(f"line {lineno}: duplicate 'singularities'")
             tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
         else:
-            raise SpecFileError(f"line {lineno}: unknown key {key!r}")
+            raise SpecFileError(f"line {lineno}: unknown key {excerpt(key)}")
     if degree is None:
         raise SpecFileError("missing 'degree' line")
     return SurfaceSpec(degree, tuple(tokens or ()))
@@ -179,6 +179,6 @@ def certificate_from_document(doc: Any) -> TigerCertificate:
         )
         raise ValueError(
             f"not the certificate's own rendering: line {number} "
-            f"should read {should!r}, not {found!r}"
+            f"should read {excerpt(should)}, not {excerpt(found)}"
         )
     return cert

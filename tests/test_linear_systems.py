@@ -5,38 +5,36 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dpcylinders.divisors import DivisorClass, GramTable, dim_complete
+from dpcylinders.divisors import PairingTable
 from dpcylinders.linear_systems import conditions, max_multiplicity_budget
 
 
 def test_anticanonical_multiples():
     # dim |m*(-K)| = m(m+1)/2 * d, for every degree and small multiple
     for d in range(1, 10):
-        table = GramTable(d)
+        table = PairingTable(d)
         for m in range(1, 5):
-            assert dim_complete(table, m * table.minus_k()) == m * (m + 1) * d // 2
+            assert table.dim(table.part(m, {})) == m * (m + 1) * d // 2
 
 
 def test_dimension_fixtures():
-    t5 = GramTable(5)
-    assert dim_complete(t5, 4 * t5.minus_k()) == 50
-    t3 = GramTable(3)
-    assert dim_complete(t3, 4 * t3.minus_k()) == 30
+    t5 = PairingTable(5)
+    assert t5.dim(t5.part(4, {})) == 50
+    t3 = PairingTable(3)
+    assert t3.dim(t3.part(4, {})) == 30
     for d in (1, 4, 9):
-        t = GramTable(d)
-        assert dim_complete(t, 2 * t.minus_k()) == 3 * d
-        assert dim_complete(t, t.minus_k()) == d
-    t6 = GramTable(6)
-    e = t6.add_minus_one_curve()
-    cls = 3 * t6.minus_k() - DivisorClass.of({e: 2})
-    assert dim_complete(t6, cls) == 27  # 6d - 9 at degree 6
+        t = PairingTable(d)
+        assert t.dim(t.part(2, {})) == 3 * d
+        assert t.dim(t.part(1, {})) == d
+    t6 = PairingTable(6, with_e=True)
+    assert t6.dim(t6.part(3, {"E": 2})) == 27  # 6d - 9 at degree 6
 
 
 def test_dimension_rejects_odd_parity():
-    table = GramTable(3)
-    half = Fraction(1, 2) * table.minus_k()
+    table = PairingTable(3)
+    half = table.part(Fraction(1, 2), {})
     with pytest.raises(ValueError):
-        dim_complete(table, half)
+        table.dim(half)
 
 
 def test_conditions_sequence():

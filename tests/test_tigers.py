@@ -7,7 +7,6 @@ path.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,6 @@ from dpcylinders import (
     enumerate_specs,
     select_case,
 )
-from dpcylinders.divisors import DivisorClass, GramTable, Relation, dim_complete
 from dpcylinders.lattice import gram_table
 from dpcylinders.linear_systems import conditions, max_multiplicity_budget
 from dpcylinders import tigers
@@ -40,6 +38,7 @@ from dpcylinders.tigers import (
     split_parts,
 )
 
+from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
 CASE_IDS = [
@@ -61,6 +60,11 @@ def row_by_id(case_id):
 def labelled(row, part):
     """A part's pairings by label: K, then the row's curves."""
     return dict(zip(("K",) + row.curves, part.pairings, strict=True))
+
+
+def reference_class(table, row, part):
+    """The part as a class of the pairing table, read by curve label."""
+    return table.part(part.multiple, dict(zip(row.curves, part.coefficients, strict=True)))
 
 
 def point_caps(row, parts):
@@ -181,23 +185,15 @@ def test_certificate_residual_matches_symbolic_solve(row, d):
     """The certificate's closed-form residual and configuration equal the
     ones the pairing table derives from the relation: ordered labelled
     pairings, square and dim."""
-    table = GramTable(d)
-    coeffs = {}
-    if row.singularity is not None:
-        coeffs = dict(zip(table.add_singularity(row.singularity), row.node_coefficients))
-    if row.e_coefficient:
-        coeffs[table.add_minus_one_curve("E")] = row.e_coefficient
-    config = DivisorClass.of(coeffs)
-    n = table.solve_residual(Relation(row.multiple, config, "N"))
+    table, config = row_reference(row, d)
+    n = table.part(row.multiple, config)
     residual = row.residual(d)
     assert select_case(SurfaceSpec(*minimal_spec_args(row.case_id, d)))[0] == row
-    assert tuple(labelled(row, residual).items()) == tuple(
-        (g.label, table.pair(n, g)) for g in table.generators if g is not n
-    )
+    assert tuple(labelled(row, residual).items()) == tuple(pairings(table, n).items())
     assert residual.square == table.pair(n, n)
-    assert residual.dim == dim_complete(table, DivisorClass.of({n: 1}))
+    assert residual.dim == table.dim(n)
     assert (residual.multiple, residual.coefficients) == (row.multiple, row.coefficients)
-    assert row.configuration == tuple((g.label, int(c)) for g, c in config.terms)
+    assert row.configuration == tuple((label, c) for label, c in config.items() if c)
 
 
 def test_part_numbers_match_pairing_table():
@@ -206,26 +202,12 @@ def test_part_numbers_match_pairing_table():
     checks = [("A2", 3), ("A3", 2), ("D4", 3), ("A1deg3", 3), ("E6", 1), ("deg4or6", 6)]
     for case_id, d in checks:
         row = row_by_id(case_id)
-        table = GramTable(d)
-        curves = table.add_singularity(row.singularity) if row.singularity else ()
-        e = table.add_minus_one_curve("E") if row.e_coefficient else None
-        k_class = table.canonical_class()
+        table, _ = row_reference(row, d)
         for split in enumerate_decompositions(row, d):
             for part in split_parts(row, d, split.part1):
-                pairings = labelled(row, part)
-                cls = part.multiple * table.minus_k()
-                negated = {c: -a for c, a in zip(curves, part.coefficients)}
-                if e is not None:
-                    negated[e] = -part.coefficients[-1]
-                cls = cls + DivisorClass.of(negated)
-                assert table.intersect(cls, cls) == part.square
-                assert table.intersect(cls, k_class) == pairings["K"]
-                for i, c in enumerate(curves):
-                    probe = DivisorClass.of({c: 1})
-                    assert table.intersect(cls, probe) == pairings[f"D{i + 1}"]
-                if e is not None:
-                    probe = DivisorClass.of({e: 1})
-                    assert table.intersect(cls, probe) == pairings["E"]
+                cls = reference_class(table, row, part)
+                assert table.pair(cls, cls) == part.square
+                assert pairings(table, cls) == labelled(row, part)
 
 
 def test_residual_parity_guard():
@@ -430,17 +412,6 @@ def test_parts_reassemble_to_the_residual(case):
         assert v1 + v2 == vf
 
 
-@lru_cache(maxsize=None)
-def symbolic_curves(row, d):
-    """The pairing table of a (row, degree) pair and its curves in the
-    row's order: the singular point's nodes, then E when the row uses it."""
-    table = GramTable(d)
-    curves = table.add_singularity(row.singularity) if row.singularity else ()
-    if row.e_coefficient:
-        curves += (table.add_minus_one_curve("E"),)
-    return table, curves
-
-
 @pytest.mark.parametrize(
     "row,d", SPLIT_CASES, ids=[f"{row.case_id}-d{d}" for row, d in SPLIT_CASES]
 )
@@ -449,17 +420,12 @@ def symbolic_curves(row, d):
 def test_split_parts_match_the_pairing_table(row, d, data):
     """Both parts of an arbitrary split, closed form against the literal
     pairing table: square, K-pairing, each labelled curve pairing, dim."""
-    table, curves = symbolic_curves(row, d)
+    table, _ = row_reference(row, d)
     for part in split_parts(row, d, draw_part1(data.draw, row)):
-        pairings = labelled(row, part)
-        cls = part.multiple * table.minus_k() - DivisorClass.of(
-            dict(zip(curves, part.coefficients, strict=True))
-        )
-        assert table.intersect(cls, cls) == part.square
-        assert table.intersect(cls, table.canonical_class()) == pairings["K"]
-        for c in curves:
-            assert table.intersect(cls, DivisorClass.of({c: 1})) == pairings[c.label]
-        assert dim_complete(table, cls) == part.dim
+        cls = reference_class(table, row, part)
+        assert table.pair(cls, cls) == part.square
+        assert pairings(table, cls) == labelled(row, part)
+        assert table.dim(cls) == part.dim
 
 
 # ------------------------------------------------------------ dispatching

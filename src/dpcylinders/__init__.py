@@ -5,9 +5,10 @@ existence classification and re-checkable non-log-canonical certificates
 ("tigers") with exhaustive decomposition obstructions.
 
 The top level exports the product path, parse -> classify -> build_tiger ->
-document.  Everything else, including the symbolic reference layer the
-tests check the engine against, is imported from its own module and is not
-loaded by ``import dpcylinders``.
+document.  Everything else is imported from its own module and is not
+loaded by ``import dpcylinders``.  That includes ``divisors``, the only
+reference module that ships: the pairing table the tests check the
+engine's closed forms against.
 """
 
 from .classify import Verdict, classify

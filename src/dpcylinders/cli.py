@@ -6,7 +6,8 @@ Exit codes:
   20  classify: no cylinder for any polarization; tiger: nothing to build
   30  tiger/sweep: construction discrepancy (an unobstructed decomposition
       or a spec no case covers)
-  2   unreadable, non-UTF-8 or malformed spec file
+  2   unreadable, non-UTF-8 or malformed spec file, or a usage error such
+      as a missing --spec (argparse exits with it)
   3   well-formed file describing an invalid surface spec
   4   cannot write the document: the --out file, or stdout (a closed
       stream, or a reader that left before the whole document was read)
@@ -49,7 +50,7 @@ class OutputError(Exception):
 
 def _load_spec(path: str) -> SurfaceSpec:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc.strerror or exc}") from exc

@@ -468,15 +468,6 @@ def build_tiger(spec: SurfaceSpec) -> TigerCertificate:
     is the case exactly for the specs without an anticanonical cylinder.
     """
     row, sing_index = select_case(spec)
-    mu = row.residual_multiplicity
-    dim = row.residual(spec.degree).dim
-    if dim < conditions(mu):
-        raise AssertionError(
-            f"case {row.case_id} cannot afford multiplicity {mu}: "
-            f"{dim} < {conditions(mu)}"
-        )
-    if row.ratio <= 2:
-        raise AssertionError(f"ratio {row.ratio} fails the > 2 threshold")
     return TigerCertificate(
         spec, row, sing_index, enumerate_decompositions(row, spec.degree)
     )

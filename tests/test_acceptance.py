@@ -27,8 +27,6 @@ from dpcylinders import (
 )
 from dpcylinders import cli, tigers
 from dpcylinders.divisors import PairingTable
-from dpcylinders.embedding import OracleUnavailable, oracle_embed
-from dpcylinders.embedding import pairing as vec_pairing
 from dpcylinders.lattice import adjacency, all_types, gram_table, picard_rank
 from dpcylinders.tigers import (
     DIMENSION_GAP,
@@ -37,6 +35,7 @@ from dpcylinders.tigers import (
     NEGATIVE_SELF_INTERSECTION,
 )
 
+from coordinate_oracle import OracleUnavailable, check_row
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
@@ -148,10 +147,8 @@ def test_acceptance_4_oracle_equivalence():
         refused = []
         for row in case_tables():
             for d in row.degrees:
-                spec = SurfaceSpec(*minimal_spec_args(row.case_id, d))
-                with_e = bool(row.e_coefficient)
                 try:
-                    embedding = oracle_embed(spec, with_minus_one_curve=with_e)
+                    check_row(row, d)
                 except OracleUnavailable as exc:
                     # must be the provable full-rank discriminant failure:
                     # disc(A_k)=k+1, disc(D_k)=4, disc(E6/E7/E8)=3/2/1, and a
@@ -165,21 +162,6 @@ def test_acceptance_4_oracle_equivalence():
                     assert remainder != 0 or math.isqrt(quotient) ** 2 != quotient
                     assert "perfect square" in str(exc)
                     refused.append((row.case_id, d))
-                    continue
-                table, config = row_reference(row, d)
-                for i, a in enumerate(table.labels):
-                    for j, b in enumerate(table.labels):
-                        assert embedding.pair(a, b) == table.matrix[i][j], (
-                            row.case_id, d, a, b,
-                        )
-                n = table.part(row.multiple, config)
-                vec = [-row.multiple * x for x in embedding.vector("K")]
-                for label, coeff in config.items():
-                    vec = [
-                        v - coeff * w
-                        for v, w in zip(vec, embedding.vector(label))
-                    ]
-                assert vec_pairing(vec, vec) == table.pair(n, n)
         assert sorted(refused) == [("A6", 3), ("D6", 3), ("D7", 2)]
 
 

@@ -105,6 +105,23 @@ def test_error_messages_name_the_problem(spec_dir, capsys):
     assert "cannot read" in err
 
 
+def test_spec_file_with_a_byte_order_mark(spec_dir, tmp_path, capsys):
+    path = tmp_path / "node_cubic_bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + SPEC_FILES["node_cubic.txt"].encode())
+    code, out, err = run_cli(capsys, "classify", "--spec", str(path))
+    assert (code, err) == (cli.EXIT_OK, "")
+    _, plain, _ = run_cli(capsys, "classify", "--spec", str(spec_dir / "node_cubic.txt"))
+    assert out == plain
+
+
+def test_missing_spec_argument_is_a_usage_error(capsys):
+    # argparse's usage error shares exit code 2 with a malformed spec file
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tiger"])
+    assert exc.value.code == 2
+    assert "--spec" in capsys.readouterr().err
+
+
 LONG = "x" * 5000
 
 
@@ -610,7 +627,8 @@ def test_module_entry_point(spec_dir, tmp_path):
 
 
 def test_cli_import_leaves_the_symbolic_layer_unloaded():
-    # divisors and embedding are the tests' reference route, not the CLI's
+    # divisors, the only reference module that ships, is the tests' route,
+    # not the CLI's
     probe = (
         "import json, sys, dpcylinders.cli; "
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dpcylinders'))))"
@@ -624,4 +642,3 @@ def test_cli_import_leaves_the_symbolic_layer_unloaded():
     loaded = json.loads(result.stdout)
     assert "dpcylinders.cli" in loaded
     assert "dpcylinders.divisors" not in loaded
-    assert "dpcylinders.embedding" not in loaded

@@ -4,24 +4,16 @@ import pytest
 
 from dpcylinders import SurfaceSpec, case_tables
 from dpcylinders.divisors import PairingTable
-from dpcylinders.embedding import (
+
+from coordinate_oracle import (
     OracleUnavailable,
+    assert_table_matches,
     canonical_vector,
-    minus_one_vectors,
+    check_row,
+    classes,
     oracle_embed,
     pairing,
-    root_vectors,
 )
-
-from pairing_reference import pairings, row_reference
-
-
-def vscale(s, v):
-    return tuple(s * x for x in v)
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def test_canonical_vector_squares():
@@ -35,7 +27,7 @@ def test_root_census():
     # ranks of the full (-2)-root systems: A1, A1xA2, A4, D5, E6, E7, E8
     expected = {1: 0, 2: 2, 3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
     for n, count in expected.items():
-        roots = root_vectors(n)
+        roots = classes(n, -2, 0)
         assert len(roots) == count
         assert len(set(roots)) == count
         k = canonical_vector(n)
@@ -47,7 +39,7 @@ def test_root_census():
 def test_minus_one_census():
     expected = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
     for n, count in expected.items():
-        vectors = minus_one_vectors(n)
+        vectors = classes(n, -1, -1)
         assert len(vectors) == count
         assert len(set(vectors)) == count
         k = canonical_vector(n)
@@ -58,13 +50,7 @@ def test_minus_one_census():
 
 def test_oracle_is_deterministic():
     spec = SurfaceSpec(1, ("A2", "A2", "A2", "A2"))
-    assert oracle_embed(spec).coordinates == oracle_embed(spec).coordinates
-
-
-def _assert_table_matches_embedding(table, embedding):
-    for i, a in enumerate(table.labels):
-        for j, b in enumerate(table.labels):
-            assert embedding.pair(a, b) == table.matrix[i][j], (a, b)
+    assert oracle_embed(spec) == oracle_embed(spec)
 
 
 # A full-rank configuration (type rank == 9 - degree) embeds only if the
@@ -78,29 +64,14 @@ UNEMBEDDABLE = {("A6", 3), ("D6", 3), ("D7", 2)}
     "row", case_tables(), ids=lambda r: r.case_id
 )
 def test_case_tables_agree_with_coordinates(row):
-    """Every case's pairing table is reproduced by an actual root placement."""
+    """Every case's pairing table, and its residual class expanded in
+    coordinates, is reproduced by an actual root placement."""
     for degree in row.degrees:
-        spec = SurfaceSpec(
-            degree, (str(row.singularity),) if row.singularity else ()
-        )
-        with_e = bool(row.e_coefficient)
         if (row.case_id, degree) in UNEMBEDDABLE:
             with pytest.raises(OracleUnavailable):
-                oracle_embed(spec, with_minus_one_curve=with_e)
-            continue
-        embedding = oracle_embed(spec, with_minus_one_curve=with_e)
-        table, config = row_reference(row, degree)
-        _assert_table_matches_embedding(table, embedding)
-
-        # the residual class, expanded in coordinates, has the same numbers
-        n = table.part(row.multiple, config)
-        n_vec = vscale(-row.multiple, embedding.vector("K"))
-        for label, coeff in config.items():
-            n_vec = vsub(n_vec, vscale(coeff, embedding.vector(label)))
-        assert pairing(n_vec, n_vec) == table.pair(n, n)
-        assert {
-            label: pairing(n_vec, embedding.vector(label)) for label in table.labels
-        } == pairings(table, n)
+                check_row(row, degree)
+        else:
+            check_row(row, degree)
 
 
 @pytest.mark.parametrize(
@@ -119,11 +90,11 @@ def test_case_tables_agree_with_coordinates(row):
 )
 def test_multi_singularity_collections_embed(sings):
     spec = SurfaceSpec(1, sings)
-    embedding = oracle_embed(spec)
+    coords = oracle_embed(spec)
 
     table = PairingTable(1, spec.singularities)
-    assert sorted(embedding.coordinates) == sorted(table.labels)
-    _assert_table_matches_embedding(table, embedding)
+    assert sorted(coords) == sorted(table.labels)
+    assert_table_matches(table, coords)
 
 
 def test_oracle_reports_impossible_configuration():
@@ -139,9 +110,9 @@ def test_oracle_rejects_degree_nine_minus_one_curve():
 
 def test_minus_one_curve_disjoint_from_roots():
     spec = SurfaceSpec(4, ("A1", "A2"))
-    embedding = oracle_embed(spec, with_minus_one_curve=True)
-    e = embedding.vector("E")
+    coords = oracle_embed(spec, with_minus_one_curve=True)
+    e = coords["E"]
     assert pairing(e, e) == -1
-    for label, v in embedding.coordinates.items():
+    for label, v in coords.items():
         if label.startswith("D"):
             assert pairing(e, v) == 0

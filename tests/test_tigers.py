@@ -165,6 +165,8 @@ def test_certificates_match_fixtures(case_id):
         residual = row.residual(d)
         assert residual.square == ev(fix.square, d)
         assert residual.dim == ev(fix.dim, d)
+        # the residual system affords the marked point's multiplicity
+        assert residual.dim >= conditions(row.residual_multiplicity)
         assert labelled(row, residual)["K"] == ev(fix.k_pairing, d)
         assert row.local_multiplicity == fix.local_multiplicity
         assert row.ratio == fix.ratio

@@ -9,8 +9,10 @@ Exit codes:
   2   unreadable, non-UTF-8 or malformed spec file, or a usage error such
       as a missing --spec (argparse exits with it)
   3   well-formed file describing an invalid surface spec
-  4   cannot write the document: the --out file, or stdout (a closed
-      stream, or a reader that left before the whole document was read)
+  4   cannot write the document: the --out file (refused before any work
+      when its directory is missing or it exists and is not a regular
+      file), or stdout (a closed stream, or a reader that left before the
+      whole document was read)
 
 Messages go to stderr; a closed stderr drops them and keeps the exit code.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
@@ -107,13 +110,28 @@ def _write_stderr(text: str) -> None:
 @contextmanager
 def _output(out: Optional[str]) -> Iterator[Writer]:
     """Yield the writer of a command's document: stdout, or a temporary file
-    made next to --out before any work and renamed over it once written, so
-    --out is never partial.  A command that writes nothing leaves no file."""
+    made next to the file --out names before any work and renamed over it
+    once written, so that file is never partial.  A symlink is followed,
+    not replaced; anything but a regular file is refused; an existing file
+    keeps its permission bits.  A command that writes nothing leaves no
+    file."""
     if out is None:
         yield _write_stdout
         return
+    target = os.path.realpath(out)
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".", prefix=".dpcyl-")
+        try:
+            st = os.stat(target)
+        except FileNotFoundError:
+            # a new file gets the mode open() would give it
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            if not stat.S_ISREG(st.st_mode):
+                raise OutputError(f"cannot write {out}: not a regular file")
+            mode = stat.S_IMODE(st.st_mode)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".dpcyl-")
     except OSError as exc:
         raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
     fh = os.fdopen(fd, "w", encoding="utf-8")
@@ -122,16 +140,14 @@ def _output(out: Optional[str]) -> Iterator[Writer]:
         try:
             with fh:
                 fh.write(text)
-            os.replace(tmp, out)
+            os.replace(tmp, target)
         except OSError as exc:
             raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
     try:
-        # mkstemp makes the file private; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
+        # mkstemp makes the file private
         with suppress(OSError):
-            os.fchmod(fd, 0o666 & ~umask)
+            os.fchmod(fd, mode)
         yield write
     finally:
         fh.close()

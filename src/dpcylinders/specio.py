@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 from .classify import Verdict
 from .lattice import InvalidSpec, SurfaceSpec, excerpt
-from .tigers import CaseTable, Part, TigerCertificate, build_tiger, split_parts
+from .tigers import CaseTable, Part, TigerCertificate, build_tiger, every_split
 
 
 class SpecFileError(ValueError):
@@ -115,12 +115,12 @@ def _part_block(row: CaseTable, label: str, part: Part) -> dict[str, Any]:
 
 
 def certificate_document(cert: TigerCertificate) -> dict[str, Any]:
-    """Full JSON form of a certificate, decompositions expanded with each
-    part's derived numbers so the document is checkable on its own."""
+    """Full JSON form of a certificate, every split of the box expanded
+    with each part's derived numbers so the document is checkable on its
+    own."""
     row, degree = cert.row, cert.spec.degree
     decs = []
-    for split in cert.decompositions:
-        part1, part2 = split_parts(row, degree, split.part1)
+    for split, (part1, part2) in every_split(cert):
         entry: dict[str, Any] = {
             "part1": _part_block(row, "F1", part1),
             "part2": _part_block(row, "F2", part2),

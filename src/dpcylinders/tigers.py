@@ -10,17 +10,20 @@ which certifies a non-log-canonical pair.
 
 The certificate additionally rules out that such a member is forced to
 contain an anticanonical part: every coefficientwise split of the relation
-into an anticanonical piece and a complementary piece is enumerated, and each
-split must carry a numeric obstruction.  A split with no obstruction found
-downgrades the certificate to a discrepancy report; it never passes silently.
+into an anticanonical piece and a complementary piece must carry a numeric
+obstruction.  Almost every split dies on its anticanonical piece's square
+alone; a bounded lattice walk finds the few that do not, and only those are
+checked further.  A split with no obstruction found downgrades the
+certificate to a discrepancy report; it never passes silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
+from math import ceil, floor, isqrt, prod
 from typing import Iterator, Optional
 
 from .lattice import DynkinType, SurfaceSpec, gram_table
@@ -110,6 +113,34 @@ class CaseTable:
         return tuple(
             (-2, 0, tuple(j for j in nodes if j != i and gram[i][j])) for i in nodes
         ) + (((-1, -1, ()),) if self.e_coefficient else ())
+
+    @cached_property
+    def square_form(self) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
+        """Part 1's square as a quadratic form, factored exactly.
+
+        For a first part c,  d - P^2 = y^T M y  with y = (c, 1) and
+        M = [[-G, -k], [-k^T, 0]]  (G the Gram matrix of the row's curves, k
+        their K-degrees).  -G is positive definite, so M = L D L^T with L
+        unit lower triangular and no pivoting, and
+        y^T M y = sum_j D_j (y_j + sum_{i>j} L_ij y_i)^2.  Returns L by rows
+        and D.
+        """
+        form = self.curve_form
+        n = len(form)
+        k = [k_degree for _, k_degree, _ in form]
+        m = [[-square if i == j else -int(j in neighbours) for j in range(n)] + [-k[i]]
+             for i, (square, _, neighbours) in enumerate(form)] + [[-x for x in k] + [0]]
+        lower = [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+        diagonal: list[Fraction] = []
+        for j in range(n + 1):
+            diagonal.append(Fraction(m[j][j]) - sum(
+                lower[j][t] ** 2 * diagonal[t] for t in range(j)
+            ))
+            for i in range(j + 1, n + 1):
+                lower[i][j] = (m[i][j] - sum(
+                    lower[i][t] * lower[j][t] * diagonal[t] for t in range(j)
+                )) / diagonal[j]
+        return tuple(map(tuple, lower)), tuple(diagonal)
 
     @cached_property
     def point_indices(self) -> tuple[int, ...]:
@@ -297,7 +328,10 @@ def part_numbers(
     gc = []
     kc = 0
     for c, (curve_square, k_degree, neighbours) in zip(coefficients, row.curve_form):
-        gc.append(curve_square * c + sum(coefficients[j] for j in neighbours))
+        g = curve_square * c
+        for j in neighbours:  # a plain loop: sum() over a generator costs twice as much
+            g += coefficients[j]
+        gc.append(g)
         kc += k_degree * c
     square = (
         multiple * multiple * degree + 2 * multiple * kc
@@ -405,19 +439,61 @@ def _obstruction_for(
     return None
 
 
-@lru_cache(maxsize=None)
+def square_survivors(row: CaseTable, degree: int) -> list[tuple[int, ...]]:
+    """The first-part coefficient vectors in the row's box whose part-1
+    square is > -2, in ascending lexicographic order.
+
+    Part 1's square is an integer, so it is > -2 exactly when
+    y^T M y <= degree + 1 (see ``CaseTable.square_form``).  The walk fixes
+    the constant coordinate of y, then the coordinates from the last one
+    down; each term of the form bounds its coordinate to an interval around
+    a centre set by the coordinates already fixed, clipped to the box
+    (Fincke and Pohst, Math. Comp. 44, 1985).  Every other split of the box
+    dies on that square.
+    """
+    lower, diagonal = row.square_form
+    box = row.coefficients
+    n = len(box)
+    found: list[tuple[int, ...]] = []
+    point = [0] * n + [1]
+
+    def descend(j: int, room: Fraction) -> None:
+        if j < 0:
+            found.append(tuple(point[:n]))
+            return
+        t = -sum(lower[i][j] * point[i] for i in range(j + 1, n + 1))
+        for x in _interval(t, room / diagonal[j], box[j]):
+            point[j] = x
+            descend(j - 1, room - diagonal[j] * (x - t) ** 2)
+
+    descend(n - 1, degree + 1 - diagonal[n])
+    return sorted(found)
+
+
+def _interval(t: Fraction, s: Fraction, cap: int) -> range:
+    """The integers x in [0, cap] with (x - t)^2 <= s, for s >= 0."""
+    a = isqrt(floor(s))  # a <= sqrt(s) < a + 1
+    lo, hi = max(0, floor(t) - a - 1), min(cap, ceil(t) + a + 1)
+    while lo <= hi and (lo - t) ** 2 > s:
+        lo += 1
+    while hi >= lo and (hi - t) ** 2 > s:
+        hi -= 1
+    return range(lo, hi + 1)
+
+
 def enumerate_decompositions(row: CaseTable, degree: int) -> tuple[Split, ...]:
-    """Every coefficientwise split of the configuration, each paired with
-    its obstruction (or None, which later surfaces as a discrepancy).
+    """The splits that survive part 1's square test, each paired with its
+    obstruction (or None, which later surfaces as a discrepancy).
 
     Splits run in ascending lexicographic order of the first part's
-    coefficient vector over the row's curves, E last.
+    coefficient vector over the row's curves, E last.  Every other split of
+    the box has part-1 square <= -2; :func:`every_split` lists them all.
     """
     if degree not in row.degrees:
         raise ValueError(f"case {row.case_id} does not apply at degree {degree}")
     return tuple(
         Split(part1, _obstruction_for(row, degree, part1))
-        for part1 in product(*(range(c + 1) for c in row.coefficients))
+        for part1 in square_survivors(row, degree)
     )
 
 
@@ -425,9 +501,12 @@ def enumerate_decompositions(row: CaseTable, degree: int) -> tuple[Split, ...]:
 class TigerCertificate:
     """Complete, re-checkable record of one construction: the spec, the
     case row that builds its tiger, the matched singularity instance (None
-    for the degree-driven rows) and every split with its obstruction.
+    for the degree-driven rows) and the splits that survive part 1's square
+    test, each with its obstruction.
 
-    Every other number of the certificate is read off the case row.
+    Every other split dies on part 1's square (:func:`every_split` lists
+    them all), and every other number of the certificate is read off the
+    case row.
     """
 
     spec: SurfaceSpec
@@ -442,6 +521,21 @@ class TigerCertificate:
     @property
     def status(self) -> str:
         return "discrepancy" if self.unobstructed else "certified"
+
+
+def every_split(cert: TigerCertificate) -> Iterator[tuple[Split, tuple[Part, Part]]]:
+    """Every split of the certificate's box with both its parts, in
+    ascending lexicographic order: a survivor of part 1's square test
+    carries its walked obstruction, every other split the square that
+    kills it."""
+    row, degree = cert.row, cert.spec.degree
+    walked = {split.part1: split for split in cert.decompositions}
+    for part1 in product(*(range(c + 1) for c in row.coefficients)):
+        parts = split_parts(row, degree, part1)
+        split = walked.get(part1) or Split(part1, Obstruction(
+            NEGATIVE_SELF_INTERSECTION, (("part", 1), ("square", parts[0].square))
+        ))
+        yield split, parts
 
 
 def select_case(spec: SurfaceSpec) -> tuple[CaseTable, Optional[int]]:
@@ -497,4 +591,6 @@ def narrate(cert: TigerCertificate) -> Iterator[str]:
     for split in unobstructed:
         e = split.part1[k] if row.e_coefficient else 0
         yield f"split nodes={split.part1[:k]} e={e}: NO OBSTRUCTION"
-    yield f"decompositions: {len(cert.decompositions)} splits, {len(unobstructed)} unobstructed"
+    # every split of the box, as the document lists them
+    splits = prod(c + 1 for c in row.coefficients)
+    yield f"decompositions: {splits} splits, {len(unobstructed)} unobstructed"

@@ -35,6 +35,7 @@ from dpcylinders.tigers import (
     NEGATIVE_SELF_INTERSECTION,
 )
 
+from box_walk import every_outcome
 from coordinate_oracle import OracleUnavailable, check_row
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
@@ -137,7 +138,7 @@ def test_acceptance_3_residual_fixture_suite():
         row = next(r for r in case_tables() if r.case_id == "A1deg3")
         squares = [
             tigers.split_parts(row, 3, o.part1)[0].square
-            for o in enumerate_decompositions(row, 3)
+            for o in every_outcome(row, 3)
         ]
         assert squares[1:] == [1, -5, -15]
 
@@ -188,7 +189,7 @@ def test_acceptance_5_tiger_certificates():
 def test_acceptance_6_decomposition_obstructions():
     with criterion(6, "split obstructions: exact cases, gaps, zero unobstructed"):
         rows = {r.case_id: r for r in case_tables()}
-        outcomes = enumerate_decompositions(rows["A1deg3"], 3)
+        outcomes = every_outcome(rows["A1deg3"], 3)
         assert [
             (o.obstruction.kind, dict(o.obstruction.witness)) for o in outcomes
         ] == [
@@ -210,8 +211,7 @@ def test_acceptance_6_decomposition_obstructions():
         for row in case_tables():
             for d in row.degrees:
                 assert all(
-                    o.obstruction is not None
-                    for o in enumerate_decompositions(row, d)
+                    o.obstruction is not None for o in every_outcome(row, d)
                 ), (row.case_id, d)
 
 
@@ -286,11 +286,7 @@ def test_acceptance_8_cli_contract(tmp_path, capsys, monkeypatch):
         assert rebuilt == build_tiger(SurfaceSpec(3, ("A1",)))
         assert render_document(certificate_document(rebuilt)) == first
 
-        # exit 30 is reserved for engine discrepancies; force one through an
-        # uncached enumeration, so the shared cache never sees the fake
-        monkeypatch.setattr(
-            tigers, "enumerate_decompositions", enumerate_decompositions.__wrapped__
-        )
+        # exit 30 is reserved for engine discrepancies; force one
         monkeypatch.setattr(
             tigers, "_obstruction_for", lambda row, degree, dec: None
         )

@@ -213,6 +213,78 @@ def test_out_replaces_the_target_whole(spec_dir, tmp_path, capsys):
     assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
+def test_out_through_a_symlink_writes_its_target(spec_dir, tmp_path, capsys):
+    real, links = tmp_path / "real", tmp_path / "lk"
+    real.mkdir()
+    links.mkdir()
+    target = real / "target.json"
+    target.write_text("old content", encoding="utf-8")
+    link = links / "link.json"
+    link.symlink_to(Path("..", "real", "target.json"))
+    code, _, _ = run_cli(
+        capsys, "classify", "--spec", str(spec_dir / "node_cubic.txt"), "--out", str(link)
+    )
+    assert code == cli.EXIT_OK
+    assert link.is_symlink()
+    assert os.readlink(link) == str(Path("..", "real", "target.json"))
+    _, stdout, _ = run_cli(capsys, "classify", "--spec", str(spec_dir / "node_cubic.txt"))
+    assert target.read_text(encoding="utf-8") == stdout
+    assert [p.name for p in real.iterdir()] == ["target.json"]
+    assert [p.name for p in links.iterdir()] == ["link.json"]
+
+
+def test_out_through_a_dangling_symlink_creates_its_target(spec_dir, tmp_path, capsys):
+    link = tmp_path / "link.json"
+    link.symlink_to("new.json")
+    code, _, _ = run_cli(
+        capsys, "classify", "--spec", str(spec_dir / "node_cubic.txt"), "--out", str(link)
+    )
+    assert code == cli.EXIT_OK
+    assert link.is_symlink()
+    assert json.loads((tmp_path / "new.json").read_text(encoding="utf-8"))["kind"] == (
+        "classification"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "new.json"]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory", "link-to-fifo"])
+@pytest.mark.parametrize("command", ["classify", "tiger", "sweep"])
+def test_out_refuses_what_is_not_a_regular_file(
+    spec_dir, tmp_path, capsys, monkeypatch, command, kind
+):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("classify", "enumerate_specs", "build_tiger"):
+        monkeypatch.setattr(cli, name, never)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "link-to-fifo").symlink_to("fifo")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    target = tmp_path / kind
+    spec = [] if command == "sweep" else ["--spec", str(spec_dir / "node_cubic.txt")]
+    code, out, err = run_cli(capsys, command, *spec, "--out", str(target))
+    assert (code, out) == (cli.EXIT_CANNOT_WRITE, "")
+    assert err == f"error: cannot write {target}: not a regular file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert (tmp_path / "link-to-fifo").is_symlink()
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o604], ids=oct)
+def test_out_keeps_the_targets_permission_bits(spec_dir, tmp_path, capsys, mode):
+    target = tmp_path / "verdict.json"
+    target.write_text("stale", encoding="utf-8")
+    target.chmod(mode)
+    code, _, _ = run_cli(
+        capsys, "classify", "--spec", str(spec_dir / "node_cubic.txt"), "--out", str(target)
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(target.read_text(encoding="utf-8"))["kind"] == "classification"
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
 def test_spec_files_allow_comments_and_case(tmp_path, capsys):
     path = tmp_path / "commented.txt"
     path.write_text(
@@ -471,10 +543,6 @@ def test_tiger_nothing_to_build(spec_dir, capsys):
 
 
 def test_tiger_discrepancy_exit(spec_dir, capsys, monkeypatch):
-    # an uncached enumeration, so the shared cache never sees the fake
-    monkeypatch.setattr(
-        tigers, "enumerate_decompositions", tigers.enumerate_decompositions.__wrapped__
-    )
     monkeypatch.setattr(tigers, "_obstruction_for", lambda row, degree, dec: None)
     code, out, err = run_cli(
         capsys, "tiger", "--spec", str(spec_dir / "node_cubic.txt")
@@ -547,9 +615,6 @@ def test_closed_stderr_keeps_the_exit_code(spec_dir, capsys, monkeypatch, args, 
 
 
 def test_closed_stderr_keeps_the_discrepancy_exit(spec_dir, capsys, monkeypatch):
-    monkeypatch.setattr(
-        tigers, "enumerate_decompositions", tigers.enumerate_decompositions.__wrapped__
-    )
     monkeypatch.setattr(tigers, "_obstruction_for", lambda row, degree, dec: None)
     monkeypatch.setattr(sys, "stderr", None)
     code = cli.main(["tiger", "--spec", str(spec_dir / "node_cubic.txt")])

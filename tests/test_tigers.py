@@ -6,6 +6,7 @@ certificate assembly is exercised end to end including the forced-failure
 path.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -36,8 +37,10 @@ from dpcylinders.tigers import (
     narrate,
     part_numbers,
     split_parts,
+    square_survivors,
 )
 
+from box_walk import box_survivors, every_outcome, every_split_of
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
@@ -60,6 +63,11 @@ def row_by_id(case_id):
 def labelled(row, part):
     """A part's pairings by label: K, then the row's curves."""
     return dict(zip(("K",) + row.curves, part.pairings, strict=True))
+
+
+def curve_pairings(row, part):
+    """A part's pairings with the row's curves, K left out."""
+    return [v for lbl, v in labelled(row, part).items() if lbl != "K"]
 
 
 def reference_class(table, row, part):
@@ -205,8 +213,10 @@ def test_part_numbers_match_pairing_table():
     for case_id, d in checks:
         row = row_by_id(case_id)
         table, _ = row_reference(row, d)
-        for split in enumerate_decompositions(row, d):
-            for part in split_parts(row, d, split.part1):
+        # the parts every split hands over, as a v1 document lists them
+        for split, parts in every_split_of(row, d):
+            assert parts == split_parts(row, d, split.part1)
+            for part in parts:
                 cls = reference_class(table, row, part)
                 assert table.pair(cls, cls) == part.square
                 assert pairings(table, cls) == labelled(row, part)
@@ -224,7 +234,7 @@ def test_residual_parity_guard():
 
 def test_a1_cubic_outcomes_exactly():
     """The four splits of 4(-K) ~ 3D1 + N and their four distinct failures."""
-    outcomes = enumerate_decompositions(row_by_id("A1deg3"), 3)
+    outcomes = every_outcome(row_by_id("A1deg3"), 3)
     assert [o.part1 for o in outcomes] == [(0,), (1,), (2,), (3,)]
     kinds = [(o.obstruction.kind, dict(o.obstruction.witness)) for o in outcomes]
     assert kinds == [
@@ -258,7 +268,7 @@ def test_degree_four_or_six_outcomes():
     row = row_by_id("deg4or6")
 
     # the row's only curve is E, so a split is its coefficient on E
-    by_split = {o.part1[0]: o.obstruction for o in enumerate_decompositions(row, 6)}
+    by_split = {o.part1[0]: o.obstruction for o in every_outcome(row, 6)}
     assert by_split[0].kind == DIMENSION_GAP
     assert dict(by_split[0].witness) == {"candidate_dim": 12, "parts_dim": 6}
     assert by_split[1].kind == DIMENSION_GAP
@@ -266,7 +276,7 @@ def test_degree_four_or_six_outcomes():
     assert by_split[2].kind == NEGATIVE_SELF_INTERSECTION
     assert dict(by_split[2].witness) == {"part": 1, "square": -2}
 
-    by_split = {o.part1[0]: o.obstruction for o in enumerate_decompositions(row, 4)}
+    by_split = {o.part1[0]: o.obstruction for o in every_outcome(row, 4)}
     assert by_split[0].kind == MULTIPLICITY_BUDGET
     assert dict(by_split[0].witness) == {"required": 5, "cap_part1": 1, "cap_part2": 2}
     assert by_split[1].kind == MULTIPLICITY_BUDGET
@@ -279,7 +289,7 @@ def test_degree_four_or_six_outcomes():
 def test_a2_splits(d):
     """Eight splits die on negativity; the balanced one needs the dimension
     count against the one-part family through the marked point."""
-    outcomes = enumerate_decompositions(row_by_id("A2"), d)
+    outcomes = every_outcome(row_by_id("A2"), d)
     assert len(outcomes) == 9
     for o in outcomes:
         if o.part1 == (1, 1):
@@ -303,7 +313,7 @@ def test_every_split_everywhere_is_obstructed():
             expected *= c + 1
         expected *= row.e_coefficient + 1
         for d in row.degrees:
-            outcomes = enumerate_decompositions(row, d)
+            outcomes = every_outcome(row, d)
             assert len(outcomes) == expected, (row.case_id, d)
             assert all(o.obstruction is not None for o in outcomes), (row.case_id, d)
             # ascending lexicographic order, (-1)-curve coefficient last
@@ -312,6 +322,42 @@ def test_every_split_everywhere_is_obstructed():
             assert seen[-1] == row.node_coefficients + (
                 (row.e_coefficient,) if row.e_coefficient else ()
             )
+
+
+@pytest.mark.parametrize(
+    "row,d", SPLIT_CASES, ids=[f"{row.case_id}-d{d}" for row, d in SPLIT_CASES]
+)
+def test_walk_finds_the_box_walks_survivors(row, d):
+    """The bounded walk returns exactly the splits of the whole box whose
+    first part has square > -2, in the same order, and obstructs each."""
+    walked = enumerate_decompositions(row, d)
+    assert [split.part1 for split in walked] == box_survivors(row, d)
+    assert all(split.obstruction is not None for split in walked)
+
+
+@st.composite
+def arbitrary_boxes(draw, cap=5000):
+    """A case row with its coefficients redrawn, up to 5 per curve and at
+    most ``cap`` splits in its box, and any degree."""
+    row = draw(st.sampled_from(case_tables()))
+    curves = len(row.node_coefficients) + 1  # the nodes, then E
+    coefficients = [0] * curves
+    size = 1
+    for i in draw(st.permutations(range(curves))):
+        coefficients[i] = draw(st.integers(0, min(5, cap // size - 1)))
+        size *= coefficients[i] + 1
+    degree = draw(st.integers(1, 9))
+    return dataclasses.replace(
+        row, node_coefficients=tuple(coefficients[:-1]), e_coefficient=coefficients[-1],
+        degrees=(degree,),
+    ), degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_boxes())
+def test_walk_matches_the_box_walk_beyond_the_table(case):
+    row, d = case
+    assert square_survivors(row, d) == box_survivors(row, d)
 
 
 def test_enumeration_rejects_wrong_degree():
@@ -329,7 +375,7 @@ def test_every_witness_recomputes():
         mu = row.residual_multiplicity
         for d in row.degrees:
             full = part_numbers(row, d, row.multiple, row.coefficients)
-            for o in enumerate_decompositions(row, d):
+            for o in every_outcome(row, d):
                 obs = o.obstruction
                 w = dict(obs.witness)
                 parts = split_parts(row, d, o.part1)
@@ -337,21 +383,20 @@ def test_every_witness_recomputes():
 
                 if obs.kind == NEGATIVE_SELF_INTERSECTION:
                     r = parts[w["part"] - 1]
-                    curve_pairings = [v for lbl, v in labelled(row, r).items() if lbl != "K"]
                     if w["part"] == 2:
                         # part 1 must have passed all three checks first
                         r1 = parts[0]
                         assert r1.square > -2
-                        assert all(v >= 0 for lbl, v in labelled(row, r1).items() if lbl != "K")
+                        assert all(v >= 0 for v in curve_pairings(row, r1))
                         assert r1.dim >= 0
                     if "square" in w:
                         assert r.square == w["square"] <= -2
                     elif "pairing" in w:
                         assert r.square > -2
-                        assert min(curve_pairings) == w["pairing"] < 0
+                        assert min(curve_pairings(row, r)) == w["pairing"] < 0
                     else:
                         assert r.square > -2
-                        assert all(v >= 0 for v in curve_pairings)
+                        assert all(v >= 0 for v in curve_pairings(row, r))
                         assert r.dim == w["dim"] < 0
                     continue
 
@@ -507,11 +552,7 @@ def test_certificate_degree_six_smooth():
 
 
 def test_unobstructed_split_forces_discrepancy(monkeypatch):
-    # nothing in the real tables is unobstructed, so simulate the failure on
-    # an uncached enumeration, so the shared cache never sees the fake
-    monkeypatch.setattr(
-        tigers, "enumerate_decompositions", enumerate_decompositions.__wrapped__
-    )
+    # nothing in the real tables is unobstructed, so simulate the failure
     monkeypatch.setattr(tigers, "_obstruction_for", lambda row, degree, dec: None)
     cert = build_tiger(SurfaceSpec(5, ()))
     assert cert.status == "discrepancy"

@@ -25,13 +25,16 @@ import stat
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .classify import classify
 from .lattice import InvalidSpec, SurfaceSpec, enumerate_specs
 from .specio import (
     SpecFileError,
-    certificate_document,
+    certificate_chunks,
+    # unused here, but the benchmark's traced replay (bench/traced.py)
+    # wraps this name of the CLI module
+    certificate_document,  # noqa: F401
     parse_spec_text,
     render_document,
     verdict_document,
@@ -64,11 +67,13 @@ def _load_spec(path: str) -> SurfaceSpec:
     return parse_spec_text(text)
 
 
-Writer = Callable[[str], None]
+# A writer takes a command's whole document, as chunks of text, in one call.
+Writer = Callable[[Iterable[str]], None]
 
 
-def _write_stdout(text: str) -> None:
-    """Write a document to stdout whole, or raise OutputError.
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write a document to stdout chunk by chunk as the chunks come, or
+    raise OutputError at the first chunk that cannot be written.
 
     The bytes go to the binary layer in a loop: an unbuffered stdout may
     take only part of a write, and the text layer would drop the rest.
@@ -80,11 +85,12 @@ def _write_stdout(text: str) -> None:
         stream.flush()
         binary = getattr(stream, "buffer", None)
         if binary is None:  # a text-only stand-in such as StringIO
-            stream.write(text)
+            stream.writelines(chunks)
             return
-        data = memoryview(text.encode(stream.encoding, stream.errors))
-        while data:
-            data = data[binary.write(data):]
+        for text in chunks:
+            data = memoryview(text.encode(stream.encoding, stream.errors))
+            while data:
+                data = data[binary.write(data):]
         binary.flush()
     except OSError as exc:
         # the interpreter flushes stdout again on exit; send what is left
@@ -136,10 +142,10 @@ def _output(out: Optional[str]) -> Iterator[Writer]:
         raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
     fh = os.fdopen(fd, "w", encoding="utf-8")
 
-    def write(text: str) -> None:
+    def write(chunks: Iterable[str]) -> None:
         try:
             with fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, target)
         except OSError as exc:
             raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
@@ -157,7 +163,7 @@ def _output(out: Optional[str]) -> Iterator[Writer]:
 
 def _cmd_classify(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> int:
     verdict = classify(spec)
-    write(render_document(verdict_document(spec, verdict)))
+    write([render_document(verdict_document(spec, verdict))])
     if verdict.anticanonical_cylinder:
         return EXIT_OK
     if verdict.h_polar_cylinder:
@@ -180,7 +186,7 @@ def _cmd_tiger(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> in
         return EXIT_DISCREPANCY
     if args.trace:
         _write_stderr("".join(line + "\n" for line in narrate(cert)))
-    write(render_document(certificate_document(cert)))
+    write(certificate_chunks(cert))
     if cert.status != "certified":
         _write_stderr(
             f"{spec}: {len(cert.unobstructed)} decomposition(s) carry no obstruction\n"
@@ -215,7 +221,7 @@ def _cmd_sweep(args: argparse.Namespace, _: None, write: Writer) -> int:
         lines.append(f"{head} case={cert.row.case_id} ratio={cert.row.ratio} certified")
     summary = f"{len(lines)} specs, {failures} discrepancies"
     lines.append(summary)
-    write("\n".join(lines) + "\n")
+    write(["\n".join(lines) + "\n"])
     return EXIT_DISCREPANCY if failures else EXIT_OK
 
 

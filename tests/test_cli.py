@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ from dpcylinders import (
     parse_spec_text,
     render_document,
 )
-from dpcylinders import cli, tigers
+from dpcylinders import cli, specio, tigers
+from dpcylinders.specio import certificate_chunks
 
 
 SPEC_FILES = {
@@ -213,6 +215,56 @@ def test_out_replaces_the_target_whole(spec_dir, tmp_path, capsys):
     assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
+def interrupt_the_stream(monkeypatch, written):
+    """Break the certificate stream off after 1,050 splits.  D6 at degree 3
+    has 1,080, so the first chunk of 1,000 entries has gone out by then:
+    ``written()`` must show it."""
+    every_split = specio.every_split
+
+    def interrupted(cert):
+        for n, split in enumerate(every_split(cert)):
+            if n == 1050:
+                assert written() > 0
+                raise RuntimeError("interrupted")
+            yield split
+
+    monkeypatch.setattr(specio, "every_split", interrupted)
+
+
+def test_interrupted_stream_leaves_the_out_target_alone(tmp_path, monkeypatch):
+    spec = tmp_path / "d6.txt"
+    spec.write_text("degree: 3\nsingularities: D6\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "cert.json"
+    target.write_bytes(b"the old certificate\n")
+
+    def written():
+        [partial] = [p for p in out_dir.iterdir() if p.name.startswith(".dpcyl-")]
+        return partial.stat().st_size
+
+    interrupt_the_stream(monkeypatch, written)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli.main(["tiger", "--spec", str(spec), "--out", str(target)])
+    assert target.read_bytes() == b"the old certificate\n"
+    assert [p.name for p in out_dir.iterdir()] == ["cert.json"]
+
+
+def test_interrupted_stream_leaves_a_prefix_on_stdout(tmp_path, monkeypatch):
+    spec = tmp_path / "d6.txt"
+    spec.write_text("degree: 3\nsingularities: D6\n", encoding="utf-8")
+    sink = tmp_path / "stdout"
+    document = "".join(certificate_chunks(build_tiger(SurfaceSpec(3, ("D6",)))))
+    with open(sink, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        interrupt_the_stream(monkeypatch, lambda: sink.stat().st_size)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli.main(["tiger", "--spec", str(spec)])
+    prefix = sink.read_text(encoding="utf-8")
+    assert 0 < len(prefix) < len(document)
+    assert document.startswith(prefix)
+
+
 def test_out_through_a_symlink_writes_its_target(spec_dir, tmp_path, capsys):
     real, links = tmp_path / "real", tmp_path / "lk"
     real.mkdir()
@@ -396,6 +448,21 @@ def test_certificate_loader_rejects_a_tampered_document(path, value, message):
     block[last] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         certificate_from_document(doc)
+
+
+def test_certificate_loader_stops_at_the_first_differing_line():
+    # D8 at degree 1 renders 177,620,068 bytes; the comparison reads two lines
+    doc = {"kind": "tiger_certificate", "spec": {"degree": 1, "singularities": ["D8"]}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+            """line 2 should read '"assumptions": [', not '"kind": "tiger_certificate",'"""
+        )):
+            certificate_from_document(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_certificate_loader_rejects_other_documents():
@@ -673,6 +740,25 @@ def test_stdout_reader_leaving_early_exits_4(tmp_path, unbuffered):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     assert child.stdout.read(10) == "{\n  \"assum"
+    child.stdout.close()
+    assert child.wait() == cli.EXIT_CANNOT_WRITE
+    assert child.stderr.read() == "error: cannot write stdout: Broken pipe\n"
+    child.stderr.close()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_stdout_reader_leaving_after_the_first_chunk_exits_4(tmp_path, unbuffered):
+    # D6 at degree 3 streams in three chunks: the head, 1,000 entries, and
+    # the last 80 entries with the tail
+    spec = tmp_path / "d6.txt"
+    spec.write_text("degree: 3\nsingularities: D6\n", encoding="utf-8")
+    first, *rest = certificate_chunks(build_tiger(SurfaceSpec(3, ("D6",))))
+    assert len(rest) == 2
+    child = run_module(
+        "tiger", "--spec", str(spec), env={"PYTHONUNBUFFERED": unbuffered},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert child.stdout.read(len(first)) == first
     child.stdout.close()
     assert child.wait() == cli.EXIT_CANNOT_WRITE
     assert child.stderr.read() == "error: cannot write stdout: Broken pipe\n"

@@ -8,7 +8,7 @@ The top level exports the product path, parse -> classify -> build_tiger ->
 document.  Everything else is imported from its own module and is not
 loaded by ``import dpcylinders``.  That includes ``divisors``, the only
 reference module that ships: the pairing table the tests check the
-engine's closed forms against.
+engine's numbers against.
 """
 
 from .classify import Verdict, classify

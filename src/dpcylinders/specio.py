@@ -13,7 +13,7 @@ import json
 import re
 from itertools import count, zip_longest
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from .classify import Verdict
 from .lattice import InvalidSpec, SurfaceSpec, excerpt
@@ -24,6 +24,7 @@ from .tigers import (
     TigerCertificate,
     build_tiger,
     every_split,
+    killed_by_square,
 )
 
 
@@ -140,21 +141,23 @@ def _entry_template(row: CaseTable) -> tuple[str, Callable[[tuple], tuple]]:
     picker of the template's values, in template order, from
     (obstruction text, part 1 numbers, part 2 numbers).
 
-    A part's numbers are its coefficients, its pairings, its square and its
-    dim.  Every entry of a row has one key layout, so the template is the
+    A part's numbers are the fields of its ``Part`` in order: its multiple,
+    coefficients, pairings, square and dim, as ``every_split`` lists them.
+    Every entry of a row has one key layout, so the template is the
     rendering of one skeleton entry whose integers are numbered fields.
     """
     fields = (f"{_FIELD}{i}" for i in count(1))
     n = len(row.curves)
 
-    def blank(multiple: int) -> Part:
-        numbers = [next(fields) for _ in range(2 * n + 3)]
-        return Part(multiple, tuple(numbers[:n]), tuple(numbers[n:-2]), *numbers[-2:])
+    def blank() -> Part:
+        numbers = [next(fields) for _ in range(2 * n + 4)]
+        return Part(numbers[0], tuple(numbers[1:n + 1]), tuple(numbers[n + 1:-2]),
+                    *numbers[-2:])
 
     skeleton = _ENCODER.encode({
         "obstruction": f"{_FIELD}0",
-        "part1": _part_block(row, "F1", blank(1)),
-        "part2": _part_block(row, "F2", blank(row.multiple - 1)),
+        "part1": _part_block(row, "F1", blank()),
+        "part2": _part_block(row, "F2", blank()),
     })
     text = _ENTRY_INDENT + skeleton.replace("\n", "\n" + _ENTRY_INDENT)
     order = [int(i) for i in _FIELD_RE.findall(text)]
@@ -196,8 +199,12 @@ def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
     }
 
 
-# split entries per chunk of a streamed certificate
-_BATCH = 1000
+# split entries per chunk of a streamed certificate.  An entry is at most
+# about 2.2 KB, so a chunk and its encoding stay near 110 KB and are served
+# again and again from the heap; megabyte chunks were mapped and faulted in
+# afresh each time (87,000 page faults and 0.2 s of kernel time for D8 at
+# degree 1, against 3,000 faults at 50 entries).
+_BATCH = 50
 
 
 def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
@@ -212,20 +219,25 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
     empty = '"decompositions": []'
     head, _, tail = render_document(_certificate_shell(cert)).partition(empty)
     template, pick = _entry_template(cert.row)
-    obstructions: dict[Optional[Obstruction], str] = {}
+    # where part 1's square sits in a split's numbers: after its multiple,
+    # n coefficients and n + 1 pairings
+    square_at = 2 * len(cert.row.curves) + 2
+    # obstruction texts by the walked obstruction, or by the part-1 square
+    # that kills a split
+    texts: dict[Union[Optional[Obstruction], int], str] = {}
     # a box always holds the split with first part 0, so the array is never empty
     yield head + empty[:-1] + "\n"
     entries: list[str] = []
     # every entry after the first starts with the separator
     form, following = template, ",\n" + template
-    for split, (part1, part2) in every_split(cert):
-        obstruction = obstructions.get(split.obstruction)
-        if obstruction is None:
-            obstruction = obstructions[split.obstruction] = _obstruction_text(split.obstruction)
-        entries.append(form % pick((
-            obstruction, *part1.coefficients, *part1.pairings, part1.square, part1.dim,
-            *part2.coefficients, *part2.pairings, part2.square, part2.dim,
-        )))
+    for survivor, numbers in every_split(cert):
+        key = numbers[square_at] if survivor is None else survivor.obstruction
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _obstruction_text(
+                killed_by_square(key) if survivor is None else key
+            )
+        entries.append(form % pick((text, *numbers)))
         form = following
         if len(entries) == _BATCH:
             yield "".join(entries)
@@ -248,6 +260,21 @@ def _lines(chunks: Iterable[str]) -> Iterator[str]:
         yield rest
 
 
+def _json_lines(doc: dict[Any, Any]) -> Iterator[str]:
+    """The lines of a document's rendering, as they are made.  A key or
+    value JSON cannot render (a key that is not a string beside string
+    keys, a set) raises ValueError naming its line."""
+    number = 0
+    try:
+        for number, line in enumerate(_lines(_ENCODER.iterencode(doc)), start=1):
+            yield line
+    except TypeError as error:
+        raise ValueError(
+            f"not a JSON document: line {number + 1} holds a key or value "
+            f"JSON cannot render ({excerpt(str(error))})"
+        ) from None
+
+
 def certificate_from_document(doc: Any) -> TigerCertificate:
     """Re-derive the certificate a document states from its spec block.
 
@@ -266,9 +293,7 @@ def certificate_from_document(doc: Any) -> TigerCertificate:
             "and a 'singularities' array"
         )
     cert = build_tiger(SurfaceSpec(block["degree"], tuple(block["singularities"])))
-    lines = zip_longest(
-        _lines(certificate_chunks(cert)), _lines(_ENCODER.iterencode(doc)), fillvalue=""
-    )
+    lines = zip_longest(_lines(certificate_chunks(cert)), _json_lines(doc), fillvalue="")
     for number, (should, found) in enumerate(lines, start=1):
         if should != found:
             raise ValueError(

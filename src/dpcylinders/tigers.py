@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import ceil, floor, isqrt, prod
+from operator import add, mul, sub
 from typing import Iterator, Optional
 
 from .lattice import DynkinType, SurfaceSpec, gram_table
@@ -115,6 +116,22 @@ class CaseTable:
         ) + (((-1, -1, ()),) if self.e_coefficient else ())
 
     @cached_property
+    def pairing_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each curve's column: how the pairings (P.K, P.C_1, ..., P.C_n) of
+        P = m*(-K) - sum(c_j C_j)  change per unit of c_j, read off the
+        curve form.  Column j is the pairings of -C_j, given by its nonzero
+        entries as (index into the pairings, change)."""
+        form = self.curve_form
+        columns = []
+        for j, (square, k_degree, neighbours) in enumerate(form):
+            # -C_j.K, then -C_j.C_i for each curve C_i
+            dense = (-k_degree, *(
+                -square if i == j else -int(i in neighbours) for i in range(len(form))
+            ))
+            columns.append(tuple((i, v) for i, v in enumerate(dense) if v))
+        return tuple(columns)
+
+    @cached_property
     def square_form(self) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
         """Part 1's square as a quadratic form, factored exactly.
 
@@ -171,7 +188,7 @@ class CaseTable:
         return components
 
     def residual(self, degree: int) -> Part:
-        """The relation's residual class N at a degree, by the closed form."""
+        """The relation's residual class N at a degree."""
         return part_numbers(self, degree, self.multiple, self.coefficients)
 
     def assumptions(self, degree: int) -> tuple[str, ...]:
@@ -319,32 +336,39 @@ class Split:
 def part_numbers(
     row: CaseTable, degree: int, multiple: int, coefficients: tuple[int, ...]
 ) -> Part:
-    """Intersection numbers of  P = multiple*(-K) - sum(c_i C_i)  in closed form.
+    """Intersection numbers of  P = multiple*(-K) - sum(c_j C_j).
 
-    With k_i = K.C_i and G the Gram matrix of the row's curves:
-    P^2 = m^2 d + 2m k.c + c.Gc,  P.K = -m d - k.c,  P.C_i = -m k_i - (Gc)_i.
+    The pairings are linear in the multiple and the coefficients, summed
+    from the row's columns; the rest follows from them (``square_and_dim``).
     The relation residual itself is  row.residual(degree).
     """
-    gc = []
-    kc = 0
-    for c, (curve_square, k_degree, neighbours) in zip(coefficients, row.curve_form):
-        g = curve_square * c
-        for j in neighbours:  # a plain loop: sum() over a generator costs twice as much
-            g += coefficients[j]
-        gc.append(g)
-        kc += k_degree * c
-    square = (
-        multiple * multiple * degree + 2 * multiple * kc
-        + sum(c * g for c, g in zip(coefficients, gc))
-    )
-    k_pairing = -multiple * degree - kc
-    pairings = (k_pairing, *(
-        -multiple * k_degree - g for (_, k_degree, _), g in zip(row.curve_form, gc)
-    ))
-    numerator = square - k_pairing
+    pairings = _pairings(row, degree, multiple, coefficients)
+    return Part(multiple, coefficients, pairings,
+                *square_and_dim((multiple, *coefficients), pairings))
+
+
+def _pairings(
+    row: CaseTable, degree: int, multiple: int, coefficients: tuple[int, ...]
+) -> tuple[int, ...]:
+    """(P.K, P.C_1, ..., P.C_n): the pairings of multiple*(-K), plus each
+    curve's column times its coefficient.  Coefficients past the given ones
+    count as 0."""
+    pairings = [-multiple * degree, *(-multiple * k for _, k, _ in row.curve_form)]
+    for c, column in zip(coefficients, row.pairing_columns):
+        for i, change in column:
+            pairings[i] += c * change
+    return tuple(pairings)
+
+
+def square_and_dim(weights: tuple[int, ...], pairings: tuple[int, ...]) -> tuple[int, int]:
+    """Square and expected dimension of  P = m*(-K) - sum(c_j C_j)  from its
+    weights (m, c) and its pairings (P.K, P.C_1, ..., P.C_n):
+    P^2 = -m (P.K) - sum c_j (P.C_j)  and  dim = (P^2 - P.K)/2."""
+    square = -sum(map(mul, weights, pairings))
+    numerator = square - pairings[0]
     if numerator % 2 != 0:
         raise ValueError("residual class has odd self-pairing parity")
-    return Part(multiple, coefficients, pairings, square, numerator // 2)
+    return square, numerator // 2
 
 
 def split_parts(
@@ -523,19 +547,55 @@ class TigerCertificate:
         return "discrepancy" if self.unobstructed else "certified"
 
 
-def every_split(cert: TigerCertificate) -> Iterator[tuple[Split, tuple[Part, Part]]]:
-    """Every split of the certificate's box with both its parts, in
-    ascending lexicographic order: a survivor of part 1's square test
-    carries its walked obstruction, every other split the square that
-    kills it."""
+def killed_by_square(square: int) -> Obstruction:
+    """The obstruction of a split that dies on part 1's square."""
+    return Obstruction(NEGATIVE_SELF_INTERSECTION, (("part", 1), ("square", square)))
+
+
+def every_split(
+    cert: TigerCertificate,
+) -> Iterator[tuple[Optional[Split], tuple[int, ...]]]:
+    """Every split of the certificate's box with both parts' numbers, in
+    ascending lexicographic order of part 1's coefficients.
+
+    A split's numbers are one flat row: part 1's multiple, coefficients,
+    pairings, square and dim (the fields of its ``Part``), then part 2's.
+    A survivor of part 1's square test comes with its walked ``Split``;
+    every other split with None, killed by the part-1 square in its row.
+
+    The pairings are linear in the coefficients, so the walk cuts the box's
+    coordinates into a leading and a trailing half and sums the pairing
+    columns once per point of each half.  A split adds one leading and one
+    trailing sum for part 1's pairings; part 2's are the residual's minus
+    part 1's.
+    """
     row, degree = cert.row, cert.spec.degree
     walked = {split.part1: split for split in cert.decompositions}
-    for part1 in product(*(range(c + 1) for c in row.coefficients)):
-        parts = split_parts(row, degree, part1)
-        split = walked.get(part1) or Split(part1, Obstruction(
-            NEGATIVE_SELF_INTERSECTION, (("part", 1), ("square", parts[0].square))
-        ))
-        yield split, parts
+    box = row.coefficients
+    cut = len(box) // 2
+    lead, trail = box[:cut], box[cut:]
+    # each point of a half with part 1's weights, part 2's and part 1's
+    # pairings; the leading half carries the parts' multiples, 1 and m - 1
+    leading = [
+        ((1, *a), (row.multiple - 1, *map(sub, lead, a)), _pairings(row, degree, 1, a))
+        for a in product(*(range(c + 1) for c in lead))
+    ]
+    trailing = [
+        (b, tuple(map(sub, trail, b)), _pairings(row, degree, 0, (0,) * cut + b))
+        for b in product(*(range(c + 1) for c in trail))
+    ]
+    residual = row.residual(degree).pairings
+    for lead1, lead2, lead_pairings in leading:
+        for trail1, trail2, trail_pairings in trailing:
+            weights1, weights2 = lead1 + trail1, lead2 + trail2
+            pairings1 = tuple(map(add, lead_pairings, trail_pairings))
+            pairings2 = tuple(map(sub, residual, pairings1))
+            square1, dim1 = square_and_dim(weights1, pairings1)
+            survivor = walked.get(weights1[1:]) if square1 > -2 else None
+            yield survivor, (
+                *weights1, *pairings1, square1, dim1,
+                *weights2, *pairings2, *square_and_dim(weights2, pairings2),
+            )
 
 
 def select_case(spec: SurfaceSpec) -> tuple[CaseTable, Optional[int]]:

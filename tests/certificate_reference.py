@@ -1,14 +1,16 @@
 """A certificate's v1 document built as one dict, plainly.
 
-The engine streams the document from per-row templates.  This module is
-the tests' second route: the dict builder the engine no longer uses, whose
+The engine streams the document from per-row templates, filled from a walk
+that carries each split's pairings as running sums.  This module is the
+tests' second route: the dict builder the engine no longer uses, with each
+split's parts from ``split_parts`` over a plain product box, whose
 ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` the stream must match
 byte for byte.
 """
 
 import json
 
-from dpcylinders.tigers import every_split
+from box_walk import plain_splits
 
 
 def spec_block(spec):
@@ -40,7 +42,7 @@ def reference_document(cert):
     expanded with each part's derived numbers."""
     row, degree = cert.row, cert.spec.degree
     decs = []
-    for split, (part1, part2) in every_split(cert):
+    for split, (part1, part2) in plain_splits(cert):
         entry = {
             "part1": part_block(row, "F1", part1),
             "part2": part_block(row, "F2", part2),

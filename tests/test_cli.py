@@ -216,9 +216,9 @@ def test_out_replaces_the_target_whole(spec_dir, tmp_path, capsys):
 
 
 def interrupt_the_stream(monkeypatch, written):
-    """Break the certificate stream off after 1,050 splits.  D6 at degree 3
-    has 1,080, so the first chunk of 1,000 entries has gone out by then:
-    ``written()`` must show it."""
+    """Break the certificate stream off after 1,050 splits of the walk that
+    fills it.  D6 at degree 3 has 1,080, so 21 chunks of 50 entries have
+    gone out by then: ``written()`` must show them."""
     every_split = specio.every_split
 
     def interrupted(cert):
@@ -748,12 +748,12 @@ def test_stdout_reader_leaving_early_exits_4(tmp_path, unbuffered):
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_stdout_reader_leaving_after_the_first_chunk_exits_4(tmp_path, unbuffered):
-    # D6 at degree 3 streams in three chunks: the head, 1,000 entries, and
-    # the last 80 entries with the tail
+    # D6 at degree 3 streams in 23 chunks: the head, 21 of 50 entries, and
+    # the last 30 entries with the tail
     spec = tmp_path / "d6.txt"
     spec.write_text("degree: 3\nsingularities: D6\n", encoding="utf-8")
     first, *rest = certificate_chunks(build_tiger(SurfaceSpec(3, ("D6",))))
-    assert len(rest) == 2
+    assert len(rest) == 22
     child = run_module(
         "tiger", "--spec", str(spec), env={"PYTHONUNBUFFERED": unbuffered},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,

@@ -8,6 +8,7 @@ path.
 
 import dataclasses
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -33,14 +34,18 @@ from dpcylinders.tigers import (
     MULTIPLICITY_BUDGET,
     NEGATIVE_SELF_INTERSECTION,
     NOTE_OWN_COEFFICIENTS,
+    Part,
     PointSpec,
+    TigerCertificate,
+    every_split,
     narrate,
     part_numbers,
     split_parts,
+    square_and_dim,
     square_survivors,
 )
 
-from box_walk import box_survivors, every_outcome, every_split_of
+from box_walk import box, box_survivors, every_outcome
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
@@ -73,6 +78,16 @@ def curve_pairings(row, part):
 def reference_class(table, row, part):
     """The part as a class of the pairing table, read by curve label."""
     return table.part(part.multiple, dict(zip(row.curves, part.coefficients, strict=True)))
+
+
+def parts_of(row, numbers):
+    """Both parts of a split from its numbers as ``every_split`` lists them:
+    each part's multiple, coefficients, pairings, square and dim."""
+    n = len(row.curves)
+    return tuple(
+        Part(v[0], v[1:n + 1], v[n + 1:2 * n + 2], v[2 * n + 2], v[2 * n + 3])
+        for v in (numbers[:2 * n + 4], numbers[2 * n + 4:])
+    )
 
 
 def point_caps(row, parts):
@@ -213,10 +228,10 @@ def test_part_numbers_match_pairing_table():
     for case_id, d in checks:
         row = row_by_id(case_id)
         table, _ = row_reference(row, d)
-        # the parts every split hands over, as a v1 document lists them
-        for split, parts in every_split_of(row, d):
-            assert parts == split_parts(row, d, split.part1)
-            for part in parts:
+        # the parts the walk hands over, as a v1 document lists them
+        cert = build_tiger(SurfaceSpec(*minimal_spec_args(case_id, d)))
+        for _, numbers in every_split(cert):
+            for part in parts_of(row, numbers):
                 cls = reference_class(table, row, part)
                 assert table.pair(cls, cls) == part.square
                 assert pairings(table, cls) == labelled(row, part)
@@ -228,6 +243,9 @@ def test_residual_parity_guard():
     row = row_by_id("deg7plus")
     with pytest.raises(ValueError, match="parity"):
         part_numbers(row, 7, Fraction(1, 2), ())
+    # pairings no class has: 2(-K) with K.K = 3/2
+    with pytest.raises(ValueError, match="parity"):
+        square_and_dim((2,), (-3,))
 
 
 # ------------------------------------------------------- split enumeration
@@ -358,6 +376,31 @@ def arbitrary_boxes(draw, cap=5000):
 def test_walk_matches_the_box_walk_beyond_the_table(case):
     row, d = case
     assert square_survivors(row, d) == box_survivors(row, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_boxes(cap=2000))
+def test_running_sums_match_the_closed_form_beyond_the_table(case):
+    """The walk's running pairings, squares and dims equal ``split_parts``
+    at every split of a redrawn box, in the box's lexicographic order, and
+    the walked survivors ride along exactly where part 1's square is > -2."""
+    row, d = case
+    # a marked point on E needs E among the row's curves
+    row = dataclasses.replace(row, point=PointSpec(
+        tuple(c for c in row.point.curves if row.e_coefficient or c != "E")
+    ))
+    cert = TigerCertificate(SurfaceSpec(d, ()), row, None, enumerate_decompositions(row, d))
+    walked = {split.part1: split for split in cert.decompositions}
+    rows = list(every_split(cert))
+    assert len(rows) == prod(c + 1 for c in row.coefficients)
+    part1s = []
+    for survivor, numbers in rows:
+        parts = parts_of(row, numbers)
+        part1s.append(parts[0].coefficients)
+        assert parts == split_parts(row, d, parts[0].coefficients)
+        assert survivor is walked.get(parts[0].coefficients)
+        assert (survivor is None) == (parts[0].square <= -2)
+    assert part1s == list(box(row))
 
 
 def test_enumeration_rejects_wrong_degree():

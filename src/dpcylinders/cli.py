@@ -6,21 +6,27 @@ Exit codes:
   20  classify: no cylinder for any polarization; tiger: nothing to build
   30  tiger/sweep: construction discrepancy (an unobstructed decomposition
       or a spec no case covers)
-  2   unreadable, non-UTF-8 or malformed spec file, or a usage error such
-      as a missing --spec (argparse exits with it)
+  2   unreadable, non-UTF-8, malformed or overlong (more than
+      MAX_SPEC_BYTES, 65,536 bytes) spec file, or a usage error such as a
+      missing --spec (argparse exits with it)
   3   well-formed file describing an invalid surface spec
   4   cannot write the document: the --out file (refused before any work
       when its directory is missing or it exists and is not a regular
       file), or stdout (a closed stream, or a reader that left before the
       whole document was read)
+  130 interrupted by SIGINT, 143 by SIGTERM: "error: interrupted" on
+      stderr, and an --out target left as it was, with no file behind
 
 Messages go to stderr; a closed stderr drops them and keeps the exit code.
+The signals are caught by ``entry``, the ``dpcyl`` command; ``main`` called
+in-process leaves the caller's signal handling alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import stat
 import sys
 import tempfile
@@ -49,17 +55,33 @@ EXIT_BAD_FILE = 2
 EXIT_BAD_SPEC = 3
 EXIT_CANNOT_WRITE = 4
 
+# a spec file is a few short lines; reading stops one byte past this
+MAX_SPEC_BYTES = 65536
+
+_INTERRUPTS = (signal.SIGINT, signal.SIGTERM)
+
 
 class OutputError(Exception):
     """The --out file or stdout cannot be written."""
 
 
+class Interrupted(BaseException):
+    """SIGINT or SIGTERM, raised with its number by the handler ``entry``
+    installs.  Like KeyboardInterrupt it is no Exception, so no handler for
+    errors takes it, and it unwinds through the ``finally`` that removes an
+    unfinished --out file."""
+
+
 def _load_spec(path: str) -> SurfaceSpec:
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_SPEC_BYTES + 1)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if len(data) > MAX_SPEC_BYTES:
+        raise SpecFileError(f"cannot read {path}: longer than {MAX_SPEC_BYTES} bytes")
+    try:
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SpecFileError(
             f"cannot read {path}: not UTF-8 text (bad byte at offset {exc.start})"
@@ -125,40 +147,47 @@ def _output(out: Optional[str]) -> Iterator[Writer]:
         yield _write_stdout
         return
     target = os.path.realpath(out)
+    # SIGINT and SIGTERM, which ``entry`` turns into an exception, wait
+    # until the temporary file's removal is armed, so they cannot leave it
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _INTERRUPTS)
     try:
         try:
-            st = os.stat(target)
-        except FileNotFoundError:
-            # a new file gets the mode open() would give it
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        else:
-            if not stat.S_ISREG(st.st_mode):
-                raise OutputError(f"cannot write {out}: not a regular file")
-            mode = stat.S_IMODE(st.st_mode)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".dpcyl-")
-    except OSError as exc:
-        raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    fh = os.fdopen(fd, "w", encoding="utf-8")
-
-    def write(chunks: Iterable[str]) -> None:
-        try:
-            with fh:
-                fh.writelines(chunks)
-            os.replace(tmp, target)
+            try:
+                st = os.stat(target)
+            except FileNotFoundError:
+                # a new file gets the mode open() would give it
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            else:
+                if not stat.S_ISREG(st.st_mode):
+                    raise OutputError(f"cannot write {out}: not a regular file")
+                mode = stat.S_IMODE(st.st_mode)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".dpcyl-")
         except OSError as exc:
             raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        fh = os.fdopen(fd, "w", encoding="utf-8")
 
-    try:
-        # mkstemp makes the file private
-        with suppress(OSError):
-            os.fchmod(fd, mode)
-        yield write
+        def write(chunks: Iterable[str]) -> None:
+            try:
+                with fh:
+                    fh.writelines(chunks)
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            # mkstemp makes the file private
+            with suppress(OSError):
+                os.fchmod(fd, mode)
+            yield write
+        finally:
+            fh.close()
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
     finally:
-        fh.close()
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _cmd_classify(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> int:
@@ -279,8 +308,28 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CANNOT_WRITE
 
 
+def _ignore_interrupts() -> None:
+    for signum in _INTERRUPTS:
+        signal.signal(signum, signal.SIG_IGN)
+
+
+def _interrupt(signum: int, frame: object) -> None:
+    # one signal is enough: a second one must not break into the cleanup
+    _ignore_interrupts()
+    raise Interrupted(signum)
+
+
 def entry() -> None:
-    sys.exit(main())
+    for signum in _INTERRUPTS:
+        signal.signal(signum, _interrupt)
+    try:
+        code = main()
+        # the work is done, and a late signal must not break into the exit
+        _ignore_interrupts()
+    except Interrupted as exc:
+        _write_stderr("error: interrupted\n")
+        code = 128 + exc.args[0]
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from dpcylinders.tigers import (
     NEGATIVE_SELF_INTERSECTION,
 )
 
-from box_walk import every_outcome
+from box_walk import box_walk, every_outcome
 from coordinate_oracle import OracleUnavailable, check_row
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
@@ -136,11 +136,7 @@ def test_acceptance_3_residual_fixture_suite():
                 assert cert.row.residual(d).dim == ev(fix.dim, d)
         # the one-node cubic's three negative split squares
         row = next(r for r in case_tables() if r.case_id == "A1deg3")
-        squares = [
-            tigers.split_parts(row, 3, o.part1)[0].square
-            for o in every_outcome(row, 3)
-        ]
-        assert squares[1:] == [1, -5, -15]
+        assert box_walk(row, 3).squares[1:].tolist() == [1, -5, -15]
 
 
 def test_acceptance_4_oracle_equivalence():

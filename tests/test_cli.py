@@ -1,12 +1,16 @@
 """Command line behavior: exit codes, document round-trips, reproducibility."""
 
+import codecs
 import copy
 import json
 import os
 import re
+import resource
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -155,6 +159,46 @@ def test_non_utf8_spec_file_is_a_bad_file(tmp_path, capsys, command):
     assert code == cli.EXIT_BAD_FILE
     assert out == ""
     assert err == f"error: cannot read {path}: not UTF-8 text (bad byte at offset 0)\n"
+
+
+def test_spec_file_past_the_size_limit_is_a_bad_file(tmp_path, capsys):
+    # a valid spec padded with a comment to the limit, then one byte more
+    text = "degree: 3\nsingularities: A1\n#"
+    path = tmp_path / "spec.txt"
+    path.write_text(text + "x" * (cli.MAX_SPEC_BYTES - len(text)), encoding="utf-8")
+    assert run_cli(capsys, "classify", "--spec", str(path))[0] == cli.EXIT_OK
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("x")
+    code, out, err = run_cli(capsys, "classify", "--spec", str(path))
+    assert (code, out) == (cli.EXIT_BAD_FILE, "")
+    assert err == f"error: cannot read {path}: longer than {cli.MAX_SPEC_BYTES} bytes\n"
+
+
+@st.composite
+def spec_bytes(draw):
+    """Arbitrary bytes or a valid spec, after a byte-order mark or not,
+    with an invalid or a multi-byte UTF-8 sequence or not, padded to within
+    two bytes of the size limit or not."""
+    data = draw(st.sampled_from([b"", codecs.BOM_UTF8]))
+    data += draw(st.binary(max_size=40) | st.sampled_from(
+        [text.encode() for text in SPEC_FILES.values()]
+    ))
+    data += draw(st.sampled_from([b"", b"\xff", b"\xc3", b"\xed\xa0\x80", "\u00e9".encode()]))
+    if draw(st.booleans()):
+        size = cli.MAX_SPEC_BYTES + draw(st.integers(-2, 2))
+        data += b"\n#" + b"x" * (size - len(data) - 2)
+    return data
+
+
+@given(spec_bytes())
+def test_any_spec_file_gives_a_documented_exit_code(spec_dir, data):
+    path = spec_dir / "arbitrary.bin"
+    path.write_bytes(data)
+    code = cli.main(["classify", "--spec", str(path)])
+    assert code in (
+        cli.EXIT_OK, cli.EXIT_NO_ANTICANONICAL, cli.EXIT_NO_CYLINDER,
+        cli.EXIT_BAD_FILE, cli.EXIT_BAD_SPEC,
+    )
 
 
 @pytest.mark.parametrize("command", ["classify", "tiger", "sweep"])
@@ -658,6 +702,47 @@ def test_closed_stdout_exits_4(spec_dir, capsys, monkeypatch):
 
 
 # ------------------------------------------------------------------- stderr
+
+def test_endless_spec_file_is_refused_in_bounded_memory():
+    # /dev/zero never ends; under a 256 MiB address space an unbounded read
+    # dies with a MemoryError traceback
+    limit = 256 * 2**20
+    child = run_module(
+        "classify", "--spec", "/dev/zero",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, out) == (cli.EXIT_BAD_FILE, "")
+    assert err == f"error: cannot read /dev/zero: longer than {cli.MAX_SPEC_BYTES} bytes\n"
+
+
+@pytest.mark.parametrize(
+    "signum,code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)], ids=["SIGINT", "SIGTERM"]
+)
+def test_interrupted_run_exits_with_a_named_error_and_no_file(tmp_path, signum, code):
+    spec = tmp_path / "d8.txt"
+    spec.write_text("degree: 1\nsingularities: D8\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "cert.json"
+    target.write_text("the previous certificate\n", encoding="utf-8")
+    # the 177 MB degree 1 D8 certificate takes about a second to write
+    child = run_module(
+        "tiger", "--spec", str(spec), "--out", str(target),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    deadline = time.monotonic() + 60
+    while not list(out_dir.glob(".dpcyl-*")):
+        assert child.poll() is None and time.monotonic() < deadline
+        time.sleep(0.005)
+    child.send_signal(signum)
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == code
+    assert err == "error: interrupted\n"
+    assert target.read_text(encoding="utf-8") == "the previous certificate\n"
+    assert [p.name for p in out_dir.iterdir()] == ["cert.json"]
+
 
 @pytest.mark.parametrize(
     "args,code",

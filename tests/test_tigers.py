@@ -45,7 +45,7 @@ from dpcylinders.tigers import (
     square_survivors,
 )
 
-from box_walk import box, box_survivors, every_outcome
+from box_walk import box, box_survivors, box_walk, every_outcome
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
@@ -412,17 +412,25 @@ def test_every_witness_recomputes():
     """Each stored obstruction is re-derived here from the part numbers.
 
     This is a full reimplementation of the obstruction logic as a check;
-    any drift between the two is a real bug in one of them.
+    any drift between the two is a real bug in one of them.  The numbers
+    are the box walk's: part 1's square at every split, both parts at each
+    split that survives it.
     """
     for row in case_tables():
         mu = row.residual_multiplicity
         for d in row.degrees:
             full = part_numbers(row, d, row.multiple, row.coefficients)
-            for o in every_outcome(row, d):
+            walk = box_walk(row, d)
+            for o, square in zip(every_outcome(row, d), walk.squares, strict=True):
                 obs = o.obstruction
-                w = dict(obs.witness)
-                parts = split_parts(row, d, o.part1)
                 assert obs.describe()
+                if square <= -2:
+                    # killed on part 1's square, the one number the walk keeps
+                    assert obs.kind == NEGATIVE_SELF_INTERSECTION
+                    assert obs.witness == (("part", 1), ("square", square))
+                    continue
+                w = dict(obs.witness)
+                parts = walk.survivors[o.part1]
 
                 if obs.kind == NEGATIVE_SELF_INTERSECTION:
                     r = parts[w["part"] - 1]

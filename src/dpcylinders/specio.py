@@ -4,26 +4,31 @@ Spec files are two-line key/value text ("degree: 3", "singularities: A1, A4");
 documents are JSON with sorted keys and a trailing newline, so identical
 inputs always render byte-identical output.  Rational values travel as
 strings in lowest terms ("9/4").  A certificate document is rendered as a
-stream of chunks, since it lists every split of its box.
+stream of chunks, since it lists every split of its box: its entries are
+filled from per-half templates, text rendered once for each point of the
+box's trailing half and once for each point of its leading half, so that
+a split renders only the numbers that cross the cut between the halves.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import count, zip_longest
+from itertools import groupby, zip_longest
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from .classify import Verdict
 from .lattice import InvalidSpec, SurfaceSpec, excerpt
 from .tigers import (
+    BoxHalves,
     CaseTable,
+    HalfPoint,
     Obstruction,
     Part,
     TigerCertificate,
     build_tiger,
-    every_split,
+    half_walk,
     killed_by_square,
 )
 
@@ -131,37 +136,94 @@ def _part_block(row: CaseTable, label: str, part: Part) -> dict[str, Any]:
 # A split entry sits at depth 2 of a certificate document (the top-level
 # object, then the "decompositions" array), its keys at depth 3.
 _ENTRY_INDENT = " " * 4
-# A field of an entry skeleton: "\0" and the index of its value.
+# A field of an entry skeleton: "\0" and the index of its source.
 _FIELD = "\0"
 _FIELD_RE = re.compile(r'"\\u0000(\d+)"')
 
 
-def _entry_template(row: CaseTable) -> tuple[str, Callable[[tuple], tuple]]:
-    """A split entry of the row's certificates as a %-template, and the
-    picker of the template's values, in template order, from
-    (obstruction text, part 1 numbers, part 2 numbers).
+def _entry_form(row: CaseTable, halves: BoxHalves) -> tuple[
+    Callable[[HalfPoint], list[str]],
+    Callable[[HalfPoint], tuple[str, ...]],
+    Callable[[tuple], tuple],
+]:
+    """A split entry of the row's certificates, cut by where its text
+    comes from.
 
-    A part's numbers are the fields of its ``Part`` in order: its multiple,
-    coefficients, pairings, square and dim, as ``every_split`` lists them.
-    Every entry of a row has one key layout, so the template is the
-    rendering of one skeleton entry whose integers are numbered fields.
+    Every entry of a row has one key layout: the rendering of a skeleton
+    entry whose values are numbered fields.  Its text is the leading
+    point's numbers with the text around them, and between them the values
+    of a split: its obstruction text, each run of the trailing point's
+    numbers with the text between them, and each of ``half_walk``'s numbers
+    across the cut.  Returns the entry template of a leading point, a list
+    whose odd places take a split's values; the runs of a trailing point;
+    and the picker of a split's values, in template order, from (numbers
+    across the cut as text, obstruction text, trailing runs).
     """
-    fields = (f"{_FIELD}{i}" for i in count(1))
+    sources: list[tuple] = []
+
+    def field(*source: object) -> str:
+        sources.append(source)
+        return f"{_FIELD}{len(sources) - 1}"
+
+    at_cut = {k: c for c, k in enumerate(halves.at_cut)}
+
+    def number(p: int, k: int) -> str:
+        if k in at_cut:
+            return field("crossing", 4 + p * len(at_cut) + at_cut[k])
+        return field("trailing" if k in halves.trailing_only else "leading", p, k)
+
     n = len(row.curves)
-
-    def blank() -> Part:
-        numbers = [next(fields) for _ in range(2 * n + 4)]
-        return Part(numbers[0], tuple(numbers[1:n + 1]), tuple(numbers[n + 1:-2]),
-                    *numbers[-2:])
-
+    blank = [
+        Part(multiple, tuple(number(p, k) for k in range(n)),
+             tuple(number(p, k) for k in range(n, 2 * n + 1)),
+             field("crossing", 2 * p), field("crossing", 2 * p + 1))
+        for p, multiple in enumerate((1, row.multiple - 1))
+    ]
     skeleton = _ENCODER.encode({
-        "obstruction": f"{_FIELD}0",
-        "part1": _part_block(row, "F1", blank()),
-        "part2": _part_block(row, "F2", blank()),
+        "obstruction": field("obstruction"),
+        "part1": _part_block(row, "F1", blank[0]),
+        "part2": _part_block(row, "F2", blank[1]),
     })
     text = _ENTRY_INDENT + skeleton.replace("\n", "\n" + _ENTRY_INDENT)
-    order = [int(i) for i in _FIELD_RE.findall(text)]
-    return _FIELD_RE.sub("%s", text.replace("%", "%%")), itemgetter(*order)
+    # the text between fields, then each field's source, in text order
+    pieces = _FIELD_RE.split(text)
+    items = [("text", piece) if i % 2 == 0 else sources[int(piece)]
+             for i, piece in enumerate(pieces)]
+
+    def holder(i: int) -> object:
+        kind = items[i][0]
+        if kind == "text":
+            # text between two trailing numbers joins their run
+            inside = 0 < i < len(items) - 1 and items[i - 1][0] == items[i + 1][0] == "trailing"
+            return "trailing" if inside else "leading"
+        return kind if kind in ("leading", "trailing") else i
+
+    fixed: list[list[tuple]] = []
+    runs: list[list[tuple]] = []
+    # each value's place in (*crossing, obstruction text, *runs)
+    crossing = 4 + 2 * len(at_cut)
+    order: list[int] = []
+    for kind, group in groupby(range(len(items)), holder):
+        members = [items[i] for i in group]
+        if kind == "leading":
+            fixed.append(members)
+        elif kind == "trailing":
+            order.append(crossing + 1 + len(runs))
+            runs.append(members)
+        else:
+            (source,) = members
+            order.append(crossing if source[0] == "obstruction" else source[1])
+
+    def fill(members: list[tuple], point: HalfPoint) -> str:
+        return "".join(m[1] if m[0] == "text" else str(point.numbers[m[1]][m[2]])
+                       for m in members)
+
+    def template(point: HalfPoint) -> list[str]:
+        entry = [""] * (2 * len(fixed) - 1)
+        entry[::2] = [fill(members, point) for members in fixed]
+        return entry
+
+    return template, lambda point: tuple(fill(run, point) for run in runs), itemgetter(*order)
 
 
 def _obstruction_text(obstruction: Optional[Obstruction]) -> str:
@@ -199,11 +261,21 @@ def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
     }
 
 
+class _Texts(dict):
+    """Each integer's decimal text, made once: a lookup takes a quarter
+    of the time of ``str`` on an int."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
 # split entries per chunk of a streamed certificate.  An entry is at most
 # about 2.2 KB, so a chunk and its encoding stay near 110 KB and are served
 # again and again from the heap; megabyte chunks were mapped and faulted in
 # afresh each time (87,000 page faults and 0.2 s of kernel time for D8 at
-# degree 1, against 3,000 faults at 50 entries).
+# degree 1, against 3,000 faults at 50 entries).  An entry is one join of
+# its leading point's template, and a chunk one join of its entries.
 _BATCH = 50
 
 
@@ -214,35 +286,39 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
 
     The document lists every split of the box with both parts' numbers, so
     it is checkable on its own; its size grows with the box, the memory
-    used here does not.
+    used here does not.  The box is walked in two halves (``BoxHalves``):
+    each trailing point's runs of numbers are rendered once, each leading
+    point's entry template when the walk reaches it, and a split fills in
+    its obstruction text, the runs and the numbers across the cut.
     """
     empty = '"decompositions": []'
     head, _, tail = render_document(_certificate_shell(cert)).partition(empty)
-    template, pick = _entry_template(cert.row)
-    # where part 1's square sits in a split's numbers: after its multiple,
-    # n coefficients and n + 1 pairings
-    square_at = 2 * len(cert.row.curves) + 2
+    halves = BoxHalves(cert.row, cert.spec.degree)
+    template, trail_runs, pick = _entry_form(cert.row, halves)
+    runs = [trail_runs(point) for point in halves.trailing]
     # obstruction texts by the walked obstruction, or by the part-1 square
     # that kills a split
     texts: dict[Union[Optional[Obstruction], int], str] = {}
+    decimal = _Texts().__getitem__
     # a box always holds the split with first part 0, so the array is never empty
     yield head + empty[:-1] + "\n"
     entries: list[str] = []
-    # every entry after the first starts with the separator
-    form, following = template, ",\n" + template
-    for survivor, numbers in every_split(cert):
-        key = numbers[square_at] if survivor is None else survivor.obstruction
+    separator, current = "", None
+    for survivor, lead, j, crossing in half_walk(cert, halves):
+        if lead is not current:
+            entry, current = template(lead), lead
+        key = crossing[0] if survivor is None else survivor.obstruction
         text = texts.get(key)
         if text is None:
             text = texts[key] = _obstruction_text(
                 killed_by_square(key) if survivor is None else key
             )
-        entries.append(form % pick((text, *numbers)))
-        form = following
+        entry[1::2] = pick((*map(decimal, crossing), text, *runs[j]))
+        entries.append("".join(entry))
         if len(entries) == _BATCH:
-            yield "".join(entries)
-            entries = []
-    yield "".join(entries) + "\n  ]" + tail
+            yield separator + ",\n".join(entries)
+            entries, separator = [], ",\n"
+    yield (separator + ",\n".join(entries) if entries else "") + "\n  ]" + tail
 
 
 def certificate_document(cert: TigerCertificate) -> dict[str, Any]:

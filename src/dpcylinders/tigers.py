@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import ceil, floor, isqrt, prod
-from operator import add, mul, sub
-from typing import Iterator, Optional
+from operator import add, mul
+from typing import Iterator, NamedTuple, Optional
 
 from .lattice import DynkinType, SurfaceSpec, gram_table
 from .linear_systems import conditions, max_multiplicity_budget
@@ -511,7 +511,7 @@ def enumerate_decompositions(row: CaseTable, degree: int) -> tuple[Split, ...]:
 
     Splits run in ascending lexicographic order of the first part's
     coefficient vector over the row's curves, E last.  Every other split of
-    the box has part-1 square <= -2; :func:`every_split` lists them all.
+    the box has part-1 square <= -2; :func:`half_walk` lists them all.
     """
     if degree not in row.degrees:
         raise ValueError(f"case {row.case_id} does not apply at degree {degree}")
@@ -528,7 +528,7 @@ class TigerCertificate:
     for the degree-driven rows) and the splits that survive part 1's square
     test, each with its obstruction.
 
-    Every other split dies on part 1's square (:func:`every_split` lists
+    Every other split dies on part 1's square (:func:`half_walk` lists
     them all), and every other number of the certificate is read off the
     case row.
     """
@@ -552,49 +552,125 @@ def killed_by_square(square: int) -> Obstruction:
     return Obstruction(NEGATIVE_SELF_INTERSECTION, (("part", 1), ("square", square)))
 
 
-def every_split(
-    cert: TigerCertificate,
-) -> Iterator[tuple[Optional[Split], tuple[int, ...]]]:
-    """Every split of the certificate's box with both parts' numbers, in
-    ascending lexicographic order of part 1's coefficients.
+class HalfPoint(NamedTuple):
+    """One point of a half of a certificate's box, with the numbers of its
+    splits that depend on that half alone.
 
-    A split's numbers are one flat row: part 1's multiple, coefficients,
-    pairings, square and dim (the fields of its ``Part``), then part 2's.
-    A survivor of part 1's square test comes with its walked ``Split``;
-    every other split with None, killed by the part-1 square in its row.
-
-    The pairings are linear in the coefficients, so the walk cuts the box's
-    coordinates into a leading and a trailing half and sums the pairing
-    columns once per point of each half.  A split adds one leading and one
-    trailing sum for part 1's pairings; part 2's are the residual's minus
-    part 1's.
+    ``numbers`` holds each part's coefficients over the row's curves, 0 off
+    the half, then its pairings (P.K, P.C_1, ..., P.C_n) as this half's
+    share: a pairing is the leading share plus the trailing one, and a
+    share is 0 where only the other half moves the pairing.  ``at_cut`` is
+    the shares of the pairings both halves move, part 1's then part 2's.
+    ``terms`` are this half's shares of part 1's square and of
+    P^2 - P.K (twice its dim), then of part 2's; a split adds the leading
+    share, the trailing share and the term across the cut, the dot product
+    of the two halves' ``across``.
     """
-    row, degree = cert.row, cert.spec.degree
+
+    coefficients: tuple[int, ...]
+    numbers: tuple[tuple[int, ...], tuple[int, ...]]
+    terms: tuple[int, int, int, int]
+    across: tuple[int, ...]
+    at_cut: tuple[int, ...]
+
+
+class BoxHalves:
+    """A (case row, degree) box cut into a leading and a trailing half of
+    its coordinates: the first ``n // 2`` of its n curves, and the rest.
+
+    Part 1 is  P = -K - A - B,  A and B the two halves' curves with their
+    coefficients, so  P^2 = (-K - A)^2 + (B^2 + 2 K.B) + 2 A.B,  and A.B
+    pairs only the curves that meet across the cut.  Part 2 is  N - P  for
+    the residual N, so its square  N^2 - 2 N.P + P^2  adds one more share
+    of each half, from the linear  N.P.  The coefficients and pairings are
+    linear too; the constants, those of -K and of N, go to the trailing
+    half for the numbers that only it moves, else to the leading half.
+
+    ``at_cut`` and ``trailing_only`` index a part's ``HalfPoint.numbers``:
+    the numbers that take both halves, in ``HalfPoint.at_cut`` order, and
+    the ones the trailing half holds alone.  The leading half holds the
+    rest.  ``trailing`` lists the trailing half's points; ``leading()``
+    makes the leading half's, as a walk reaches them.  Both run in
+    ascending lexicographic order.
+    """
+
+    def __init__(self, row: CaseTable, degree: int) -> None:
+        box = row.coefficients
+        n = len(box)
+        self.row, self.degree, self.cut = row, degree, n // 2
+        columns = row.pairing_columns
+        # the pairings each half moves
+        lead, trail = ({i for column in half for i, _ in column}
+                       for half in (columns[:self.cut], columns[self.cut:]))
+        self.at_cut = tuple(n + i for i in sorted(lead & trail))
+        self.trailing_only = frozenset(range(self.cut, n)) | {n + i for i in trail - lead}
+        # the trailing curves that meet a leading one
+        self._meeting = [k - n - 1 for k in self.at_cut if k - n - 1 >= self.cut]
+        # the numbers of -K, as part 1's constant share, and of N
+        self._minus_k = (0,) * n + _pairings(row, degree, 1, ())
+        self._residual = row.residual(degree)
+        self._residual_numbers = box + self._residual.pairings
+        self.trailing = tuple(
+            self._point(b, False) for b in product(*(range(c + 1) for c in box[self.cut:]))
+        )
+
+    def leading(self) -> Iterator[HalfPoint]:
+        for a in product(*(range(c + 1) for c in self.row.coefficients[:self.cut])):
+            yield self._point(a, True)
+
+    def _point(self, a: tuple[int, ...], leading: bool) -> HalfPoint:
+        row, degree, cut, residual = self.row, self.degree, self.cut, self._residual
+        n = len(row.coefficients)
+        full = a + (0,) * (n - cut) if leading else (0,) * cut + a
+        moves = _pairings(row, degree, 0, full)  # of -A, or -B
+        # where this half holds the constant share
+        owned = [(k in self.trailing_only) != leading for k in range(2 * n + 1)]
+        part1 = tuple(v + c * o for v, c, o in zip(full + moves, self._minus_k, owned))
+        part2 = tuple(r * o - v for v, r, o in zip(part1, self._residual_numbers, owned))
+        # the half's class H is -K - A, or -B: its K-degree, its share of
+        # part 1's square, (-K - A)^2 or B^2 + 2 K.B, and N.H
+        m = int(leading)
+        k_degree = moves[0] - m * degree
+        square = m * degree - 2 * moves[0] - sum(map(mul, full, moves[1:]))
+        n_dot = -m * residual.pairings[0] - sum(map(mul, full, residual.pairings[1:]))
+        share2 = m * residual.square - 2 * n_dot + square
+        return HalfPoint(
+            a,
+            (part1, part2),
+            (square, square - k_degree, share2, share2 + k_degree - m * residual.pairings[0]),
+            # 2 A.C_j, or the coefficient b_j, for each trailing curve C_j met across the cut
+            tuple(-2 * moves[1 + j] if leading else full[j] for j in self._meeting),
+            tuple(part[k] for part in (part1, part2) for k in self.at_cut),
+        )
+
+
+def half_walk(
+    cert: TigerCertificate, halves: BoxHalves
+) -> Iterator[tuple[Optional[Split], HalfPoint, int, tuple[int, ...]]]:
+    """Every split of the certificate's box, in ascending lexicographic
+    order of part 1's coefficients, as the numbers that cross the cut of
+    ``halves``, the box's halves.
+
+    A split comes as its leading point, the index of its trailing point,
+    and part 1's square and dim, part 2's, then both parts' pairings at the
+    cut.  A survivor of part 1's square test comes with its walked
+    ``Split``; every other split with None, killed by that square.
+    """
     walked = {split.part1: split for split in cert.decompositions}
-    box = row.coefficients
-    cut = len(box) // 2
-    lead, trail = box[:cut], box[cut:]
-    # each point of a half with part 1's weights, part 2's and part 1's
-    # pairings; the leading half carries the parts' multiples, 1 and m - 1
-    leading = [
-        ((1, *a), (row.multiple - 1, *map(sub, lead, a)), _pairings(row, degree, 1, a))
-        for a in product(*(range(c + 1) for c in lead))
-    ]
-    trailing = [
-        (b, tuple(map(sub, trail, b)), _pairings(row, degree, 0, (0,) * cut + b))
-        for b in product(*(range(c + 1) for c in trail))
-    ]
-    residual = row.residual(degree).pairings
-    for lead1, lead2, lead_pairings in leading:
-        for trail1, trail2, trail_pairings in trailing:
-            weights1, weights2 = lead1 + trail1, lead2 + trail2
-            pairings1 = tuple(map(add, lead_pairings, trail_pairings))
-            pairings2 = tuple(map(sub, residual, pairings1))
-            square1, dim1 = square_and_dim(weights1, pairings1)
-            survivor = walked.get(weights1[1:]) if square1 > -2 else None
-            yield survivor, (
-                *weights1, *pairings1, square1, dim1,
-                *weights2, *pairings2, *square_and_dim(weights2, pairings2),
+    trailing = tuple(enumerate(halves.trailing))
+    for lead in halves.leading():
+        a, _, (lead1, twice_lead1, lead2, twice_lead2), lead_across, lead_cut = lead
+        for j, (b, _, (trail1, twice_trail1, trail2, twice_trail2), trail_across,
+                trail_cut) in trailing:
+            cross = sum(map(mul, lead_across, trail_across))
+            square1 = lead1 + trail1 + cross
+            twice1 = twice_lead1 + twice_trail1 + cross
+            twice2 = twice_lead2 + twice_trail2 + cross
+            if (twice1 | twice2) & 1:
+                raise ValueError("residual class has odd self-pairing parity")
+            yield walked.get(a + b) if square1 > -2 else None, lead, j, (
+                square1, twice1 >> 1, lead2 + trail2 + cross, twice2 >> 1,
+                *map(add, lead_cut, trail_cut),
             )
 
 

@@ -260,19 +260,19 @@ def test_out_replaces_the_target_whole(spec_dir, tmp_path, capsys):
 
 
 def interrupt_the_stream(monkeypatch, written):
-    """Break the certificate stream off after 1,050 splits of the walk that
-    fills it.  D6 at degree 3 has 1,080, so 21 chunks of 50 entries have
-    gone out by then: ``written()`` must show them."""
-    every_split = specio.every_split
+    """Break the certificate stream off after 1,050 splits of the half walk
+    that fills it.  D6 at degree 3 has 1,080, so 21 chunks of 50 entries
+    have gone out by then: ``written()`` must show them."""
+    half_walk = specio.half_walk
 
-    def interrupted(cert):
-        for n, split in enumerate(every_split(cert)):
+    def interrupted(cert, halves):
+        for n, split in enumerate(half_walk(cert, halves)):
             if n == 1050:
                 assert written() > 0
                 raise RuntimeError("interrupted")
             yield split
 
-    monkeypatch.setattr(specio, "every_split", interrupted)
+    monkeypatch.setattr(specio, "half_walk", interrupted)
 
 
 def test_interrupted_stream_leaves_the_out_target_alone(tmp_path, monkeypatch):

@@ -1,13 +1,17 @@
 """The streamed certificate document against the plain dict builder.
 
-``certificate_chunks`` renders a certificate from per-row templates;
+``certificate_chunks`` renders a certificate from per-half templates;
 ``certificate_reference`` builds the same document as one dict.  The two
 must agree byte for byte, wherever the stream cuts its chunks.
 """
 
 import collections
 import dataclasses
+import gc
+import json
 import tracemalloc
+from contextlib import contextmanager
+from itertools import islice, zip_longest
 from math import prod
 
 import pytest
@@ -38,14 +42,42 @@ def certificate_of(row, degree):
     return build_tiger(SurfaceSpec(*minimal_spec_args(row.case_id, degree)))
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector.  A reference document and a
+    parsed stream are a million acyclic dicts and lists on A7, which
+    reference counting frees; each pass of the collector would walk them
+    all again, about 0.8 s of an A7 case."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def assert_same_text(found, expected):
+    """Text equality that fails naming the first differing line: pytest's
+    own report of two unequal strings diffs them whole, for minutes on a
+    14 MB document."""
+    if found != expected:
+        lines = zip_longest(found.splitlines(), expected.splitlines())
+        number, pair = next((n, p) for n, p in enumerate(lines, 1) if p[0] != p[1])
+        raise AssertionError("line %d: %r != %r" % (number, *pair))
+
+
 @pytest.mark.parametrize(
     "row,d", SMALL_CASES, ids=[f"{row.case_id}-d{d}" for row, d in SMALL_CASES]
 )
 def test_stream_matches_the_dict_builder(row, d):
     cert = certificate_of(row, d)
-    reference = reference_document(cert)
-    assert "".join(certificate_chunks(cert)) == reference_text(reference)
-    assert certificate_document(cert) == reference
+    with collector_paused():
+        reference = reference_document(cert)
+        assert_same_text("".join(certificate_chunks(cert)), reference_text(reference))
+        # a bool, so that a failure does not print the two documents whole
+        same = certificate_document(cert) == reference
+        assert same
 
 
 @st.composite
@@ -77,10 +109,10 @@ def redrawn_certificates(draw, cap=300):
 @example(certificate_of(case_tables()[2], 5), 1)  # deg5: no curves, one split
 def test_stream_matches_the_dict_builder_beyond_the_table(cert, batch):
     # small batches cut the chunks at every place an entry can end
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, collector_paused():
         patch.setattr(specio, "_BATCH", batch)
         chunks = list(certificate_chunks(cert))
-    assert "".join(chunks) == reference_text(reference_document(cert))
+        assert_same_text("".join(chunks), reference_text(reference_document(cert)))
     splits = prod(c + 1 for c in cert.row.coefficients)
     # the head, a chunk per batch of splits, and the tail
     assert len(chunks) == 2 + splits // batch
@@ -94,7 +126,11 @@ def test_stream_renders_an_unobstructed_split(monkeypatch):
 
 
 def test_streaming_memory_does_not_grow_with_the_document():
-    """A8 at degree 1: 14,400 splits, a 31.7 MB document."""
+    """A8 at degree 1: 14,400 splits, a 31.7 MB document.  Then the first
+    chunks of the largest half tables, E8 and D8 at degree 1 (420 leading
+    and 360 trailing points, 672 and 120): they need the trailing half's
+    numbers and runs and one leading template, not a template per leading
+    point (about 0.8 MiB more on E8 and 1.1 MiB on D8)."""
     cert = build_tiger(SurfaceSpec(1, ("A8",)))
     assert prod(c + 1 for c in cert.row.coefficients) >= 5000
     bound = 8 * 2**20
@@ -106,6 +142,19 @@ def test_streaming_memory_does_not_grow_with_the_document():
         tracemalloc.stop()
     assert sum(sizes) > 3 * bound
     assert peak < bound
+
+    for singularity in ("E8", "D8"):
+        cert = build_tiger(SurfaceSpec(1, (singularity,)))
+        tracemalloc.start()
+        try:
+            chunks = certificate_chunks(cert)
+            sizes = collections.deque(map(len, islice(chunks, 4)))
+            chunks.close()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes) > 3 * 10**5
+        assert peak < 1.5 * 2**20, singularity
 
 
 def test_a_document_with_a_key_json_cannot_sort_is_refused():
@@ -127,3 +176,17 @@ def test_a_key_or_value_json_cannot_render_is_refused_at_its_line():
     status = next(n for n, line in enumerate(lines, start=1) if '"status"' in line)
     with pytest.raises(ValueError, match=f"line {status} holds a key or value .*set"):
         certificate_from_document(doc)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda values: st.lists(values, max_size=4)
+    | st.dictionaries(st.text(max_size=8), values, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(json_values)
+@example(reference_document(certificate_of(case_tables()[4], 2)))  # A2: 9 splits
+def test_the_reference_renders_as_json_dumps(value):
+    assert reference_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"

@@ -9,9 +9,10 @@ path.
 import dataclasses
 from fractions import Fraction
 from math import prod
+from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcylinders import (
@@ -34,10 +35,11 @@ from dpcylinders.tigers import (
     MULTIPLICITY_BUDGET,
     NEGATIVE_SELF_INTERSECTION,
     NOTE_OWN_COEFFICIENTS,
+    BoxHalves,
     Part,
     PointSpec,
     TigerCertificate,
-    every_split,
+    half_walk,
     narrate,
     part_numbers,
     split_parts,
@@ -80,14 +82,26 @@ def reference_class(table, row, part):
     return table.part(part.multiple, dict(zip(row.curves, part.coefficients, strict=True)))
 
 
-def parts_of(row, numbers):
-    """Both parts of a split from its numbers as ``every_split`` lists them:
-    each part's multiple, coefficients, pairings, square and dim."""
-    n = len(row.curves)
-    return tuple(
-        Part(v[0], v[1:n + 1], v[n + 1:2 * n + 2], v[2 * n + 2], v[2 * n + 3])
-        for v in (numbers[:2 * n + 4], numbers[2 * n + 4:])
-    )
+def walk_parts(cert):
+    """Every split of the certificate's box as ``half_walk`` gives it, with
+    its leading and trailing point, its numbers across the cut, and both
+    parts put together as a document reads them: each number from the half
+    that holds it, or from across the cut."""
+    row = cert.row
+    halves = BoxHalves(row, cert.spec.degree)
+    n, at_cut = len(row.curves), halves.at_cut
+    for survivor, lead, j, across in half_walk(cert, halves):
+        trail = halves.trailing[j]
+        parts = []
+        for p, multiple in enumerate((1, row.multiple - 1)):
+            numbers = [
+                across[4 + p * len(at_cut) + at_cut.index(k)] if k in at_cut
+                else (trail if k in halves.trailing_only else lead).numbers[p][k]
+                for k in range(2 * n + 1)
+            ]
+            parts.append(Part(multiple, tuple(numbers[:n]), tuple(numbers[n:]),
+                              *across[2 * p:2 * p + 2]))
+        yield survivor, lead, trail, across, tuple(parts)
 
 
 def point_caps(row, parts):
@@ -230,8 +244,8 @@ def test_part_numbers_match_pairing_table():
         table, _ = row_reference(row, d)
         # the parts the walk hands over, as a v1 document lists them
         cert = build_tiger(SurfaceSpec(*minimal_spec_args(case_id, d)))
-        for _, numbers in every_split(cert):
-            for part in parts_of(row, numbers):
+        for *_, parts in walk_parts(cert):
+            for part in parts:
                 cls = reference_class(table, row, part)
                 assert table.pair(cls, cls) == part.square
                 assert pairings(table, cls) == labelled(row, part)
@@ -246,6 +260,23 @@ def test_residual_parity_guard():
     # pairings no class has: 2(-K) with K.K = 3/2
     with pytest.raises(ValueError, match="parity"):
         square_and_dim((2,), (-3,))
+
+
+@pytest.mark.parametrize("term", [1, 3], ids=["part1", "part2"])
+def test_half_walk_checks_parity_at_every_split(term):
+    """The walk checks  P^2 - P.K  of both parts at each split: a trailing
+    point whose share of it is odd, which no class has, is refused at the
+    first split that reads it, after every split before it."""
+    cert = build_tiger(SurfaceSpec(2, ("A3",)))
+    halves = BoxHalves(cert.row, 2)
+    *others, last = halves.trailing
+    terms = list(last.terms)
+    terms[term] += 1
+    halves.trailing = (*others, last._replace(terms=tuple(terms)))
+    walk = half_walk(cert, halves)
+    assert len(list(zip(range(len(others)), walk))) == len(others)
+    with pytest.raises(ValueError, match="parity"):
+        next(walk)
 
 
 # ------------------------------------------------------- split enumeration
@@ -380,10 +411,24 @@ def test_walk_matches_the_box_walk_beyond_the_table(case):
 
 @settings(max_examples=60, deadline=None)
 @given(arbitrary_boxes(cap=2000))
+# E alone, so the leading half is empty
+@example((row_by_id("deg4or6"), 6))
+# E in the trailing half beside two nodes
+@example((dataclasses.replace(row_by_id("A3"), e_coefficient=2), 2))
+# the branch node D1 leads and meets D3 and D4 across the cut
+@example((row_by_id("D4"), 2))
+# the branch node D3 trails and meets D1 and D2 across the cut
+@example((row_by_id("D5"), 1))
+# the branch node D4 trails and meets D1 and D3 across the cut
+@example((row_by_id("E6"), 1))
 def test_running_sums_match_the_closed_form_beyond_the_table(case):
-    """The walk's running pairings, squares and dims equal ``split_parts``
-    at every split of a redrawn box, in the box's lexicographic order, and
-    the walked survivors ride along exactly where part 1's square is > -2."""
+    """The half walk's numbers equal ``split_parts`` at every split of a
+    redrawn box, in the box's lexicographic order, and the walked survivors
+    ride along exactly where part 1's square is > -2.
+
+    Each square and twice each dim is the leading share plus the trailing
+    share plus the term across the cut; each number is the leading share
+    plus the trailing one, the pairings at the cut included."""
     row, d = case
     # a marked point on E needs E among the row's curves
     row = dataclasses.replace(row, point=PointSpec(
@@ -391,13 +436,22 @@ def test_running_sums_match_the_closed_form_beyond_the_table(case):
     ))
     cert = TigerCertificate(SurfaceSpec(d, ()), row, None, enumerate_decompositions(row, d))
     walked = {split.part1: split for split in cert.decompositions}
-    rows = list(every_split(cert))
+    rows = list(walk_parts(cert))
     assert len(rows) == prod(c + 1 for c in row.coefficients)
     part1s = []
-    for survivor, numbers in rows:
-        parts = parts_of(row, numbers)
+    for survivor, lead, trail, across, parts in rows:
         part1s.append(parts[0].coefficients)
-        assert parts == split_parts(row, d, parts[0].coefficients)
+        expected = split_parts(row, d, parts[0].coefficients)
+        assert parts == expected
+        cross = sum(map(mul, lead.across, trail.across))
+        assert [x + y + cross for x, y in zip(lead.terms, trail.terms, strict=True)] == [
+            v for part in expected for v in (part.square, part.square - part.pairings[0])
+        ]
+        for p, part in enumerate(expected):
+            assert tuple(map(add, lead.numbers[p], trail.numbers[p])) == (
+                part.coefficients + part.pairings
+            )
+        assert across[4:] == tuple(map(add, lead.at_cut, trail.at_cut))
         assert survivor is walked.get(parts[0].coefficients)
         assert (survivor is None) == (parts[0].square <= -2)
     assert part1s == list(box(row))

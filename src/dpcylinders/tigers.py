@@ -12,9 +12,10 @@ The certificate additionally rules out that such a member is forced to
 contain an anticanonical part: every coefficientwise split of the relation
 into an anticanonical piece and a complementary piece must carry a numeric
 obstruction.  Almost every split dies on its anticanonical piece's square
-alone; a bounded lattice walk finds the few that do not, and only those are
-checked further.  A split with no obstruction found downgrades the
-certificate to a discrepancy report; it never passes silently.
+alone; growing the first parts from the zero split finds the few that do
+not, and only those are checked further.  A split with no obstruction
+found downgrades the certificate to a discrepancy report; it never passes
+silently.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import ceil, floor, isqrt, prod
+from math import prod
 from operator import add, mul
 from typing import Iterator, NamedTuple, Optional
 
@@ -130,34 +131,6 @@ class CaseTable:
             ))
             columns.append(tuple((i, v) for i, v in enumerate(dense) if v))
         return tuple(columns)
-
-    @cached_property
-    def square_form(self) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
-        """Part 1's square as a quadratic form, factored exactly.
-
-        For a first part c,  d - P^2 = y^T M y  with y = (c, 1) and
-        M = [[-G, -k], [-k^T, 0]]  (G the Gram matrix of the row's curves, k
-        their K-degrees).  -G is positive definite, so M = L D L^T with L
-        unit lower triangular and no pivoting, and
-        y^T M y = sum_j D_j (y_j + sum_{i>j} L_ij y_i)^2.  Returns L by rows
-        and D.
-        """
-        form = self.curve_form
-        n = len(form)
-        k = [k_degree for _, k_degree, _ in form]
-        m = [[-square if i == j else -int(j in neighbours) for j in range(n)] + [-k[i]]
-             for i, (square, _, neighbours) in enumerate(form)] + [[-x for x in k] + [0]]
-        lower = [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
-        diagonal: list[Fraction] = []
-        for j in range(n + 1):
-            diagonal.append(Fraction(m[j][j]) - sum(
-                lower[j][t] ** 2 * diagonal[t] for t in range(j)
-            ))
-            for i in range(j + 1, n + 1):
-                lower[i][j] = (m[i][j] - sum(
-                    lower[i][t] * lower[j][t] * diagonal[t] for t in range(j)
-                )) / diagonal[j]
-        return tuple(map(tuple, lower)), tuple(diagonal)
 
     @cached_property
     def point_indices(self) -> tuple[int, ...]:
@@ -467,42 +440,44 @@ def square_survivors(row: CaseTable, degree: int) -> list[tuple[int, ...]]:
     """The first-part coefficient vectors in the row's box whose part-1
     square is > -2, in ascending lexicographic order.
 
-    Part 1's square is an integer, so it is > -2 exactly when
-    y^T M y <= degree + 1 (see ``CaseTable.square_form``).  The walk fixes
-    the constant coordinate of y, then the coordinates from the last one
-    down; each term of the form bounds its coordinate to an interval around
-    a centre set by the coordinates already fixed, clipped to the box
-    (Fincke and Pohst, Math. Comp. 44, 1985).  Every other split of the box
-    dies on that square.
+    They are grown from the zero split, one curve at a time:  P - C_j  has
+    square  P^2 - 2 P.C_j + C_j^2,  and its pairings are P's plus column j
+    of ``pairing_columns``.  Every survivor is found.  The zero split's
+    first part is -K, of square degree >= 1.  Any other survivor P has a
+    survivor one unit below it, with a square no smaller, so each is
+    reached through survivors alone:
+
+    - if it takes E, with coefficient e > 0, then  P.E = 1 + e  (E is a
+      (-1)-curve of K-degree -1 that meets no node), and  P + E  has
+      square  P^2 + 2 P.E - 1 > P^2;
+    - else its node coefficients c are not all 0 and, a node having
+      K-degree 0,  P.C_j = (c, a_j)  for the positive definite form (,) of
+      the root lattice and its simple roots a_j.  As
+      (c, c) = sum_j c_j (c, a_j) > 0,  some j with c_j > 0 has
+      (c, a_j) >= 1,  and  P + C_j  has square  P^2 + 2 (c, a_j) - 2 >= P^2.
+
+    Every other split of the box dies on that square.
     """
-    lower, diagonal = row.square_form
-    box = row.coefficients
-    n = len(box)
-    found: list[tuple[int, ...]] = []
-    point = [0] * n + [1]
-
-    def descend(j: int, room: Fraction) -> None:
-        if j < 0:
-            found.append(tuple(point[:n]))
-            return
-        t = -sum(lower[i][j] * point[i] for i in range(j + 1, n + 1))
-        for x in _interval(t, room / diagonal[j], box[j]):
-            point[j] = x
-            descend(j - 1, room - diagonal[j] * (x - t) ** 2)
-
-    descend(n - 1, degree + 1 - diagonal[n])
+    form, columns, box = row.curve_form, row.pairing_columns, row.coefficients
+    zero = (0,) * len(box)
+    # each survivor's part-1 square and pairings (P.K, P.C_1, ..., P.C_n)
+    found = {zero: (degree, _pairings(row, degree, 1, ()))}
+    grow = [zero]
+    while grow:
+        point = grow.pop()
+        square, pairings = found[point]
+        for j, (curve_square, _, _) in enumerate(form):
+            grown_square = square - 2 * pairings[1 + j] + curve_square
+            if point[j] == box[j] or grown_square <= -2:
+                continue
+            grown = point[:j] + (point[j] + 1,) + point[j + 1:]
+            if grown not in found:
+                grown_pairings = list(pairings)
+                for i, change in columns[j]:
+                    grown_pairings[i] += change
+                found[grown] = grown_square, tuple(grown_pairings)
+                grow.append(grown)
     return sorted(found)
-
-
-def _interval(t: Fraction, s: Fraction, cap: int) -> range:
-    """The integers x in [0, cap] with (x - t)^2 <= s, for s >= 0."""
-    a = isqrt(floor(s))  # a <= sqrt(s) < a + 1
-    lo, hi = max(0, floor(t) - a - 1), min(cap, ceil(t) + a + 1)
-    while lo <= hi and (lo - t) ** 2 > s:
-        lo += 1
-    while hi >= lo and (hi - t) ** 2 > s:
-        hi -= 1
-    return range(lo, hi + 1)
 
 
 def enumerate_decompositions(row: CaseTable, degree: int) -> tuple[Split, ...]:
@@ -654,7 +629,8 @@ def half_walk(
     A split comes as its leading point, the index of its trailing point,
     and part 1's square and dim, part 2's, then both parts' pairings at the
     cut.  A survivor of part 1's square test comes with its walked
-    ``Split``; every other split with None, killed by that square.
+    ``Split``; every other split with None, killed by that square.  A
+    certificate whose splits lack a survivor raises KeyError.
     """
     walked = {split.part1: split for split in cert.decompositions}
     trailing = tuple(enumerate(halves.trailing))
@@ -668,7 +644,7 @@ def half_walk(
             twice2 = twice_lead2 + twice_trail2 + cross
             if (twice1 | twice2) & 1:
                 raise ValueError("residual class has odd self-pairing parity")
-            yield walked.get(a + b) if square1 > -2 else None, lead, j, (
+            yield walked[a + b] if square1 > -2 else None, lead, j, (
                 square1, twice1 >> 1, lead2 + trail2 + cross, twice2 >> 1,
                 *map(add, lead_cut, trail_cut),
             )

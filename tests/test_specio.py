@@ -125,6 +125,18 @@ def test_stream_renders_an_unobstructed_split(monkeypatch):
     assert "".join(certificate_chunks(cert)) == reference_text(reference_document(cert))
 
 
+def test_a_certificate_missing_a_survivor_is_not_rendered():
+    """A split whose part-1 square is > -2 must come from the certificate's
+    walked splits; rendering it as killed by that square would state a
+    false obstruction ("square 2 <= -2") under a certified status."""
+    cert = build_tiger(SurfaceSpec(2, ("A2",)))
+    assert cert.decompositions[0].part1 == (0, 0)
+    cert = dataclasses.replace(cert, decompositions=cert.decompositions[1:])
+    assert cert.status == "certified"
+    with pytest.raises(KeyError):
+        collections.deque(certificate_chunks(cert), 0)
+
+
 def test_streaming_memory_does_not_grow_with_the_document():
     """A8 at degree 1: 14,400 splits, a 31.7 MB document.  Then the first
     chunks of the largest half tables, E8 and D8 at degree 1 (420 leading

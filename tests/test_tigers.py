@@ -377,8 +377,9 @@ def test_every_split_everywhere_is_obstructed():
     "row,d", SPLIT_CASES, ids=[f"{row.case_id}-d{d}" for row, d in SPLIT_CASES]
 )
 def test_walk_finds_the_box_walks_survivors(row, d):
-    """The bounded walk returns exactly the splits of the whole box whose
-    first part has square > -2, in the same order, and obstructs each."""
+    """The growth from the zero split returns exactly the splits of the
+    whole box whose first part has square > -2, in the same order, and
+    obstructs each."""
     walked = enumerate_decompositions(row, d)
     assert [split.part1 for split in walked] == box_survivors(row, d)
     assert all(split.obstruction is not None for split in walked)
@@ -404,9 +405,25 @@ def arbitrary_boxes(draw, cap=5000):
 
 @settings(max_examples=60, deadline=None)
 @given(arbitrary_boxes())
+# no curves, so the box is the zero split alone
+@example((row_by_id("deg5"), 5))
+# nodes and E together at degree 1
+@example((dataclasses.replace(row_by_id("A3"), e_coefficient=2, degrees=(1,)), 1))
+# a middle node with coefficient 0 parts the chain
+@example((dataclasses.replace(row_by_id("A5"), node_coefficients=(1, 2, 0, 3, 2)), 1))
 def test_walk_matches_the_box_walk_beyond_the_table(case):
+    """The growth from the zero split finds the box walk's survivors, and
+    its premise holds: every survivor but the zero split has a survivor one
+    unit below it, with a square no smaller."""
     row, d = case
+    survivors = box_walk(row, d).survivors
     assert square_survivors(row, d) == box_survivors(row, d)
+    for part1, (part, _) in survivors.items():
+        if not any(part1):
+            continue
+        lower = (part1[:j] + (c - 1,) + part1[j + 1:] for j, c in enumerate(part1) if c)
+        below = [survivors[p][0].square for p in lower if p in survivors]
+        assert below and max(below) >= part.square, part1
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,10 +5,14 @@ existence classification and re-checkable non-log-canonical certificates
 ("tigers") with exhaustive decomposition obstructions.
 
 The top level exports the product path, parse -> classify -> build_tiger ->
-document.  Everything else is imported from its own module and is not
-loaded by ``import dpcylinders``.  That includes ``divisors``, the only
-reference module that ships: the pairing table the tests check the
-engine's numbers against.
+document.  ``import dpcylinders`` loads the first half, ``lattice``,
+``classify`` and ``specio``: a spec file is read, classified and its
+verdict written without the certificate path.  The certificate names,
+``build_tiger`` and the rest from ``tigers`` and the certificate documents
+of ``specio``, load ``tigers`` when first read.  Everything else is
+imported from its own module and is not loaded by ``import dpcylinders``.
+That includes ``divisors``, the only reference module that ships: the
+pairing table the tests check the engine's numbers against.
 """
 
 from .classify import Verdict, classify
@@ -21,16 +25,27 @@ from .specio import (
     render_document,
     verdict_document,
 )
-from .tigers import (
-    NoCaseApplies,
-    TigerCertificate,
-    build_tiger,
-    case_tables,
-    enumerate_decompositions,
-    select_case,
-)
 
 __version__ = "0.1.0"
+
+# Read through ``__getattr__``, which imports ``tigers`` on first use.  A
+# lazy name must not be the name of a submodule: once the submodule is
+# imported, the import system binds it on the package, and ``__getattr__``
+# is never asked.  That is why ``classify`` is imported above.
+_TIGERS_NAMES = frozenset({
+    "NoCaseApplies", "TigerCertificate", "build_tiger", "case_tables",
+    "enumerate_decompositions", "select_case",
+})
+
+
+def __getattr__(name: str) -> object:
+    if name not in _TIGERS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import tigers
+
+    value = globals()[name] = getattr(tigers, name)
+    return value
+
 
 __all__ = [
     "DynkinType",

@@ -8,7 +8,7 @@ collection; everything outside the lists has a cylinder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import DynkinType, SurfaceSpec, picard_rank
 
@@ -30,8 +30,7 @@ NO_POLAR_COLLECTIONS: tuple[tuple[DynkinType, ...], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     anticanonical_cylinder: bool
     h_polar_cylinder: bool
     picard_rank: int

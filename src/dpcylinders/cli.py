@@ -38,14 +38,40 @@ from .lattice import InvalidSpec, SurfaceSpec, enumerate_specs
 from .specio import (
     SpecFileError,
     certificate_chunks,
-    # unused here, but the benchmark's traced replay (bench/traced.py)
-    # wraps this name of the CLI module
-    certificate_document,  # noqa: F401
     parse_spec_text,
     render_document,
     verdict_document,
 )
-from .tigers import NoCaseApplies, build_tiger, narrate
+
+# The certificate path: the names a command needs once it builds a
+# certificate.  ``_load_certificate_path`` binds them into this module's
+# globals, so ``classify``, a refusal and ``tiger`` on a spec with no
+# anticanonical cylinder never load ``tigers``.
+_CERTIFICATE_PATH = frozenset({
+    "NoCaseApplies", "build_tiger", "narrate", "certificate_document",
+})
+
+
+def _load_certificate_path() -> None:
+    """Bind the certificate path's names here, keeping any name already
+    bound: a wrapper or a test's stand-in stays in place."""
+    from .specio import certificate_document
+    from .tigers import NoCaseApplies, build_tiger, narrate
+
+    # a snapshot: the loop's own names must not join it
+    for name, value in list(locals().items()):
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str) -> object:
+    # a certificate name read before a command has loaded it: the
+    # benchmark's traced replay (bench/traced.py) wraps ``build_tiger`` and
+    # ``certificate_document`` on this module
+    if name not in _CERTIFICATE_PATH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_certificate_path()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_NO_ANTICANONICAL = 10
@@ -208,6 +234,7 @@ def _cmd_tiger(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> in
             f"({verdict.anticanonical_reason}); nothing to build\n"
         )
         return EXIT_NO_CYLINDER
+    _load_certificate_path()
     try:
         cert = build_tiger(spec)
     except NoCaseApplies as exc:
@@ -225,6 +252,7 @@ def _cmd_tiger(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> in
 
 
 def _cmd_sweep(args: argparse.Namespace, _: None, write: Writer) -> int:
+    _load_certificate_path()
     lines = []
     failures = 0
     for spec in enumerate_specs():

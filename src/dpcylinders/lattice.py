@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 
 class InvalidSpec(ValueError):
@@ -48,22 +48,27 @@ _RANK_BOUNDS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class DynkinType:
-    """One ADE singularity type, e.g. ``A4`` or ``E8``."""
+class DynkinType(namedtuple("DynkinType", "family rank")):
+    """One ADE singularity type, e.g. ``A4`` or ``E8``.  Types compare and
+    sort as their (family, rank) pairs."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _RANK_BOUNDS:
-            raise InvalidSpec(f"unknown family {excerpt(self.family)}, expected A, D or E")
-        if self.rank not in _RANK_BOUNDS[self.family]:
-            lo = _RANK_BOUNDS[self.family][0]
+    def __new__(cls, family: str, rank: int) -> "DynkinType":
+        if family not in _RANK_BOUNDS:
+            raise InvalidSpec(f"unknown family {excerpt(family)}, expected A, D or E")
+        if rank not in _RANK_BOUNDS[family]:
+            lo = _RANK_BOUNDS[family][0]
             raise InvalidSpec(
-                f"{self.family}{self.rank} is not a valid type "
-                f"(need {lo} <= rank <= 8 for family {self.family})"
+                f"{family}{rank} is not a valid type "
+                f"(need {lo} <= rank <= 8 for family {family})"
             )
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "DynkinType":
+        # namedtuple's _make, and _replace through it, would skip __new__
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
@@ -123,8 +128,7 @@ def gram_table(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(namedtuple("SurfaceSpec", "degree singularities")):
     """A degree together with a multiset of singularity types.
 
     Construction validates: type tokens such as ``"A1"`` are parsed, the
@@ -135,17 +139,16 @@ class SurfaceSpec:
     nodes can be at most 9 - degree.
     """
 
-    degree: int
-    singularities: tuple[DynkinType, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        degree = self.degree
+    def __new__(cls, degree: int, singularities: Iterable = ()) -> "SurfaceSpec":
         if isinstance(degree, bool):
             raise InvalidSpec(f"degree must be an integer, not the boolean {degree!r}")
         if not isinstance(degree, int) or not 1 <= degree <= 9:
             raise InvalidSpec(f"degree must be an integer in [1, 9], got {excerpt(degree)}")
-        tokens = self.singularities
-        if isinstance(tokens, str) or not isinstance(tokens, Iterable):
+        tokens = singularities
+        # a type is a pair, but one type is not a sequence of them
+        if isinstance(tokens, (str, DynkinType)) or not isinstance(tokens, Iterable):
             what = "the string " if isinstance(tokens, str) else ""
             raise InvalidSpec(
                 f"singularities must be a sequence of type tokens, not {what}{excerpt(tokens)}"
@@ -154,13 +157,18 @@ class SurfaceSpec:
             t if isinstance(t, DynkinType) else DynkinType.parse(t)
             for t in tokens
         ))
-        object.__setattr__(self, "singularities", resolved)
-        budget = 9 - degree
-        if self.total_rank > budget:
+        total, budget = sum(t.rank for t in resolved), 9 - degree
+        if total > budget:
             raise InvalidSpec(
-                f"rank budget exceeded: total rank {self.total_rank} > {budget} "
-                f"allowed at degree {degree} (over by {self.total_rank - budget})"
+                f"rank budget exceeded: total rank {total} > {budget} "
+                f"allowed at degree {degree} (over by {total - budget})"
             )
+        return super().__new__(cls, degree, resolved)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "SurfaceSpec":
+        # namedtuple's _make, and _replace through it, would skip __new__
+        return cls(*iterable)
 
     @property
     def total_rank(self) -> int:

@@ -16,21 +16,16 @@ import json
 import re
 from itertools import groupby, zip_longest
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Union
 
 from .classify import Verdict
 from .lattice import InvalidSpec, SurfaceSpec, excerpt
-from .tigers import (
-    BoxHalves,
-    CaseTable,
-    HalfPoint,
-    Obstruction,
-    Part,
-    TigerCertificate,
-    build_tiger,
-    half_walk,
-    killed_by_square,
-)
+
+if TYPE_CHECKING:
+    from .tigers import BoxHalves, CaseTable, HalfPoint, Obstruction, Part, TigerCertificate
+
+# The certificate functions below import ``tigers`` when called: a spec
+# file and a verdict are read and written without it.
 
 
 class SpecFileError(ValueError):
@@ -159,6 +154,8 @@ def _entry_form(row: CaseTable, halves: BoxHalves) -> tuple[
     and the picker of a split's values, in template order, from (numbers
     across the cut as text, obstruction text, trailing runs).
     """
+    from .tigers import Part
+
     sources: list[tuple] = []
 
     def field(*source: object) -> str:
@@ -291,9 +288,11 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
     point's entry template when the walk reaches it, and a split fills in
     its obstruction text, the runs and the numbers across the cut.
     """
+    from . import tigers
+
     empty = '"decompositions": []'
     head, _, tail = render_document(_certificate_shell(cert)).partition(empty)
-    halves = BoxHalves(cert.row, cert.spec.degree)
+    halves = tigers.BoxHalves(cert.row, cert.spec.degree)
     template, trail_runs, pick = _entry_form(cert.row, halves)
     runs = [trail_runs(point) for point in halves.trailing]
     # obstruction texts by the walked obstruction, or by the part-1 square
@@ -304,14 +303,14 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
     yield head + empty[:-1] + "\n"
     entries: list[str] = []
     separator, current = "", None
-    for survivor, lead, j, crossing in half_walk(cert, halves):
+    for survivor, lead, j, crossing in tigers.half_walk(cert, halves):
         if lead is not current:
             entry, current = template(lead), lead
         key = crossing[0] if survivor is None else survivor.obstruction
         text = texts.get(key)
         if text is None:
             text = texts[key] = _obstruction_text(
-                killed_by_square(key) if survivor is None else key
+                tigers.killed_by_square(key) if survivor is None else key
             )
         entry[1::2] = pick((*map(decimal, crossing), text, *runs[j]))
         entries.append("".join(entry))
@@ -368,6 +367,8 @@ def certificate_from_document(doc: Any) -> TigerCertificate:
             "field 'spec' must be an object with an integer 'degree' "
             "and a 'singularities' array"
         )
+    from .tigers import build_tiger
+
     cert = build_tiger(SurfaceSpec(block["degree"], tuple(block["singularities"])))
     lines = zip_longest(_lines(certificate_chunks(cert)), _json_lines(doc), fillvalue="")
     for number, (should, found) in enumerate(lines, start=1):

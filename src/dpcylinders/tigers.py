@@ -20,7 +20,6 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -47,8 +46,7 @@ class NoCaseApplies(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class PointSpec:
+class PointSpec(NamedTuple):
     """Marked point of a case, by the named curves through it: none for a
     general smooth point, one for a general point on that curve, two for
     their intersection point."""
@@ -67,18 +65,7 @@ class PointSpec:
         return f"the intersection of {self.curves[0]} and {self.curves[1]}"
 
 
-@dataclass(frozen=True)
-class CaseTable:
-    """One construction case: where it applies and what it builds.
-
-    The row's curves are D1..Dk of the singular point, then E when the row
-    uses it; coefficient vectors and pairings run over them in that order.
-    ``balanced_split`` is the first part's coefficient vector of the one
-    split whose dimension gap is taken against the one-part family through
-    the marked point; ``notes`` are certificate notes, each with the degrees
-    it applies at.
-    """
-
+class _CaseFields(NamedTuple):
     case_id: str
     degrees: tuple[int, ...]
     singularity: Optional[DynkinType]
@@ -89,6 +76,19 @@ class CaseTable:
     residual_multiplicity: int
     balanced_split: Optional[tuple[int, ...]] = None
     notes: tuple[tuple[str, tuple[int, ...]], ...] = ()
+
+
+class CaseTable(_CaseFields):
+    """One construction case: where it applies and what it builds.
+
+    The row's curves are D1..Dk of the singular point, then E when the row
+    uses it; coefficient vectors and pairings run over them in that order.
+    ``balanced_split`` is the first part's coefficient vector of the one
+    split whose dimension gap is taken against the one-part family through
+    the marked point; ``notes`` are certificate notes, each with the degrees
+    it applies at.  A row keeps no ``__slots__``: its derived numbers are
+    cached in its ``__dict__``.
+    """
 
     @cached_property
     def curves(self) -> tuple[str, ...]:
@@ -246,8 +246,7 @@ _CASE_ROWS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Part:
+class Part(NamedTuple):
     """The class  multiple*(-K) - sum(coefficients[i] * C_i)  over the row's
     curves C_i, with its intersection numbers: ``pairings`` against K, then
     against each of the row's curves in order."""
@@ -259,8 +258,7 @@ class Part:
     dim: int
 
 
-@dataclass(frozen=True, slots=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     """Why one split cannot produce an anticanonical part inside a general
     candidate.  Witness values recompute to the stated contradiction."""
 
@@ -296,8 +294,7 @@ class Obstruction:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Split:
+class Split(NamedTuple):
     """One coefficientwise split of a case's configuration: the first
     part's coefficient vector over the row's curves (the second part is the
     complement, the part multiples are (1, m-1)), with its obstruction."""
@@ -496,8 +493,7 @@ def enumerate_decompositions(row: CaseTable, degree: int) -> tuple[Split, ...]:
     )
 
 
-@dataclass(frozen=True)
-class TigerCertificate:
+class TigerCertificate(NamedTuple):
     """Complete, re-checkable record of one construction: the spec, the
     case row that builds its tiger, the matched singularity instance (None
     for the degree-driven rows) and the splits that survive part 1's square

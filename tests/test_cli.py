@@ -29,7 +29,7 @@ from dpcylinders import (
     parse_spec_text,
     render_document,
 )
-from dpcylinders import cli, specio, tigers
+from dpcylinders import cli, tigers
 from dpcylinders.specio import certificate_chunks
 
 
@@ -263,7 +263,7 @@ def interrupt_the_stream(monkeypatch, written):
     """Break the certificate stream off after 1,050 splits of the half walk
     that fills it.  D6 at degree 3 has 1,080, so 21 chunks of 50 entries
     have gone out by then: ``written()`` must show them."""
-    half_walk = specio.half_walk
+    half_walk = tigers.half_walk
 
     def interrupted(cert, halves):
         for n, split in enumerate(half_walk(cert, halves)):
@@ -272,7 +272,7 @@ def interrupt_the_stream(monkeypatch, written):
                 raise RuntimeError("interrupted")
             yield split
 
-    monkeypatch.setattr(specio, "half_walk", interrupted)
+    monkeypatch.setattr(tigers, "half_walk", interrupted)
 
 
 def test_interrupted_stream_leaves_the_out_target_alone(tmp_path, monkeypatch):
@@ -878,3 +878,70 @@ def test_cli_import_leaves_the_symbolic_layer_unloaded():
     loaded = json.loads(result.stdout)
     assert "dpcylinders.cli" in loaded
     assert "dpcylinders.divisors" not in loaded
+
+
+# What a command loads: the modules a `python -m dpcylinders.cli` run adds
+# to sys.modules, written as JSON to the file named by the first argument.
+LOADS_PROBE = """
+import json, runpy, sys
+out, sys.argv = sys.argv[1], ["dpcyl", *sys.argv[2:]]
+before = set(sys.modules)
+try:
+    runpy.run_module("dpcylinders.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(sorted(set(sys.modules) - before), fh)
+"""
+
+# the certificate path, and the modules only a dataclass or a Fraction needs
+CERTIFICATE_PATH_MODULES = {"dpcylinders.tigers", "dataclasses", "inspect", "fractions"}
+
+
+def command_loads(tmp_path, *args):
+    out = tmp_path / "loaded.json"
+    src = str(Path(dpcylinders.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", LOADS_PROBE, str(out), *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return result.returncode, set(json.loads(out.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("classify", "node_cubic.txt"), cli.EXIT_OK),
+        (("classify", "unknown_key.txt"), cli.EXIT_BAD_FILE),
+        (("classify", "bad_type.txt"), cli.EXIT_BAD_SPEC),
+        (("tiger", "smooth_cubic.txt"), cli.EXIT_NO_CYLINDER),
+    ],
+    ids=["classify", "malformed", "invalid", "tiger-no-cylinder"],
+)
+def test_commands_without_a_certificate_leave_its_path_unloaded(spec_dir, tmp_path, args, code):
+    command, spec = args
+    returncode, loaded = command_loads(tmp_path, command, "--spec", str(spec_dir / spec))
+    assert returncode == code
+    assert "dpcylinders.specio" in loaded
+    assert not loaded & CERTIFICATE_PATH_MODULES
+
+
+def test_a_certified_tiger_loads_the_certificate_path(spec_dir, tmp_path):
+    returncode, loaded = command_loads(
+        tmp_path, "tiger", "--spec", str(spec_dir / "node_cubic.txt")
+    )
+    assert returncode == cli.EXIT_OK
+    assert {"dpcylinders.tigers", "dpcylinders.linear_systems"} <= loaded
+
+
+def test_star_import_binds_every_exported_name():
+    probe = (
+        "import dpcylinders; from dpcylinders import *; "
+        "print(sorted(n for n in dpcylinders.__all__ if n not in globals()))"
+    )
+    src = str(Path(dpcylinders.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -193,6 +193,35 @@ def test_validate_spec_rejects():
         SurfaceSpec(3, None)
     with pytest.raises(InvalidSpec, match="not 5"):
         SurfaceSpec(3, 5)
+    # one type is a pair, but not a sequence of types
+    with pytest.raises(InvalidSpec, match=r"not DynkinType\(family='A', rank=1\)"):
+        SurfaceSpec(3, DynkinType("A", 1))
+
+
+def test_replace_and_make_validate():
+    # namedtuple's _replace and _make go through the constructor, so they
+    # refuse what it refuses, with its messages
+    spec = SurfaceSpec(3, ("A1",))
+    with pytest.raises(InvalidSpec, match=r"^degree must be an integer in \[1, 9\], got 0$"):
+        spec._replace(degree=0)
+    with pytest.raises(InvalidSpec, match=r"^degree must be an integer in \[1, 9\], got 10$"):
+        SurfaceSpec._make((10, ()))
+    over = r"^rank budget exceeded: total rank 7 > 6 allowed at degree 3 \(over by 1\)$"
+    with pytest.raises(InvalidSpec, match=over):
+        spec._replace(singularities=("E7",))
+    with pytest.raises(InvalidSpec, match=over):
+        SurfaceSpec._make((3, ("E7",)))
+    bad_rank = r"^A9 is not a valid type \(need 1 <= rank <= 8 for family A\)$"
+    with pytest.raises(InvalidSpec, match=bad_rank):
+        DynkinType("A", 1)._replace(rank=9)
+    with pytest.raises(InvalidSpec, match=bad_rank):
+        DynkinType._make(("A", 9))
+    with pytest.raises(InvalidSpec, match=r"^D3 is not a valid type"):
+        DynkinType("D", 4)._replace(rank=3)
+    # and what they build is what the constructor builds: tokens parsed and sorted
+    assert spec._replace(singularities=("A2", "A1")) == SurfaceSpec(3, ("A1", "A2"))
+    assert SurfaceSpec._make((2, ["D4", "A1"])) == SurfaceSpec(2, ("A1", "D4"))
+    assert DynkinType._make(("E", 6)) == DynkinType.parse("E6")
 
 
 def test_picard_rank_fixtures():

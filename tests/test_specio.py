@@ -6,7 +6,6 @@ must agree byte for byte, wherever the stream cuts its chunks.
 """
 
 import collections
-import dataclasses
 import gc
 import json
 import tracemalloc
@@ -94,8 +93,8 @@ def redrawn_certificates(draw, cap=300):
         size *= coefficients[i] + 1
     e = coefficients[-1]
     degree = draw(st.integers(1, 9))
-    row = dataclasses.replace(
-        row, node_coefficients=tuple(coefficients[:-1]), e_coefficient=e, degrees=(degree,),
+    row = row._replace(
+        node_coefficients=tuple(coefficients[:-1]), e_coefficient=e, degrees=(degree,),
         # a marked point on E needs E among the row's curves
         point=PointSpec(tuple(c for c in row.point.curves if e or c != "E")),
     )
@@ -131,7 +130,7 @@ def test_a_certificate_missing_a_survivor_is_not_rendered():
     false obstruction ("square 2 <= -2") under a certified status."""
     cert = build_tiger(SurfaceSpec(2, ("A2",)))
     assert cert.decompositions[0].part1 == (0, 0)
-    cert = dataclasses.replace(cert, decompositions=cert.decompositions[1:])
+    cert = cert._replace(decompositions=cert.decompositions[1:])
     assert cert.status == "certified"
     with pytest.raises(KeyError):
         collections.deque(certificate_chunks(cert), 0)

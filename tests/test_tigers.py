@@ -6,7 +6,6 @@ certificate assembly is exercised end to end including the forced-failure
 path.
 """
 
-import dataclasses
 from fractions import Fraction
 from math import prod
 from operator import add, mul
@@ -397,8 +396,8 @@ def arbitrary_boxes(draw, cap=5000):
         coefficients[i] = draw(st.integers(0, min(5, cap // size - 1)))
         size *= coefficients[i] + 1
     degree = draw(st.integers(1, 9))
-    return dataclasses.replace(
-        row, node_coefficients=tuple(coefficients[:-1]), e_coefficient=coefficients[-1],
+    return row._replace(
+        node_coefficients=tuple(coefficients[:-1]), e_coefficient=coefficients[-1],
         degrees=(degree,),
     ), degree
 
@@ -408,9 +407,9 @@ def arbitrary_boxes(draw, cap=5000):
 # no curves, so the box is the zero split alone
 @example((row_by_id("deg5"), 5))
 # nodes and E together at degree 1
-@example((dataclasses.replace(row_by_id("A3"), e_coefficient=2, degrees=(1,)), 1))
+@example((row_by_id("A3")._replace(e_coefficient=2, degrees=(1,)), 1))
 # a middle node with coefficient 0 parts the chain
-@example((dataclasses.replace(row_by_id("A5"), node_coefficients=(1, 2, 0, 3, 2)), 1))
+@example((row_by_id("A5")._replace(node_coefficients=(1, 2, 0, 3, 2)), 1))
 def test_walk_matches_the_box_walk_beyond_the_table(case):
     """The growth from the zero split finds the box walk's survivors, and
     its premise holds: every survivor but the zero split has a survivor one
@@ -431,7 +430,7 @@ def test_walk_matches_the_box_walk_beyond_the_table(case):
 # E alone, so the leading half is empty
 @example((row_by_id("deg4or6"), 6))
 # E in the trailing half beside two nodes
-@example((dataclasses.replace(row_by_id("A3"), e_coefficient=2), 2))
+@example((row_by_id("A3")._replace(e_coefficient=2), 2))
 # the branch node D1 leads and meets D3 and D4 across the cut
 @example((row_by_id("D4"), 2))
 # the branch node D3 trails and meets D1 and D2 across the cut
@@ -448,7 +447,7 @@ def test_running_sums_match_the_closed_form_beyond_the_table(case):
     plus the trailing one, the pairings at the cut included."""
     row, d = case
     # a marked point on E needs E among the row's curves
-    row = dataclasses.replace(row, point=PointSpec(
+    row = row._replace(point=PointSpec(
         tuple(c for c in row.point.curves if row.e_coefficient or c != "E")
     ))
     cert = TigerCertificate(SurfaceSpec(d, ()), row, None, enumerate_decompositions(row, d))

@@ -8,42 +8,41 @@ The top level exports the product path, parse -> classify -> build_tiger ->
 document.  ``import dpcylinders`` loads the first half, ``lattice``,
 ``classify`` and ``specio``: a spec file is read, classified and its
 verdict written without the certificate path.  The certificate names,
-``build_tiger`` and the rest from ``tigers`` and the certificate documents
-of ``specio``, load ``tigers`` when first read.  Everything else is
-imported from its own module and is not loaded by ``import dpcylinders``.
-That includes ``divisors``, the only reference module that ships: the
-pairing table the tests check the engine's numbers against.
+``build_tiger`` and the rest from ``tigers``, and the certificate
+documents of ``certificate``, load their module when first read.
+Everything else is imported from its own module and is not loaded by
+``import dpcylinders``.  That includes ``divisors``, the only reference
+module that ships: the pairing table the tests check the engine's numbers
+against.
 """
 
 from .classify import Verdict, classify
 from .lattice import DynkinType, InvalidSpec, SurfaceSpec, enumerate_specs
-from .specio import (
-    SpecFileError,
-    certificate_document,
-    certificate_from_document,
-    parse_spec_text,
-    render_document,
-    verdict_document,
-)
+from .specio import SpecFileError, parse_spec_text, render_document, verdict_document
 
 __version__ = "0.1.0"
 
-# Read through ``__getattr__``, which imports ``tigers`` on first use.  A
-# lazy name must not be the name of a submodule: once the submodule is
-# imported, the import system binds it on the package, and ``__getattr__``
-# is never asked.  That is why ``classify`` is imported above.
-_TIGERS_NAMES = frozenset({
-    "NoCaseApplies", "TigerCertificate", "build_tiger", "case_tables",
-    "enumerate_decompositions", "select_case",
-})
+# Read through ``__getattr__``, which imports the name's module on first
+# use.  A lazy name must not be the name of a submodule: once the
+# submodule is imported, the import system binds it on the package, and
+# ``__getattr__`` is never asked.  That is why ``classify`` is imported
+# above.
+_LAZY_NAMES = {
+    **dict.fromkeys((
+        "NoCaseApplies", "TigerCertificate", "build_tiger", "case_tables",
+        "enumerate_decompositions", "select_case",
+    ), "tigers"),
+    **dict.fromkeys(("certificate_document", "certificate_from_document"), "certificate"),
+}
 
 
 def __getattr__(name: str) -> object:
-    if name not in _TIGERS_NAMES:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import tigers
+    from importlib import import_module
 
-    value = globals()[name] = getattr(tigers, name)
+    module = import_module(f".{_LAZY_NAMES[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
     return value
 
 

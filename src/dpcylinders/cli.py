@@ -35,27 +35,21 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .classify import classify
 from .lattice import InvalidSpec, SurfaceSpec, enumerate_specs
-from .specio import (
-    SpecFileError,
-    certificate_chunks,
-    parse_spec_text,
-    render_document,
-    verdict_document,
-)
+from .specio import SpecFileError, parse_spec_text, render_document, verdict_document
 
 # The certificate path: the names a command needs once it builds a
 # certificate.  ``_load_certificate_path`` binds them into this module's
 # globals, so ``classify``, a refusal and ``tiger`` on a spec with no
-# anticanonical cylinder never load ``tigers``.
+# anticanonical cylinder never load ``tigers`` or ``certificate``.
 _CERTIFICATE_PATH = frozenset({
-    "NoCaseApplies", "build_tiger", "narrate", "certificate_document",
+    "NoCaseApplies", "build_tiger", "narrate", "certificate_chunks", "certificate_document",
 })
 
 
 def _load_certificate_path() -> None:
     """Bind the certificate path's names here, keeping any name already
     bound: a wrapper or a test's stand-in stays in place."""
-    from .specio import certificate_document
+    from .certificate import certificate_chunks, certificate_document
     from .tigers import NoCaseApplies, build_tiger, narrate
 
     # a snapshot: the loop's own names must not join it

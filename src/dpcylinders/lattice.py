@@ -57,6 +57,8 @@ class DynkinType(namedtuple("DynkinType", "family rank")):
     def __new__(cls, family: str, rank: int) -> "DynkinType":
         if family not in _RANK_BOUNDS:
             raise InvalidSpec(f"unknown family {excerpt(family)}, expected A, D or E")
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise InvalidSpec(f"rank must be an integer, got {excerpt(rank)}")
         if rank not in _RANK_BOUNDS[family]:
             lo = _RANK_BOUNDS[family][0]
             raise InvalidSpec(

@@ -30,7 +30,7 @@ from dpcylinders import (
     render_document,
 )
 from dpcylinders import cli, tigers
-from dpcylinders.specio import certificate_chunks
+from dpcylinders.certificate import certificate_chunks
 
 
 SPEC_FILES = {
@@ -260,19 +260,18 @@ def test_out_replaces_the_target_whole(spec_dir, tmp_path, capsys):
 
 
 def interrupt_the_stream(monkeypatch, written):
-    """Break the certificate stream off after 1,050 splits of the half walk
-    that fills it.  D6 at degree 3 has 1,080, so 21 chunks of 50 entries
-    have gone out by then: ``written()`` must show them."""
-    half_walk = tigers.half_walk
+    """Break the certificate stream off after its head and 21 chunks of 50
+    entries, 1,050 of the 1,080 splits of D6 at degree 3: ``written()``
+    must show them."""
 
-    def interrupted(cert, halves):
-        for n, split in enumerate(half_walk(cert, halves)):
-            if n == 1050:
+    def interrupted(cert):
+        for n, chunk in enumerate(certificate_chunks(cert)):
+            if n == 1 + 21:
                 assert written() > 0
                 raise RuntimeError("interrupted")
-            yield split
+            yield chunk
 
-    monkeypatch.setattr(tigers, "half_walk", interrupted)
+    monkeypatch.setattr(cli, "certificate_chunks", interrupted)
 
 
 def test_interrupted_stream_leaves_the_out_target_alone(tmp_path, monkeypatch):
@@ -862,11 +861,11 @@ def test_module_entry_point(spec_dir, tmp_path):
     assert json.loads(result.stdout)["kind"] == "classification"
 
 
-def test_cli_import_leaves_the_symbolic_layer_unloaded():
-    # divisors, the only reference module that ships, is the tests' route,
-    # not the CLI's
+def package_modules_after(module):
+    """The package's modules a fresh interpreter holds once it has
+    imported ``module``."""
     probe = (
-        "import json, sys, dpcylinders.cli; "
+        f"import json, sys, {module}; "
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dpcylinders'))))"
     )
     src = str(Path(dpcylinders.__file__).parents[1])
@@ -875,9 +874,23 @@ def test_cli_import_leaves_the_symbolic_layer_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0, result.stderr
-    loaded = json.loads(result.stdout)
+    return set(json.loads(result.stdout))
+
+
+def test_cli_import_leaves_the_symbolic_layer_unloaded():
+    # divisors, the only reference module that ships, is the tests' route,
+    # not the CLI's
+    loaded = package_modules_after("dpcylinders.cli")
     assert "dpcylinders.cli" in loaded
     assert "dpcylinders.divisors" not in loaded
+
+
+def test_spec_files_and_verdicts_load_no_certificate_code():
+    # specio reads spec files and writes verdicts: the certificate document
+    # and the construction it renders are other modules
+    loaded = package_modules_after("dpcylinders.specio")
+    assert "dpcylinders.specio" in loaded
+    assert not {"dpcylinders.tigers", "dpcylinders.certificate"} & loaded
 
 
 # What a command loads: the modules a `python -m dpcylinders.cli` run adds
@@ -894,7 +907,9 @@ finally:
 """
 
 # the certificate path, and the modules only a dataclass or a Fraction needs
-CERTIFICATE_PATH_MODULES = {"dpcylinders.tigers", "dataclasses", "inspect", "fractions"}
+CERTIFICATE_PATH_MODULES = {
+    "dpcylinders.tigers", "dpcylinders.certificate", "dataclasses", "inspect", "fractions",
+}
 
 
 def command_loads(tmp_path, *args):
@@ -930,7 +945,9 @@ def test_a_certified_tiger_loads_the_certificate_path(spec_dir, tmp_path):
         tmp_path, "tiger", "--spec", str(spec_dir / "node_cubic.txt")
     )
     assert returncode == cli.EXIT_OK
-    assert {"dpcylinders.tigers", "dpcylinders.linear_systems"} <= loaded
+    assert {
+        "dpcylinders.tigers", "dpcylinders.certificate", "dpcylinders.linear_systems",
+    } <= loaded
 
 
 def test_star_import_binds_every_exported_name():

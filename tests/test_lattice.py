@@ -224,6 +224,16 @@ def test_replace_and_make_validate():
     assert DynkinType._make(("E", 6)) == DynkinType.parse("E6")
 
 
+@pytest.mark.parametrize("rank", [2.0, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_a_rank_that_is_not_an_int_is_refused(rank):
+    # 2.0 and True are in range(1, 9), and would print as A2.0 and ATrue
+    refused = r"^rank must be an integer, got "
+    with pytest.raises(InvalidSpec, match=refused):
+        DynkinType("A", rank)
+    with pytest.raises(InvalidSpec, match=refused):
+        DynkinType("A", 2)._replace(rank=rank)
+
+
 def test_picard_rank_fixtures():
     assert picard_rank(SurfaceSpec(9, ())) == 1
     assert picard_rank(SurfaceSpec(1, ())) == 9

@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcylinders import SurfaceSpec, build_tiger, case_tables, enumerate_decompositions
-from dpcylinders import specio, tigers
-from dpcylinders.specio import (
+from dpcylinders import certificate, tigers
+from dpcylinders.certificate import (
     certificate_chunks,
     certificate_document,
     certificate_from_document,
@@ -39,6 +39,17 @@ SMALL_CASES = [
 
 def certificate_of(row, degree):
     return build_tiger(SurfaceSpec(*minimal_spec_args(row.case_id, degree)))
+
+
+def row_by_id(case_id):
+    return next(r for r in case_tables() if r.case_id == case_id)
+
+
+def redrawn(row, degree):
+    """The certificate of a row with redrawn numbers, at one of its degrees."""
+    return TigerCertificate(
+        SurfaceSpec(degree, ()), row, None, enumerate_decompositions(row, degree)
+    )
 
 
 @contextmanager
@@ -98,18 +109,31 @@ def redrawn_certificates(draw, cap=300):
         # a marked point on E needs E among the row's curves
         point=PointSpec(tuple(c for c in row.point.curves if e or c != "E")),
     )
-    return TigerCertificate(
-        SurfaceSpec(degree, ()), row, None, enumerate_decompositions(row, degree)
-    )
+    return redrawn(row, degree)
 
 
 @settings(max_examples=60, deadline=None)
 @given(redrawn_certificates(), st.integers(1, 5))
 @example(certificate_of(case_tables()[2], 5), 1)  # deg5: no curves, one split
+# E alone, so the leading half is empty
+@example(redrawn(row_by_id("deg4or6"), 6), 2)
+# E in the trailing half beside two nodes
+@example(redrawn(row_by_id("A3")._replace(e_coefficient=2), 2), 3)
+# the branch node D1 leads and meets D3 and D4 across the cut
+@example(redrawn(row_by_id("D4"), 2), 4)
+# the branch node D3 trails and meets D1 and D2 across the cut
+@example(redrawn(row_by_id("D5"), 1), 5)
+# the branch node D4 trails and meets D1 and D3 across the cut
+@example(redrawn(row_by_id("E6"), 1), 1)
 def test_stream_matches_the_dict_builder_beyond_the_table(cert, batch):
+    """The stream and the dict builder agree on a redrawn box, wherever the
+    chunks are cut.  The builder takes each part's numbers from
+    ``split_parts`` and each survivor's obstruction from the certificate,
+    so the agreement checks the numbers across the cut of every split and
+    that the survivors ride along exactly where part 1's square is > -2."""
     # small batches cut the chunks at every place an entry can end
     with pytest.MonkeyPatch.context() as patch, collector_paused():
-        patch.setattr(specio, "_BATCH", batch)
+        patch.setattr(certificate, "_BATCH", batch)
         chunks = list(certificate_chunks(cert))
         assert_same_text("".join(chunks), reference_text(reference_document(cert)))
     splits = prod(c + 1 for c in cert.row.coefficients)

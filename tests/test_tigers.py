@@ -7,7 +7,7 @@ path.
 """
 
 from fractions import Fraction
-from math import prod
+from itertools import islice, product
 from operator import add, mul
 
 import pytest
@@ -26,7 +26,8 @@ from dpcylinders import (
 )
 from dpcylinders.lattice import gram_table
 from dpcylinders.linear_systems import conditions, max_multiplicity_budget
-from dpcylinders import tigers
+from dpcylinders import certificate, tigers
+from dpcylinders.certificate import BoxHalves, certificate_chunks, certificate_document
 from dpcylinders.tigers import (
     ASSUME_E_DISJOINT,
     DIMENSION_GAP,
@@ -34,11 +35,7 @@ from dpcylinders.tigers import (
     MULTIPLICITY_BUDGET,
     NEGATIVE_SELF_INTERSECTION,
     NOTE_OWN_COEFFICIENTS,
-    BoxHalves,
-    Part,
     PointSpec,
-    TigerCertificate,
-    half_walk,
     narrate,
     part_numbers,
     split_parts,
@@ -79,28 +76,6 @@ def curve_pairings(row, part):
 def reference_class(table, row, part):
     """The part as a class of the pairing table, read by curve label."""
     return table.part(part.multiple, dict(zip(row.curves, part.coefficients, strict=True)))
-
-
-def walk_parts(cert):
-    """Every split of the certificate's box as ``half_walk`` gives it, with
-    its leading and trailing point, its numbers across the cut, and both
-    parts put together as a document reads them: each number from the half
-    that holds it, or from across the cut."""
-    row = cert.row
-    halves = BoxHalves(row, cert.spec.degree)
-    n, at_cut = len(row.curves), halves.at_cut
-    for survivor, lead, j, across in half_walk(cert, halves):
-        trail = halves.trailing[j]
-        parts = []
-        for p, multiple in enumerate((1, row.multiple - 1)):
-            numbers = [
-                across[4 + p * len(at_cut) + at_cut.index(k)] if k in at_cut
-                else (trail if k in halves.trailing_only else lead).numbers[p][k]
-                for k in range(2 * n + 1)
-            ]
-            parts.append(Part(multiple, tuple(numbers[:n]), tuple(numbers[n:]),
-                              *across[2 * p:2 * p + 2]))
-        yield survivor, lead, trail, across, tuple(parts)
 
 
 def point_caps(row, parts):
@@ -241,13 +216,19 @@ def test_part_numbers_match_pairing_table():
     for case_id, d in checks:
         row = row_by_id(case_id)
         table, _ = row_reference(row, d)
-        # the parts the walk hands over, as a v1 document lists them
+        # both parts of every split, as the v1 document lists them
         cert = build_tiger(SurfaceSpec(*minimal_spec_args(case_id, d)))
-        for *_, parts in walk_parts(cert):
-            for part in parts:
-                cls = reference_class(table, row, part)
-                assert table.pair(cls, cls) == part.square
-                assert pairings(table, cls) == labelled(row, part)
+        for entry in certificate_document(cert)["decompositions"]:
+            for block in (entry["part1"], entry["part2"]):
+                coefficients = block["node_coefficients"] + (
+                    [block["e_coefficient"]] if row.e_coefficient else []
+                )
+                cls = table.part(
+                    block["multiple"], dict(zip(row.curves, coefficients, strict=True))
+                )
+                numbers = block["residual"]
+                assert table.pair(cls, cls) == numbers["square"]
+                assert pairings(table, cls) == dict(numbers["pairings"])
 
 
 def test_residual_parity_guard():
@@ -262,20 +243,29 @@ def test_residual_parity_guard():
 
 
 @pytest.mark.parametrize("term", [1, 3], ids=["part1", "part2"])
-def test_half_walk_checks_parity_at_every_split(term):
-    """The walk checks  P^2 - P.K  of both parts at each split: a trailing
-    point whose share of it is odd, which no class has, is refused at the
-    first split that reads it, after every split before it."""
+def test_half_walk_checks_parity_at_every_split(term, monkeypatch):
+    """The certificate stream's walk over the box halves checks  P^2 - P.K
+    of both parts at each split: a trailing point whose share of it is
+    odd, which no class has, is refused at the first split that reads it,
+    after every split before it."""
+
+    class OddHalves(BoxHalves):
+        def __init__(self, row, degree):
+            super().__init__(row, degree)
+            *others, last = self.trailing
+            terms = list(last.terms)
+            terms[term] += 1
+            self.trailing = (*others, last._replace(terms=tuple(terms)))
+
     cert = build_tiger(SurfaceSpec(2, ("A3",)))
-    halves = BoxHalves(cert.row, 2)
-    *others, last = halves.trailing
-    terms = list(last.terms)
-    terms[term] += 1
-    halves.trailing = (*others, last._replace(terms=tuple(terms)))
-    walk = half_walk(cert, halves)
-    assert len(list(zip(range(len(others)), walk))) == len(others)
+    others = len(BoxHalves(cert.row, 2).trailing) - 1
+    monkeypatch.setattr(certificate, "BoxHalves", OddHalves)
+    # one entry per chunk, after the head
+    monkeypatch.setattr(certificate, "_BATCH", 1)
+    chunks = certificate_chunks(cert)
+    assert len(list(islice(chunks, 1 + others))) == 1 + others
     with pytest.raises(ValueError, match="parity"):
-        next(walk)
+        next(chunks)
 
 
 # ------------------------------------------------------- split enumeration
@@ -438,39 +428,32 @@ def test_walk_matches_the_box_walk_beyond_the_table(case):
 # the branch node D4 trails and meets D1 and D3 across the cut
 @example((row_by_id("E6"), 1))
 def test_running_sums_match_the_closed_form_beyond_the_table(case):
-    """The half walk's numbers equal ``split_parts`` at every split of a
-    redrawn box, in the box's lexicographic order, and the walked survivors
-    ride along exactly where part 1's square is > -2.
+    """The box halves' numbers add up to ``split_parts`` at every split of
+    a redrawn box, and the two halves run through the box in its
+    lexicographic order.
 
     Each square and twice each dim is the leading share plus the trailing
     share plus the term across the cut; each number is the leading share
-    plus the trailing one, the pairings at the cut included."""
+    plus the trailing one, and each pairing at the cut the two halves'
+    ``at_cut`` shares.  How the certificate stream puts these numbers
+    into a document, survivors included, is checked against the dict
+    builder in ``test_specio``."""
     row, d = case
-    # a marked point on E needs E among the row's curves
-    row = row._replace(point=PointSpec(
-        tuple(c for c in row.point.curves if row.e_coefficient or c != "E")
-    ))
-    cert = TigerCertificate(SurfaceSpec(d, ()), row, None, enumerate_decompositions(row, d))
-    walked = {split.part1: split for split in cert.decompositions}
-    rows = list(walk_parts(cert))
-    assert len(rows) == prod(c + 1 for c in row.coefficients)
-    part1s = []
-    for survivor, lead, trail, across, parts in rows:
-        part1s.append(parts[0].coefficients)
-        expected = split_parts(row, d, parts[0].coefficients)
-        assert parts == expected
+    halves = BoxHalves(row, d)
+    splits = list(product(halves.leading(), halves.trailing))
+    assert [lead.coefficients + trail.coefficients for lead, trail in splits] == list(box(row))
+    for lead, trail in splits:
+        expected = split_parts(row, d, lead.coefficients + trail.coefficients)
         cross = sum(map(mul, lead.across, trail.across))
         assert [x + y + cross for x, y in zip(lead.terms, trail.terms, strict=True)] == [
             v for part in expected for v in (part.square, part.square - part.pairings[0])
         ]
-        for p, part in enumerate(expected):
-            assert tuple(map(add, lead.numbers[p], trail.numbers[p])) == (
-                part.coefficients + part.pairings
-            )
-        assert across[4:] == tuple(map(add, lead.at_cut, trail.at_cut))
-        assert survivor is walked.get(parts[0].coefficients)
-        assert (survivor is None) == (parts[0].square <= -2)
-    assert part1s == list(box(row))
+        numbers = [part.coefficients + part.pairings for part in expected]
+        for p in range(2):
+            assert tuple(map(add, lead.numbers[p], trail.numbers[p])) == numbers[p]
+        assert tuple(map(add, lead.at_cut, trail.at_cut)) == tuple(
+            part[k] for part in numbers for k in halves.at_cut
+        )
 
 
 def test_enumeration_rejects_wrong_degree():

@@ -11,9 +11,7 @@ verdict written without the certificate path.  The certificate names,
 ``build_tiger`` and the rest from ``tigers``, and the certificate
 documents of ``certificate``, load their module when first read.
 Everything else is imported from its own module and is not loaded by
-``import dpcylinders``.  That includes ``divisors``, the only reference
-module that ships: the pairing table the tests check the engine's numbers
-against.
+``import dpcylinders``.
 """
 
 from .classify import Verdict, classify

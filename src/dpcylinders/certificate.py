@@ -262,8 +262,8 @@ def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
         "point": {"kind": row.point.kind, "curves": list(row.point.curves)},
         "residual_multiplicity": row.residual_multiplicity,
         "local_multiplicity": row.local_multiplicity,
-        "ratio": str(row.ratio),
-        "tiger_components": [[lbl, str(c)] for lbl, c in row.tiger_components],
+        "ratio": row.ratio,
+        "tiger_components": [[lbl, c] for lbl, c in row.tiger_components],
         "decompositions": [],
         "assumptions": list(row.assumptions(degree)),
         "status": cert.status,

@@ -38,32 +38,33 @@ from .lattice import InvalidSpec, SurfaceSpec, enumerate_specs
 from .specio import SpecFileError, parse_spec_text, render_document, verdict_document
 
 # The certificate path: the names a command needs once it builds a
-# certificate.  ``_load_certificate_path`` binds them into this module's
-# globals, so ``classify``, a refusal and ``tiger`` on a spec with no
-# anticanonical cylinder never load ``tigers`` or ``certificate``.
-_CERTIFICATE_PATH = frozenset({
-    "NoCaseApplies", "build_tiger", "narrate", "certificate_chunks", "certificate_document",
-})
+# certificate, each with its module.  ``_bind`` binds the names a command
+# asks for into this module's globals, so ``classify``, a refusal and
+# ``tiger`` on a spec with no anticanonical cylinder never load ``tigers``
+# or ``certificate``, and ``sweep`` never loads ``certificate``.
+_CERTIFICATE_PATH = {
+    **dict.fromkeys(("NoCaseApplies", "build_tiger", "narrate"), "tigers"),
+    **dict.fromkeys(("certificate_chunks", "certificate_document"), "certificate"),
+}
 
 
-def _load_certificate_path() -> None:
-    """Bind the certificate path's names here, keeping any name already
+def _bind(*names: str) -> None:
+    """Bind these certificate path names here, keeping any name already
     bound: a wrapper or a test's stand-in stays in place."""
-    from .certificate import certificate_chunks, certificate_document
-    from .tigers import NoCaseApplies, build_tiger, narrate
+    from importlib import import_module
 
-    # a snapshot: the loop's own names must not join it
-    for name, value in list(locals().items()):
-        globals().setdefault(name, value)
+    for name in names:
+        module = import_module(f".{_CERTIFICATE_PATH[name]}", __package__)
+        globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str) -> object:
-    # a certificate name read before a command has loaded it: the
+    # a certificate name read before a command has bound it: the
     # benchmark's traced replay (bench/traced.py) wraps ``build_tiger`` and
     # ``certificate_document`` on this module
     if name not in _CERTIFICATE_PATH:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_certificate_path()
+    _bind(name)
     return globals()[name]
 
 
@@ -228,7 +229,7 @@ def _cmd_tiger(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> in
             f"({verdict.anticanonical_reason}); nothing to build\n"
         )
         return EXIT_NO_CYLINDER
-    _load_certificate_path()
+    _bind("NoCaseApplies", "build_tiger", "narrate", "certificate_chunks")
     try:
         cert = build_tiger(spec)
     except NoCaseApplies as exc:
@@ -246,7 +247,7 @@ def _cmd_tiger(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> in
 
 
 def _cmd_sweep(args: argparse.Namespace, _: None, write: Writer) -> int:
-    _load_certificate_path()
+    _bind("NoCaseApplies", "build_tiger")
     lines = []
     failures = 0
     for spec in enumerate_specs():

@@ -55,7 +55,7 @@ class DynkinType(namedtuple("DynkinType", "family rank")):
     __slots__ = ()
 
     def __new__(cls, family: str, rank: int) -> "DynkinType":
-        if family not in _RANK_BOUNDS:
+        if not isinstance(family, str) or family not in _RANK_BOUNDS:
             raise InvalidSpec(f"unknown family {excerpt(family)}, expected A, D or E")
         if isinstance(rank, bool) or not isinstance(rank, int):
             raise InvalidSpec(f"rank must be an integer, got {excerpt(rank)}")

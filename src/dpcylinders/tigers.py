@@ -21,9 +21,8 @@ by :mod:`dpcylinders.certificate`; this module knows no rendering layout.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import Iterator, NamedTuple, Optional
 
@@ -35,6 +34,12 @@ NEGATIVE_SELF_INTERSECTION = "negative_self_intersection"
 DIMENSION_GAP = "dimension_gap"
 MULTIPLICITY_BUDGET = "multiplicity_budget"
 DISJOINTNESS = "disjointness"
+
+
+def fraction_text(n: int, d: int) -> str:
+    """n/d in lowest terms for d >= 1: "9/4", or "3" when d divides n."""
+    g = gcd(n, d)
+    return f"{n // g}" if g == d else f"{n // g}/{d // g}"
 
 
 class NoCaseApplies(ValueError):
@@ -150,14 +155,14 @@ class CaseTable(_CaseFields):
         )
 
     @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.local_multiplicity, self.multiple)
+    def ratio(self) -> str:
+        return fraction_text(self.local_multiplicity, self.multiple)
 
     @property
-    def tiger_components(self) -> tuple[tuple[str, Fraction], ...]:
-        components = (("N", Fraction(1, self.multiple)),)
+    def tiger_components(self) -> tuple[tuple[str, str], ...]:
+        components = (("N", fraction_text(1, self.multiple)),)
         if self.e_coefficient:
-            components += (("E", Fraction(self.e_coefficient, self.multiple)),)
+            components += (("E", fraction_text(self.e_coefficient, self.multiple)),)
         return components
 
     def residual(self, degree: int) -> Part:

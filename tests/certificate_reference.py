@@ -8,6 +8,7 @@ the dict builder the engine no longer uses, with each split's parts from
 byte for byte.
 """
 
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
 
 from box_walk import plain_splits
@@ -68,8 +69,10 @@ def reference_document(cert):
         "point": {"kind": row.point.kind, "curves": list(row.point.curves)},
         "residual_multiplicity": row.residual_multiplicity,
         "local_multiplicity": row.local_multiplicity,
-        "ratio": str(row.ratio),
-        "tiger_components": [[lbl, str(c)] for lbl, c in row.tiger_components],
+        "ratio": str(Fraction(row.local_multiplicity, row.multiple)),
+        "tiger_components": [["N", str(Fraction(1, row.multiple))]] + (
+            [["E", str(Fraction(row.e_coefficient, row.multiple))]] if row.e_coefficient else []
+        ),
         "decompositions": decs,
         "assumptions": list(row.assumptions(degree)),
         "status": cert.status,

@@ -1,6 +1,6 @@
 """Independent coordinate oracle for the tests' pairing tables.
 
-:mod:`dpcylinders.divisors` writes the pairing down from the Dynkin types.
+:mod:`pairing_reference` writes the pairing down from the Dynkin types.
 This module checks it against explicit coordinates in the standard odd
 unimodular lattice of rank 10 - degree, with basis (H, e_1, ..., e_n),
 H.H = 1, e_i.e_i = -1, n = 9 - degree, and K = -3H + e_1 + ... + e_n.
@@ -100,7 +100,7 @@ def oracle_embed(spec: SurfaceSpec, with_minus_one_curve: bool = False) -> dict[
     """Explicit coordinates for K, every exceptional curve of the spec, and
     optionally one (-1)-curve disjoint from all of them, by label.
 
-    Labels match the ones a :class:`~dpcylinders.divisors.PairingTable` gives
+    Labels match the ones a :class:`~pairing_reference.PairingTable` gives
     the spec's singularities, in spec order: the curves of singularity
     number s (1-based) are ``D1``..``Dk`` for s = 1 and carry the suffix
     ``_s`` afterwards; the (-1)-curve is ``E``.

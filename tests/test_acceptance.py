@@ -26,7 +26,6 @@ from dpcylinders import (
     render_document,
 )
 from dpcylinders import cli, tigers
-from dpcylinders.divisors import PairingTable
 from dpcylinders.lattice import adjacency, all_types, gram_table, picard_rank
 from dpcylinders.tigers import (
     DIMENSION_GAP,
@@ -37,7 +36,7 @@ from dpcylinders.tigers import (
 
 from box_walk import box_walk, every_outcome
 from coordinate_oracle import OracleUnavailable, check_row
-from pairing_reference import pairings, row_reference
+from pairing_reference import PairingTable, pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
 
@@ -175,8 +174,8 @@ def test_acceptance_5_tiger_certificates():
             cert = build_tiger(spec)
             assert cert.status == "certified", str(spec)
             row = cert.row
-            assert row.ratio == RESIDUAL_FIXTURES[row.case_id].ratio, str(spec)
-            assert row.ratio > 2
+            assert row.ratio == str(RESIDUAL_FIXTURES[row.case_id].ratio), str(spec)
+            assert row.local_multiplicity > 2 * row.multiple
             certified += 1
         assert certified == 188
         assert refusals == 62

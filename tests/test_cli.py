@@ -878,11 +878,12 @@ def package_modules_after(module):
 
 
 def test_cli_import_leaves_the_symbolic_layer_unloaded():
-    # divisors, the only reference module that ships, is the tests' route,
-    # not the CLI's
-    loaded = package_modules_after("dpcylinders.cli")
-    assert "dpcylinders.cli" in loaded
-    assert "dpcylinders.divisors" not in loaded
+    # the construction, its linear systems and the certificate document
+    # load with the command that runs them
+    assert package_modules_after("dpcylinders.cli") == {
+        "dpcylinders", "dpcylinders.cli", "dpcylinders.classify",
+        "dpcylinders.lattice", "dpcylinders.specio",
+    }
 
 
 def test_spec_files_and_verdicts_load_no_certificate_code():
@@ -906,7 +907,9 @@ finally:
         json.dump(sorted(set(sys.modules) - before), fh)
 """
 
-# the certificate path, and the modules only a dataclass or a Fraction needs
+# the certificate path, and standard modules no command needs: the records
+# are named tuples, not dataclasses (which load inspect), and ratios are
+# written from integers, not Fractions
 CERTIFICATE_PATH_MODULES = {
     "dpcylinders.tigers", "dpcylinders.certificate", "dataclasses", "inspect", "fractions",
 }
@@ -948,6 +951,15 @@ def test_a_certified_tiger_loads_the_certificate_path(spec_dir, tmp_path):
     assert {
         "dpcylinders.tigers", "dpcylinders.certificate", "dpcylinders.linear_systems",
     } <= loaded
+    assert "fractions" not in loaded
+
+
+def test_sweep_loads_the_construction_and_no_certificate(tmp_path):
+    # the report gives each certified spec's case and ratio, not its document
+    returncode, loaded = command_loads(tmp_path, "sweep")
+    assert returncode == cli.EXIT_OK
+    assert {"dpcylinders.tigers", "dpcylinders.linear_systems"} <= loaded
+    assert not {"dpcylinders.certificate", "fractions"} & loaded
 
 
 def test_star_import_binds_every_exported_name():

@@ -3,7 +3,6 @@
 import pytest
 
 from dpcylinders import SurfaceSpec, case_tables
-from dpcylinders.divisors import PairingTable
 
 from coordinate_oracle import (
     OracleUnavailable,
@@ -14,6 +13,7 @@ from coordinate_oracle import (
     oracle_embed,
     pairing,
 )
+from pairing_reference import PairingTable
 
 
 def test_canonical_vector_squares():

@@ -234,6 +234,13 @@ def test_a_rank_that_is_not_an_int_is_refused(rank):
         DynkinType("A", 2)._replace(rank=rank)
 
 
+@pytest.mark.parametrize("family", [["A"], {"A"}], ids=["list", "set"])
+def test_a_family_that_is_not_a_str_is_refused(family):
+    # an unhashable family cannot be looked up among the known ones
+    with pytest.raises(InvalidSpec, match=r"^unknown family .*, expected A, D or E$"):
+        DynkinType(family, 2)
+
+
 def test_picard_rank_fixtures():
     assert picard_rank(SurfaceSpec(9, ())) == 1
     assert picard_rank(SurfaceSpec(1, ())) == 9

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dpcylinders.divisors import PairingTable
 from dpcylinders.linear_systems import conditions, max_multiplicity_budget
+
+from pairing_reference import PairingTable
 
 
 def test_anticanonical_multiples():

@@ -36,6 +36,7 @@ from dpcylinders.tigers import (
     NEGATIVE_SELF_INTERSECTION,
     NOTE_OWN_COEFFICIENTS,
     PointSpec,
+    fraction_text,
     narrate,
     part_numbers,
     split_parts,
@@ -180,15 +181,15 @@ def test_certificates_match_fixtures(case_id):
         assert residual.dim >= conditions(row.residual_multiplicity)
         assert labelled(row, residual)["K"] == ev(fix.k_pairing, d)
         assert row.local_multiplicity == fix.local_multiplicity
-        assert row.ratio == fix.ratio
-        assert row.ratio > 2
+        assert row.ratio == str(fix.ratio)
+        assert row.local_multiplicity > 2 * row.multiple
         # configuration records the row coefficients verbatim
         config = dict(row.configuration)
         for i, c in enumerate(row.node_coefficients):
             assert config.get(f"D{i + 1}", 0) == c
         if row.e_coefficient:
             assert config["E"] == row.e_coefficient
-        assert row.tiger_components[0] == ("N", Fraction(1, row.multiple))
+        assert row.tiger_components[0] == ("N", str(Fraction(1, row.multiple)))
 
 
 @pytest.mark.parametrize(
@@ -635,8 +636,8 @@ def test_certificate_e8():
     assert row.point.kind == "node_intersection"
     assert row.point.curves == ("D4", "D5")
     assert row.local_multiplicity == 11
-    assert row.ratio == Fraction(11, 2)
-    assert row.tiger_components == (("N", Fraction(1, 2)),)
+    assert row.ratio == str(Fraction(11, 2))
+    assert row.tiger_components == (("N", str(Fraction(1, 2))),)
     assert NOTE_OWN_COEFFICIENTS in row.assumptions(1)
     assert cert.status == "certified"
 
@@ -649,10 +650,19 @@ def test_certificate_degree_six_smooth():
     assert cert.singularity_index is None
     assert dict(row.configuration) == {"E": 2}
     assert row.tiger_components == (
-        ("N", Fraction(1, 3)), ("E", Fraction(2, 3)),
+        ("N", str(Fraction(1, 3))), ("E", str(Fraction(2, 3))),
     )
     assert ASSUME_E_DISJOINT in row.assumptions(6)
-    assert row.ratio == Fraction(7, 3)
+    assert row.ratio == str(Fraction(7, 3))
+
+
+@given(st.integers(-60, 60), st.integers(1, 12), st.integers(1, 6))
+@example(9, 4, 1)
+@example(0, 5, 1)
+def test_fraction_text_writes_what_str_fraction_writes(n, d, k):
+    # as drawn, with a common factor k, and with d dividing the numerator
+    for num, den in ((n, d), (n * k, d * k), (n * d, d)):
+        assert fraction_text(num, den) == str(Fraction(num, den))
 
 
 def test_unobstructed_split_forces_discrepancy(monkeypatch):

@@ -60,7 +60,9 @@ class BoxHalves:
     the residual N, so its square  N^2 - 2 N.P + P^2  adds one more share
     of each half, from the linear  N.P.  The coefficients and pairings are
     linear too; the constants, those of -K and of N, go to the trailing
-    half for the numbers that only it moves, else to the leading half.
+    half for the numbers that only it moves, else to the leading half.  A
+    half moves the pairings where its curves' rows of the case row's
+    ``form`` are nonzero.
 
     ``at_cut`` and ``trailing_only`` index a part's ``HalfPoint.numbers``:
     the numbers that take both halves, in ``HalfPoint.at_cut`` order, and
@@ -74,10 +76,9 @@ class BoxHalves:
         box = row.coefficients
         n = len(box)
         self.row, self.degree, self.cut = row, degree, n // 2
-        columns = row.pairing_columns
         # the pairings each half moves
-        lead, trail = ({i for column in half for i, _ in column}
-                       for half in (columns[:self.cut], columns[self.cut:]))
+        lead, trail = ({i for pairs in half for i, v in enumerate(pairs) if v}
+                       for half in (row.form[:self.cut], row.form[self.cut:]))
         self.at_cut = tuple(n + i for i in sorted(lead & trail))
         self.trailing_only = frozenset(range(self.cut, n)) | {n + i for i in trail - lead}
         # the trailing curves that meet a leading one

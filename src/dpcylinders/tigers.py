@@ -13,8 +13,9 @@ contain an anticanonical part: every coefficientwise split of the relation
 into an anticanonical piece and a complementary piece must carry a numeric
 obstruction.  Almost every split dies on its anticanonical piece's square
 alone; growing the first parts from the zero split finds the few that do
-not, and only those are checked further.  A split with no obstruction
-found downgrades the certificate to a discrepancy report; it never passes
+not, with their numbers, and only those are checked further, each against
+the residual less its first part.  A split with no obstruction found
+downgrades the certificate to a discrepancy report; it never passes
 silently.  The certificate's document, which lists every split, is written
 by :mod:`dpcylinders.certificate`; this module knows no rendering layout.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, prod
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, NamedTuple, Optional
 
 from .lattice import DynkinType, SurfaceSpec, gram_table
@@ -111,31 +112,15 @@ class CaseTable(_CaseFields):
         )
 
     @cached_property
-    def curve_form(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """Each curve's square, K-degree and neighbours (the curves it meets
-        once): the nodes are (-2)-curves meeting along the Dynkin diagram, E
-        is a (-1)-curve taken disjoint from them."""
+    def form(self) -> tuple[tuple[int, ...], ...]:
+        """Each curve's pairings (C_j.K, C_j.C_1, ..., C_j.C_n): the nodes
+        are (-2)-curves of K-degree 0 that pair by the Dynkin Gram matrix, E
+        is a (-1)-curve of K-degree -1 taken disjoint from them."""
         gram = gram_table(self.singularity) if self.singularity else ()
-        nodes = range(len(gram))
-        return tuple(
-            (-2, 0, tuple(j for j in nodes if j != i and gram[i][j])) for i in nodes
-        ) + (((-1, -1, ()),) if self.e_coefficient else ())
-
-    @cached_property
-    def pairing_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each curve's column: how the pairings (P.K, P.C_1, ..., P.C_n) of
-        P = m*(-K) - sum(c_j C_j)  change per unit of c_j, read off the
-        curve form.  Column j is the pairings of -C_j, given by its nonzero
-        entries as (index into the pairings, change)."""
-        form = self.curve_form
-        columns = []
-        for j, (square, k_degree, neighbours) in enumerate(form):
-            # -C_j.K, then -C_j.C_i for each curve C_i
-            dense = (-k_degree, *(
-                -square if i == j else -int(i in neighbours) for i in range(len(form))
-            ))
-            columns.append(tuple((i, v) for i, v in enumerate(dense) if v))
-        return tuple(columns)
+        e = (0,) if self.e_coefficient else ()
+        return tuple((0, *row, *e) for row in gram) + (
+            ((-1, *(0,) * len(gram), -1),) if e else ()
+        )
 
     @cached_property
     def point_indices(self) -> tuple[int, ...]:
@@ -314,10 +299,14 @@ def part_numbers(
     """Intersection numbers of  P = multiple*(-K) - sum(c_j C_j).
 
     The pairings are linear in the multiple and the coefficients, summed
-    from the row's columns; the rest follows from them (``square_and_dim``).
+    from the row's form; the rest follows from them (``square_and_dim``).
     The relation residual itself is  row.residual(degree).
     """
-    pairings = _pairings(row, degree, multiple, coefficients)
+    return _part(multiple, coefficients, _pairings(row, degree, multiple, coefficients))
+
+
+def _part(multiple: int, coefficients: tuple[int, ...], pairings: tuple[int, ...]) -> Part:
+    """The part with these weights and pairings; its square and dim follow."""
     return Part(multiple, coefficients, pairings,
                 *square_and_dim((multiple, *coefficients), pairings))
 
@@ -325,13 +314,14 @@ def part_numbers(
 def _pairings(
     row: CaseTable, degree: int, multiple: int, coefficients: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """(P.K, P.C_1, ..., P.C_n): the pairings of multiple*(-K), plus each
-    curve's column times its coefficient.  Coefficients past the given ones
-    count as 0."""
-    pairings = [-multiple * degree, *(-multiple * k for _, k, _ in row.curve_form)]
-    for c, column in zip(coefficients, row.pairing_columns):
-        for i, change in column:
-            pairings[i] += c * change
+    """(P.K, P.C_1, ..., P.C_n): the pairings of multiple*(-K), less each
+    curve's pairings times its coefficient.  Coefficients past the given
+    ones count as 0."""
+    pairings = [-multiple * degree, *(-multiple * pairs[0] for pairs in row.form)]
+    for c, pairs in zip(coefficients, row.form):
+        if c:
+            for i, v in enumerate(pairs):
+                pairings[i] -= c * v
     return tuple(pairings)
 
 
@@ -346,16 +336,12 @@ def square_and_dim(weights: tuple[int, ...], pairings: tuple[int, ...]) -> tuple
     return square, numerator // 2
 
 
-def split_parts(
-    row: CaseTable, degree: int, part1: tuple[int, ...]
-) -> tuple[Part, Part]:
-    """Both parts of the split whose first part has coefficients ``part1``:
-    a split always takes one anticanonical part off the candidate."""
-    part2 = tuple(c - a for c, a in zip(row.coefficients, part1))
-    return (
-        part_numbers(row, degree, 1, part1),
-        part_numbers(row, degree, row.multiple - 1, part2),
-    )
+def complement(residual: Part, part: Part) -> Part:
+    """The second part of a split,  N - P  for the residual N and the
+    first part P: its weights and pairings are N's less P's."""
+    return _part(residual.multiple - part.multiple,
+                 tuple(map(sub, residual.coefficients, part.coefficients)),
+                 tuple(map(sub, residual.pairings, part.pairings)))
 
 
 def _point_cap(row: CaseTable, part: Part) -> int:
@@ -368,12 +354,11 @@ def _point_cap(row: CaseTable, part: Part) -> int:
     ))
 
 
-def _obstruction_for(
-    row: CaseTable, degree: int, part1: tuple[int, ...]
-) -> Optional[Obstruction]:
-    """Find the numeric contradiction for one split, or None if there is
-    none (which downgrades the certificate)."""
-    parts = split_parts(row, degree, part1)
+def _obstruction_for(row: CaseTable, residual: Part, first: Part) -> Optional[Obstruction]:
+    """Find the numeric contradiction for the split of the residual whose
+    first part is given, or None if there is none (which downgrades the
+    certificate)."""
+    parts = (first, complement(residual, first))
 
     # A part with square <= -2, a negative pairing with a configuration
     # curve, or negative expected dimension cannot occur.
@@ -413,12 +398,12 @@ def _obstruction_for(
             (("required", mu), ("cap_part1", caps[0]), ("cap_part2", caps[1])),
         )
 
-    candidate_dim = row.residual(degree).dim - conditions(mu)
+    candidate_dim = residual.dim - conditions(mu)
 
     # A row's balanced split is compared against the one-part family
     # through the point, matching the recorded analysis for that case.
-    if part1 == row.balanced_split:
-        part_dim = parts[0].dim - conditions(mu)
+    if first.coefficients == row.balanced_split:
+        part_dim = first.dim - conditions(mu)
         return Obstruction(
             DIMENSION_GAP,
             (("candidate_dim", candidate_dim), ("parts_dim", part_dim)),
@@ -438,16 +423,16 @@ def _obstruction_for(
     return None
 
 
-def square_survivors(row: CaseTable, degree: int) -> list[tuple[int, ...]]:
-    """The first-part coefficient vectors in the row's box whose part-1
-    square is > -2, in ascending lexicographic order.
+def square_survivors(row: CaseTable, degree: int) -> list[Part]:
+    """The first parts of the splits in the row's box whose square is > -2,
+    in ascending lexicographic order of their coefficients.
 
     They are grown from the zero split, one curve at a time:  P - C_j  has
-    square  P^2 - 2 P.C_j + C_j^2,  and its pairings are P's plus column j
-    of ``pairing_columns``.  Every survivor is found.  The zero split's
-    first part is -K, of square degree >= 1.  Any other survivor P has a
-    survivor one unit below it, with a square no smaller, so each is
-    reached through survivors alone:
+    square  P^2 - 2 P.C_j + C_j^2,  and its pairings are P's less C_j's,
+    row j of ``form``.  Every survivor is found.  The zero split's first
+    part is -K, of square degree >= 1.  Any other survivor P has a survivor
+    one unit below it, with a square no smaller, so each is reached through
+    survivors alone:
 
     - if it takes E, with coefficient e > 0, then  P.E = 1 + e  (E is a
       (-1)-curve of K-degree -1 that meets no node), and  P + E  has
@@ -458,28 +443,23 @@ def square_survivors(row: CaseTable, degree: int) -> list[tuple[int, ...]]:
       (c, c) = sum_j c_j (c, a_j) > 0,  some j with c_j > 0 has
       (c, a_j) >= 1,  and  P + C_j  has square  P^2 + 2 (c, a_j) - 2 >= P^2.
 
-    Every other split of the box dies on that square.
+    Every other split of the box dies on that square.  Each survivor's
+    square and dim come from ``square_and_dim``, with its parity check.
     """
-    form, columns, box = row.curve_form, row.pairing_columns, row.coefficients
+    form, box = row.form, row.coefficients
     zero = (0,) * len(box)
-    # each survivor's part-1 square and pairings (P.K, P.C_1, ..., P.C_n)
-    found = {zero: (degree, _pairings(row, degree, 1, ()))}
-    grow = [zero]
+    found = {zero: _part(1, zero, _pairings(row, degree, 1, ()))}
+    grow = [found[zero]]
     while grow:
-        point = grow.pop()
-        square, pairings = found[point]
-        for j, (curve_square, _, _) in enumerate(form):
-            grown_square = square - 2 * pairings[1 + j] + curve_square
-            if point[j] == box[j] or grown_square <= -2:
+        _, point, pairings, square, _ = grow.pop()
+        for j, pairs in enumerate(form):
+            if point[j] == box[j] or square - 2 * pairings[1 + j] + pairs[1 + j] <= -2:
                 continue
             grown = point[:j] + (point[j] + 1,) + point[j + 1:]
             if grown not in found:
-                grown_pairings = list(pairings)
-                for i, change in columns[j]:
-                    grown_pairings[i] += change
-                found[grown] = grown_square, tuple(grown_pairings)
-                grow.append(grown)
-    return sorted(found)
+                found[grown] = _part(1, grown, tuple(map(sub, pairings, pairs)))
+                grow.append(found[grown])
+    return [found[point] for point in sorted(found)]
 
 
 def enumerate_decompositions(row: CaseTable, degree: int) -> tuple[Split, ...]:
@@ -493,9 +473,10 @@ def enumerate_decompositions(row: CaseTable, degree: int) -> tuple[Split, ...]:
     """
     if degree not in row.degrees:
         raise ValueError(f"case {row.case_id} does not apply at degree {degree}")
+    residual = row.residual(degree)
     return tuple(
-        Split(part1, _obstruction_for(row, degree, part1))
-        for part1 in square_survivors(row, degree)
+        Split(first.coefficients, _obstruction_for(row, residual, first))
+        for first in square_survivors(row, degree)
     )
 
 

@@ -2,7 +2,8 @@
 
 The engine walks only the splits whose first part has square > -2, and
 lists the box for a v1 document by running sums over two halves of it.
-This module is the tests' second route: a plain product over the box.
+This module is the tests' second route: a plain product over the box, with
+both parts of a split built from scratch by :func:`split_parts`.
 
 Each box is walked once per session, by :func:`box_walk`.  It computes part
 1's square at every split with ``part_numbers``, keeps the squares in one
@@ -34,7 +35,6 @@ from dpcylinders.tigers import (
     Part,
     Split,
     part_numbers,
-    split_parts,
 )
 
 from residual_fixtures import minimal_spec_args
@@ -45,6 +45,17 @@ def killed(square):
     """The obstruction of a split that dies on part 1's square, one shared
     by every split with that square."""
     return Obstruction(NEGATIVE_SELF_INTERSECTION, (("part", 1), ("square", square)))
+
+
+def split_parts(row, degree, part1):
+    """Both parts of the split whose first part has coefficients ``part1``,
+    each built from scratch with ``part_numbers``: a split always takes one
+    anticanonical part off the candidate."""
+    part2 = tuple(c - a for c, a in zip(row.coefficients, part1))
+    return (
+        part_numbers(row, degree, 1, part1),
+        part_numbers(row, degree, row.multiple - 1, part2),
+    )
 
 
 def box(row):

@@ -283,7 +283,7 @@ def test_acceptance_8_cli_contract(tmp_path, capsys, monkeypatch):
 
         # exit 30 is reserved for engine discrepancies; force one
         monkeypatch.setattr(
-            tigers, "_obstruction_for", lambda row, degree, dec: None
+            tigers, "_obstruction_for", lambda row, residual, first: None
         )
         assert (
             cli.main(["tiger", "--spec", str(spec_path)])

@@ -653,7 +653,7 @@ def test_tiger_nothing_to_build(spec_dir, capsys):
 
 
 def test_tiger_discrepancy_exit(spec_dir, capsys, monkeypatch):
-    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, degree, dec: None)
+    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, residual, first: None)
     code, out, err = run_cli(
         capsys, "tiger", "--spec", str(spec_dir / "node_cubic.txt")
     )
@@ -766,7 +766,7 @@ def test_closed_stderr_keeps_the_exit_code(spec_dir, capsys, monkeypatch, args, 
 
 
 def test_closed_stderr_keeps_the_discrepancy_exit(spec_dir, capsys, monkeypatch):
-    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, degree, dec: None)
+    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, residual, first: None)
     monkeypatch.setattr(sys, "stderr", None)
     code = cli.main(["tiger", "--spec", str(spec_dir / "node_cubic.txt")])
     monkeypatch.undo()

@@ -142,7 +142,7 @@ def test_stream_matches_the_dict_builder_beyond_the_table(cert, batch):
 
 
 def test_stream_renders_an_unobstructed_split(monkeypatch):
-    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, degree, part1: None)
+    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, residual, first: None)
     cert = build_tiger(SurfaceSpec(2, ("A2",)))
     assert cert.status == "discrepancy"
     assert "".join(certificate_chunks(cert)) == reference_text(reference_document(cert))

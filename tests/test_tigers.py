@@ -36,15 +36,15 @@ from dpcylinders.tigers import (
     NEGATIVE_SELF_INTERSECTION,
     NOTE_OWN_COEFFICIENTS,
     PointSpec,
+    complement,
     fraction_text,
     narrate,
     part_numbers,
-    split_parts,
     square_and_dim,
     square_survivors,
 )
 
-from box_walk import box, box_survivors, box_walk, every_outcome
+from box_walk import box, box_survivors, box_walk, every_outcome, split_parts
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
@@ -118,10 +118,18 @@ def test_case_rows_are_internally_consistent():
         assert row.curves == tuple(f"D{i}" for i in range(1, rank + 1)) + (
             ("E",) if row.e_coefficient else ()
         )
-        assert len(row.coefficients) == len(row.curve_form) == len(row.curves)
+        assert len(row.coefficients) == len(row.form) == len(row.curves)
         assert row.coefficients[:rank] == row.node_coefficients
         assert row.coefficients[rank:] == ((row.e_coefficient,) if row.e_coefficient else ())
         assert [row.curves[i] for i in row.point_indices] == list(row.point.curves)
+        for d in row.degrees:
+            # X^2 = X.K (mod 2) for -K, with K.K = d, and for every curve X,
+            # (square, K-degree) read from the form.  So P^2 - P.K is even
+            # for every class P = sum a X, and its dim an integer: mod 2 the
+            # cross terms 2 a b X.Y drop and a^2 = a, leaving sum a (X^2 - X.K).
+            generators = [(d, -d)] + [(pairs[1 + j], pairs[0])
+                                      for j, pairs in enumerate(row.form)]
+            assert all((square - k) % 2 == 0 for square, k in generators), (row.case_id, d)
 
 
 def test_marked_points_lie_on_the_configuration():
@@ -363,15 +371,31 @@ def test_every_split_everywhere_is_obstructed():
             )
 
 
+def walked_parts(row, d):
+    """The walk's splits, and both parts of each as the obstruction pass
+    has them: part 1 from the survivor walk, part 2 built from it."""
+    parts = []
+
+    def spy(residual, first):
+        parts.append((first, complement(residual, first)))
+        return parts[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tigers, "complement", spy)
+        splits = enumerate_decompositions(row, d)
+    return splits, parts
+
+
 @pytest.mark.parametrize(
     "row,d", SPLIT_CASES, ids=[f"{row.case_id}-d{d}" for row, d in SPLIT_CASES]
 )
 def test_walk_finds_the_box_walks_survivors(row, d):
     """The growth from the zero split returns exactly the splits of the
-    whole box whose first part has square > -2, in the same order, and
-    obstructs each."""
-    walked = enumerate_decompositions(row, d)
+    whole box whose first part has square > -2, in the same order, with
+    both parts as ``split_parts`` builds them, and obstructs each."""
+    walked, parts = walked_parts(row, d)
     assert [split.part1 for split in walked] == box_survivors(row, d)
+    assert parts == list(box_walk(row, d).survivors.values())
     assert all(split.obstruction is not None for split in walked)
 
 
@@ -402,12 +426,21 @@ def arbitrary_boxes(draw, cap=5000):
 # a middle node with coefficient 0 parts the chain
 @example((row_by_id("A5")._replace(node_coefficients=(1, 2, 0, 3, 2)), 1))
 def test_walk_matches_the_box_walk_beyond_the_table(case):
-    """The growth from the zero split finds the box walk's survivors, and
-    its premise holds: every survivor but the zero split has a survivor one
-    unit below it, with a square no smaller."""
+    """The growth from the zero split finds the box walk's survivors, with
+    each part 1 it hands on, and the part 2 that ``complement`` builds from
+    it for the obstruction pass, equal to ``split_parts``; and its premise
+    holds: every survivor but the zero split has a survivor one unit below
+    it, with a square no smaller.  (A redrawn row may drop the curve its
+    marked point lies on, so the obstruction pass itself runs on the
+    table's rows only, in ``test_walk_finds_the_box_walks_survivors``.)"""
     row, d = case
     survivors = box_walk(row, d).survivors
-    assert square_survivors(row, d) == box_survivors(row, d)
+    walked = square_survivors(row, d)
+    assert [part.coefficients for part in walked] == box_survivors(row, d)
+    residual = row.residual(d)
+    assert [(first, complement(residual, first)) for first in walked] == list(
+        survivors.values()
+    )
     for part1, (part, _) in survivors.items():
         if not any(part1):
             continue
@@ -667,7 +700,7 @@ def test_fraction_text_writes_what_str_fraction_writes(n, d, k):
 
 def test_unobstructed_split_forces_discrepancy(monkeypatch):
     # nothing in the real tables is unobstructed, so simulate the failure
-    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, degree, dec: None)
+    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, residual, first: None)
     cert = build_tiger(SurfaceSpec(5, ()))
     assert cert.status == "discrepancy"
     assert all(o.obstruction is None for o in cert.decompositions)

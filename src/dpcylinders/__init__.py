@@ -28,9 +28,11 @@ __version__ = "0.1.0"
 _LAZY_NAMES = {
     **dict.fromkeys((
         "NoCaseApplies", "TigerCertificate", "build_tiger", "case_tables",
-        "enumerate_decompositions", "select_case",
+        "enumerate_decompositions", "narrate", "select_case",
     ), "tigers"),
-    **dict.fromkeys(("certificate_document", "certificate_from_document"), "certificate"),
+    **dict.fromkeys((
+        "certificate_chunks", "certificate_document", "certificate_from_document",
+    ), "certificate"),
 }
 
 

@@ -3,15 +3,15 @@
 A certificate holds only the splits that survive part 1's square test; its
 document lists every split of the box with both parts' numbers and its
 obstruction, so it is checkable on its own.  It streams in chunks, each
-entry filled from text rendered once per point of each half of the box
-(``BoxHalves``), through ``specio``'s one encoder.
+entry ``specio``'s encoding of a skeleton cut by one regular expression
+into templates, filled once per point of each half of the box (``BoxHalves``).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import groupby, product, zip_longest
+from itertools import count, product, zip_longest
 from operator import add, itemgetter, mul
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -144,9 +144,19 @@ def _part_block(row: CaseTable, label: str, part: Part) -> dict[str, Any]:
 # A split entry sits at depth 2 of a certificate document (the top-level
 # object, then the "decompositions" array), its keys at depth 3.
 _ENTRY_INDENT = " " * 4
-# A field of an entry skeleton: "\0" and the index of its source.
-_FIELD = "\0"
-_FIELD_RE = re.compile(r'"\\u0000(\d+)"')
+# A field of an entry skeleton, as JSON renders it: "\0", its kind and its
+# index.  A leading ("L") or trailing ("T") number indexes a half point's
+# numbers of both parts, flattened; a split's value ("X") its values.
+_FIELD_RE = re.compile(r'"\\u0000[LTX](\d+)"')
+# The cuts of an entry: each value, and each run of trailing numbers with
+# only text between them.  That text holds no backslash, so a run stops at
+# any other field.
+_CUT_RE = re.compile(r'"\\u0000X(\d+)"|("\\u0000T\d+"(?:[^\\]*"\\u0000T\d+")*)')
+
+
+def _format(piece: str) -> str:
+    """A piece of an entry as a ``str.format`` template of the numbers."""
+    return _FIELD_RE.sub(r"{\1}", piece.replace("{", "{{").replace("}", "}}"))
 
 
 def _entry_form(row: CaseTable, halves: BoxHalves) -> tuple[
@@ -169,71 +179,41 @@ def _entry_form(row: CaseTable, halves: BoxHalves) -> tuple[
     places take a split's values; the runs of a trailing point; and the
     picker of a split's values in template order.
     """
-    sources: list[tuple] = []
-
-    def field(*source: object) -> str:
-        sources.append(source)
-        return f"{_FIELD}{len(sources) - 1}"
-
     at_cut = {k: c for c, k in enumerate(halves.at_cut)}
+    n = len(row.curves)
 
     def number(p: int, k: int) -> str:
         if k in at_cut:
-            return field("crossing", 4 + p * len(at_cut) + at_cut[k])
-        return field("trailing" if k in halves.trailing_only else "leading", p, k)
+            return f"\0X{4 + p * len(at_cut) + at_cut[k]}"
+        return f"\0{'T' if k in halves.trailing_only else 'L'}{p * (2 * n + 1) + k}"
 
-    n = len(row.curves)
     blank = [
         Part(multiple, tuple(number(p, k) for k in range(n)),
-             tuple(number(p, k) for k in range(n, 2 * n + 1)),
-             field("crossing", 2 * p), field("crossing", 2 * p + 1))
+             tuple(number(p, k) for k in range(n, 2 * n + 1)), f"\0X{2 * p}", f"\0X{2 * p + 1}")
         for p, multiple in enumerate((1, row.multiple - 1))
     ]
+    obstruction = 4 + 2 * len(at_cut)
     skeleton = _ENCODER.encode({
-        "obstruction": field("obstruction"),
+        "obstruction": f"\0X{obstruction}",
         "part1": _part_block(row, "F1", blank[0]),
         "part2": _part_block(row, "F2", blank[1]),
     })
-    text = _ENTRY_INDENT + skeleton.replace("\n", "\n" + _ENTRY_INDENT)
-    # the text between fields, then each field's source, in text order
-    pieces = _FIELD_RE.split(text)
-    items = [("text", piece) if i % 2 == 0 else sources[int(piece)]
-             for i, piece in enumerate(pieces)]
-
-    def holder(i: int) -> object:
-        kind = items[i][0]
-        if kind == "text":
-            # text between two trailing numbers joins their run
-            inside = 0 < i < len(items) - 1 and items[i - 1][0] == items[i + 1][0] == "trailing"
-            return "trailing" if inside else "leading"
-        return kind if kind in ("leading", "trailing") else i
-
-    fixed: list[list[tuple]] = []
-    runs: list[list[tuple]] = []
-    # each value's place in (*crossing, obstruction text, *runs)
-    crossing = 4 + 2 * len(at_cut)
-    order: list[int] = []
-    for kind, group in groupby(range(len(items)), holder):
-        members = [items[i] for i in group]
-        if kind == "leading":
-            fixed.append(members)
-        elif kind == "trailing":
-            order.append(crossing + 1 + len(runs))
-            runs.append(members)
-        else:
-            (source,) = members
-            order.append(crossing if source[0] == "obstruction" else source[1])
-
-    def fill(members: list[tuple], point: HalfPoint) -> str:
-        return "".join(m[1] if m[0] == "text" else str(point.numbers[m[1]][m[2]])
-                       for m in members)
+    # text, then a value's index or a run, in text order
+    pieces = _CUT_RE.split(_ENTRY_INDENT + skeleton.replace("\n", "\n" + _ENTRY_INDENT))
+    fixed = [_format(piece) for piece in pieces[::3]]
+    runs = [_format(run) for run in pieces[2::3] if run]
+    later = count(obstruction + 1)
+    order = [int(value) if value else next(later) for value in pieces[1::3]]
 
     def template(point: HalfPoint) -> list[str]:
         entry = [""] * (2 * len(fixed) - 1)
-        entry[::2] = [fill(members, point) for members in fixed]
+        entry[::2] = [t.format(*point.numbers[0], *point.numbers[1]) for t in fixed]
         return entry
 
-    return template, lambda point: tuple(fill(run, point) for run in runs), itemgetter(*order)
+    def trail_runs(point: HalfPoint) -> tuple[str, ...]:
+        return tuple(t.format(*point.numbers[0], *point.numbers[1]) for t in runs)
+
+    return template, trail_runs, itemgetter(*order)
 
 
 def _obstruction_text(obstruction: Optional[Obstruction]) -> str:

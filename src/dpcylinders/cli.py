@@ -33,36 +33,30 @@ import tempfile
 from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, Optional
 
+from . import _LAZY_NAMES
 from .classify import classify
 from .lattice import InvalidSpec, SurfaceSpec, enumerate_specs
 from .specio import SpecFileError, parse_spec_text, render_document, verdict_document
 
-# The certificate path: the names a command needs once it builds a
-# certificate, each with its module.  ``_bind`` binds the names a command
-# asks for into this module's globals, so ``classify``, a refusal and
-# ``tiger`` on a spec with no anticanonical cylinder never load ``tigers``
-# or ``certificate``, and ``sweep`` never loads ``certificate``.
-_CERTIFICATE_PATH = {
-    **dict.fromkeys(("NoCaseApplies", "build_tiger", "narrate"), "tigers"),
-    **dict.fromkeys(("certificate_chunks", "certificate_document"), "certificate"),
-}
 
-
+# The certificate path: the package's lazy names (``build_tiger``,
+# ``narrate``, ``certificate_chunks``, ...).  ``_bind`` binds the names a
+# command asks for into this module's globals, so ``classify``, a refusal
+# and ``tiger`` on a spec with no anticanonical cylinder never load
+# ``tigers`` or ``certificate``, and ``sweep`` never loads ``certificate``.
 def _bind(*names: str) -> None:
     """Bind these certificate path names here, keeping any name already
     bound: a wrapper or a test's stand-in stays in place."""
-    from importlib import import_module
-
+    package = sys.modules[__package__]
     for name in names:
-        module = import_module(f".{_CERTIFICATE_PATH[name]}", __package__)
-        globals().setdefault(name, getattr(module, name))
+        globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name: str) -> object:
     # a certificate name read before a command has bound it: the
     # benchmark's traced replay (bench/traced.py) wraps ``build_tiger`` and
     # ``certificate_document`` on this module
-    if name not in _CERTIFICATE_PATH:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind(name)
     return globals()[name]

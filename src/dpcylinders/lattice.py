@@ -16,9 +16,8 @@ against that labeling, so it is pinned here once and for all:
 
 from __future__ import annotations
 
-import itertools
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 
 
@@ -181,11 +180,9 @@ class SurfaceSpec(namedtuple("SurfaceSpec", "degree singularities")):
         """Human-readable multiset, e.g. ``2A1+2A3`` or ``smooth``."""
         if not self.singularities:
             return "smooth"
-        parts = []
-        for t, group in itertools.groupby(self.singularities):
-            n = len(list(group))
-            parts.append(f"{n}{t}" if n > 1 else str(t))
-        return "+".join(parts)
+        # the singularities are sorted, so each type's count comes in order
+        counts = Counter(self.singularities)
+        return "+".join(f"{n}{t}" if n > 1 else str(t) for t, n in counts.items())
 
     def __str__(self) -> str:
         return f"degree {self.degree}, {self.singularity_label}"

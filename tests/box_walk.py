@@ -21,6 +21,9 @@ that walk:
 :func:`plain_splits` is a separate walk, with both parts of every split from
 ``split_parts``, as a v1 document lists them.  It feeds the reference
 document and the redrawn boxes, not the table's.
+
+:func:`redrawn_boxes` draws boxes beyond the table: a case row with its
+coefficients redrawn, for the walk, the box halves and the stream alike.
 """
 
 from array import array
@@ -28,11 +31,14 @@ from functools import cache
 from itertools import product
 from typing import NamedTuple
 
-from dpcylinders import SurfaceSpec, build_tiger
+from hypothesis import strategies as st
+
+from dpcylinders import SurfaceSpec, build_tiger, case_tables
 from dpcylinders.tigers import (
     NEGATIVE_SELF_INTERSECTION,
     Obstruction,
     Part,
+    PointSpec,
     Split,
     part_numbers,
 )
@@ -124,3 +130,25 @@ def plain_splits(cert):
     for part1 in box(row):
         parts = split_parts(row, degree, part1)
         yield walked.get(part1) or Split(part1, killed(parts[0].square)), parts
+
+
+@st.composite
+def redrawn_boxes(draw, cap):
+    """A case row with its coefficients redrawn, up to 5 per curve and at
+    most ``cap`` splits in its box, and any degree, the row's only one:
+    rows gain or lose E, and a row without nodes and E has no curves at
+    all.  The marked point keeps only the curves the row still has."""
+    row = draw(st.sampled_from(case_tables()))
+    curves = len(row.node_coefficients) + 1  # the nodes, then E
+    coefficients = [0] * curves
+    size = 1
+    for i in draw(st.permutations(range(curves))):
+        coefficients[i] = draw(st.integers(0, min(5, cap // size - 1)))
+        size *= coefficients[i] + 1
+    e = coefficients[-1]
+    degree = draw(st.integers(1, 9))
+    return row._replace(
+        node_coefficients=tuple(coefficients[:-1]), e_coefficient=e, degrees=(degree,),
+        # a marked point on E needs E among the row's curves
+        point=PointSpec(tuple(c for c in row.point.curves if e or c != "E")),
+    ), degree

@@ -962,6 +962,15 @@ def test_sweep_loads_the_construction_and_no_certificate(tmp_path):
     assert not {"dpcylinders.certificate", "fractions"} & loaded
 
 
+def test_cli_serves_exactly_the_package_lazy_names():
+    # the benchmark's traced replay reads certificate names on this module
+    for name in dpcylinders._LAZY_NAMES:
+        assert getattr(cli, name) is getattr(dpcylinders, name), name
+    for name in ("complement", "no_such_name"):
+        with pytest.raises(AttributeError, match=r"module 'dpcylinders\.cli' has no attribute"):
+            getattr(cli, name)
+
+
 def test_star_import_binds_every_exported_name():
     probe = (
         "import dpcylinders; from dpcylinders import *; "

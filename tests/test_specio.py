@@ -24,8 +24,9 @@ from dpcylinders.certificate import (
     certificate_document,
     certificate_from_document,
 )
-from dpcylinders.tigers import PointSpec, TigerCertificate
+from dpcylinders.tigers import TigerCertificate
 
+from box_walk import redrawn_boxes
 from certificate_reference import reference_document, reference_text
 from residual_fixtures import minimal_spec_args
 
@@ -90,30 +91,8 @@ def test_stream_matches_the_dict_builder(row, d):
         assert same
 
 
-@st.composite
-def redrawn_certificates(draw, cap=300):
-    """A certificate of a case row with its coefficients redrawn, up to 5
-    per curve and at most ``cap`` splits in its box, at any degree: rows
-    gain or lose E, and a row without nodes and E has no curves at all."""
-    row = draw(st.sampled_from(case_tables()))
-    curves = len(row.node_coefficients) + 1  # the nodes, then E
-    coefficients = [0] * curves
-    size = 1
-    for i in draw(st.permutations(range(curves))):
-        coefficients[i] = draw(st.integers(0, min(5, cap // size - 1)))
-        size *= coefficients[i] + 1
-    e = coefficients[-1]
-    degree = draw(st.integers(1, 9))
-    row = row._replace(
-        node_coefficients=tuple(coefficients[:-1]), e_coefficient=e, degrees=(degree,),
-        # a marked point on E needs E among the row's curves
-        point=PointSpec(tuple(c for c in row.point.curves if e or c != "E")),
-    )
-    return redrawn(row, degree)
-
-
 @settings(max_examples=60, deadline=None)
-@given(redrawn_certificates(), st.integers(1, 5))
+@given(redrawn_boxes(cap=300).map(lambda case: redrawn(*case)), st.integers(1, 5))
 @example(certificate_of(case_tables()[2], 5), 1)  # deg5: no curves, one split
 # E alone, so the leading half is empty
 @example(redrawn(row_by_id("deg4or6"), 6), 2)

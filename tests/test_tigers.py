@@ -44,7 +44,7 @@ from dpcylinders.tigers import (
     square_survivors,
 )
 
-from box_walk import box, box_survivors, box_walk, every_outcome, split_parts
+from box_walk import box, box_survivors, box_walk, every_outcome, redrawn_boxes, split_parts
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
@@ -399,26 +399,8 @@ def test_walk_finds_the_box_walks_survivors(row, d):
     assert all(split.obstruction is not None for split in walked)
 
 
-@st.composite
-def arbitrary_boxes(draw, cap=5000):
-    """A case row with its coefficients redrawn, up to 5 per curve and at
-    most ``cap`` splits in its box, and any degree."""
-    row = draw(st.sampled_from(case_tables()))
-    curves = len(row.node_coefficients) + 1  # the nodes, then E
-    coefficients = [0] * curves
-    size = 1
-    for i in draw(st.permutations(range(curves))):
-        coefficients[i] = draw(st.integers(0, min(5, cap // size - 1)))
-        size *= coefficients[i] + 1
-    degree = draw(st.integers(1, 9))
-    return row._replace(
-        node_coefficients=tuple(coefficients[:-1]), e_coefficient=coefficients[-1],
-        degrees=(degree,),
-    ), degree
-
-
 @settings(max_examples=60, deadline=None)
-@given(arbitrary_boxes())
+@given(redrawn_boxes(cap=5000))
 # no curves, so the box is the zero split alone
 @example((row_by_id("deg5"), 5))
 # nodes and E together at degree 1
@@ -430,13 +412,14 @@ def test_walk_matches_the_box_walk_beyond_the_table(case):
     each part 1 it hands on, and the part 2 that ``complement`` builds from
     it for the obstruction pass, equal to ``split_parts``; and its premise
     holds: every survivor but the zero split has a survivor one unit below
-    it, with a square no smaller.  (A redrawn row may drop the curve its
-    marked point lies on, so the obstruction pass itself runs on the
-    table's rows only, in ``test_walk_finds_the_box_walks_survivors``.)"""
+    it, with a square no smaller.  The obstruction pass runs on the drawn
+    box too: its splits are the walk's survivors, in order."""
     row, d = case
     survivors = box_walk(row, d).survivors
     walked = square_survivors(row, d)
     assert [part.coefficients for part in walked] == box_survivors(row, d)
+    splits = enumerate_decompositions(row, d)
+    assert [split.part1 for split in splits] == [part.coefficients for part in walked]
     residual = row.residual(d)
     assert [(first, complement(residual, first)) for first in walked] == list(
         survivors.values()
@@ -450,7 +433,7 @@ def test_walk_matches_the_box_walk_beyond_the_table(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(arbitrary_boxes(cap=2000))
+@given(redrawn_boxes(cap=2000))
 # E alone, so the leading half is empty
 @example((row_by_id("deg4or6"), 6))
 # E in the trailing half beside two nodes

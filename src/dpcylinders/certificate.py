@@ -2,18 +2,22 @@
 
 A certificate holds only the splits that survive part 1's square test; its
 document lists every split of the box with both parts' numbers and its
-obstruction, so it is checkable on its own.  It streams in chunks, each
-entry ``specio``'s encoding of a skeleton cut by one regular expression
-into templates, filled once per point of each half of the box (``BoxHalves``).
-"""
+obstruction, so it is checkable on its own.  It streams in chunks.  An
+entry is ``specio``'s encoding of a skeleton, cut by one regular expression
+into templates: the texts of a point of the box's leading half
+(``BoxHalves``), and between them columns over the trailing half, each of
+the trailing points' runs of numbers and each value a split fills in.  A
+value's column is made once per certificate for each leading share it
+takes; a leading point's entries are the rows of its texts and its
+columns, and a chunk is one join of the pieces of its entries."""
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import count, product, zip_longest
-from operator import add, itemgetter, mul
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import chain, count, islice, product, repeat, zip_longest
+from operator import mul
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .lattice import SurfaceSpec, excerpt
 from .specio import _ENCODER, _spec_block, render_document
@@ -161,23 +165,24 @@ def _format(piece: str) -> str:
 
 def _entry_form(row: CaseTable, halves: BoxHalves) -> tuple[
     Callable[[HalfPoint], list[str]],
-    Callable[[HalfPoint], tuple[str, ...]],
-    Callable[[tuple], tuple],
+    Callable[[HalfPoint], list[str]],
+    list[int],
 ]:
     """A split entry of the row's certificates, cut by where its text
     comes from.
 
     Every entry of a row has one key layout: the rendering of a skeleton
-    entry whose values are numbered fields.  Its text is the leading
-    point's numbers with the text around them, and between them the values
+    entry whose values are numbered fields.  Its text, after the separator
+    from the entry before it, is the leading point's numbers with the text
+    around them, and between them the values
     of a split: its obstruction text, each run of the trailing point's
     numbers with the text between them, and each number across the cut.
-    A split's values come as one tuple: part 1's square and dim, part 2's,
-    then the pairings at the cut of part 1 and of part 2 (``at_cut``
-    order), all as text, then the obstruction text, then the trailing
-    runs.  Returns the entry template of a leading point, a list whose odd
-    places take a split's values; the runs of a trailing point; and the
-    picker of a split's values in template order.
+    A split's values are numbered as one tuple: part 1's square and dim,
+    part 2's, then the pairings at the cut of part 1 and of part 2
+    (``at_cut`` order), all as text, then the obstruction text, then the
+    trailing runs.  Returns the texts of a leading point around a split's
+    values; the runs of a trailing point; and the number of each value in
+    text order.
     """
     at_cut = {k: c for c, k in enumerate(halves.at_cut)}
     n = len(row.curves)
@@ -199,21 +204,19 @@ def _entry_form(row: CaseTable, halves: BoxHalves) -> tuple[
         "part2": _part_block(row, "F2", blank[1]),
     })
     # text, then a value's index or a run, in text order
-    pieces = _CUT_RE.split(_ENTRY_INDENT + skeleton.replace("\n", "\n" + _ENTRY_INDENT))
+    pieces = _CUT_RE.split(",\n" + _ENTRY_INDENT + skeleton.replace("\n", "\n" + _ENTRY_INDENT))
     fixed = [_format(piece) for piece in pieces[::3]]
     runs = [_format(run) for run in pieces[2::3] if run]
     later = count(obstruction + 1)
     order = [int(value) if value else next(later) for value in pieces[1::3]]
 
-    def template(point: HalfPoint) -> list[str]:
-        entry = [""] * (2 * len(fixed) - 1)
-        entry[::2] = [t.format(*point.numbers[0], *point.numbers[1]) for t in fixed]
-        return entry
+    def leading_texts(point: HalfPoint) -> list[str]:
+        return [t.format(*point.numbers[0], *point.numbers[1]) for t in fixed]
 
-    def trail_runs(point: HalfPoint) -> tuple[str, ...]:
-        return tuple(t.format(*point.numbers[0], *point.numbers[1]) for t in runs)
+    def trail_runs(point: HalfPoint) -> list[str]:
+        return [t.format(*point.numbers[0], *point.numbers[1]) for t in runs]
 
-    return template, trail_runs, itemgetter(*order)
+    return leading_texts, trail_runs, order
 
 
 def _obstruction_text(obstruction: Optional[Obstruction]) -> str:
@@ -251,21 +254,26 @@ def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
     }
 
 
-class _Texts(dict):
-    """Each integer's decimal text, made once: a lookup takes a quarter
-    of the time of ``str`` on an int."""
+class _Memo(dict):
+    """A table that makes the value of each key once, by ``make``, when
+    the key is first read."""
 
-    def __missing__(self, value: int) -> str:
-        text = self[value] = str(value)
-        return text
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self._make(key)
+        return value
 
 
 # split entries per chunk of a streamed certificate.  An entry is at most
 # about 2.2 KB, so a chunk and its encoding stay near 110 KB and are served
 # again and again from the heap; megabyte chunks were mapped and faulted in
 # afresh each time (87,000 page faults and 0.2 s of kernel time for D8 at
-# degree 1, against 3,000 faults at 50 entries).  An entry is one join of
-# its leading point's template, and a chunk one join of its entries.
+# degree 1, against 3,000 faults at 50 entries).  An entry is a row of a
+# leading point's texts and its columns over the trailing half, and a
+# chunk one join of the pieces of its entries, cut across leading points.
 _BATCH = 50
 
 
@@ -276,57 +284,86 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
 
     The splits come in ascending lexicographic order of part 1's
     coefficients: each leading point, then each trailing point under it.
-    A split computes only what crosses the cut: both squares and dims,
-    each the leading share plus the trailing share plus the term across
-    the cut (the odd-parity check runs at every split), and the pairings
-    at the cut.  A survivor of part 1's square test renders its walked
-    obstruction; every other split dies on that square.  A certificate
-    whose splits lack a survivor raises KeyError rather than state a
-    false kill.  The document's size grows with the box, the memory used
-    here does not.
+    Each value a split fills in is the leading share plus the trailing
+    share, and both squares and dims add the term across the cut, the dot
+    product of the halves' ``across``.  So a value's text over the whole
+    trailing half, a column, depends only on the value, the leading
+    point's share and, for squares and dims, its ``across``: each column
+    is made once per certificate, when a leading point first reads it, and
+    the odd-parity check runs on each twice-dim column as it is made, so
+    no entry that reads an odd share is written.  A leading point's
+    obstructions are its column of part-1 squares read as the kills they
+    state, with each survivor's walked obstruction put in; a certificate
+    whose splits lack a survivor raises KeyError rather than state a false
+    kill.  A leading point's entries are the rows of its own texts, its
+    columns and the trailing half's runs.  The document's size grows with
+    the box, the memory used here does not.
     """
     empty = '"decompositions": []'
     head, _, tail = render_document(_certificate_shell(cert)).partition(empty)
     halves = BoxHalves(cert.row, cert.spec.degree)
-    template, trail_runs, pick = _entry_form(cert.row, halves)
-    trailing = [(point.coefficients, point.terms, point.across, point.at_cut, trail_runs(point))
-                for point in halves.trailing]
+    leading_texts, trail_runs, order = _entry_form(cert.row, halves)
+    trailing = halves.trailing
+    runs = list(zip(*map(trail_runs, trailing)))
     walked = {split.part1: split.obstruction for split in cert.decompositions}
-    # obstruction texts by the walked obstruction of a survivor (None when
-    # unobstructed), or by the part-1 square that kills a split
-    texts: dict[Union[Optional[Obstruction], int], str] = {}
-    decimal = _Texts().__getitem__
+    # each value's trailing shares: the squares and twice dims, then the
+    # pairings at the cut; and the term across the cut by leading ``across``
+    shares = list(zip(*(point.terms + point.at_cut for point in trailing)))
+    crossed = _Memo(lambda across: [sum(map(mul, across, point.across)) for point in trailing])
+    # each integer's text, shared by the columns
+    decimal = _Memo(str).__getitem__
+
+    def column(key: tuple[int, int, tuple[int, ...]]) -> list[str]:
+        index, share, across = key
+        values = [share + s + c for s, c in zip(shares[index], crossed[across])]
+        if index in (1, 3):  # twice a dim
+            if any(v & 1 for v in values):
+                raise ValueError("residual class has odd self-pairing parity")
+            values = [v >> 1 for v in values]
+        return list(map(decimal, values))
+
+    def kill_text(square: str) -> Optional[str]:
+        """The obstruction text of a split whose part-1 square reads
+        ``square``, or None where the split survives that square."""
+        value = int(square)
+        return None if value > -2 else _obstruction_text(
+            Obstruction(NEGATIVE_SELF_INTERSECTION, (("part", 1), ("square", value)))
+        )
+
+    columns, kill_texts = _Memo(column), _Memo(kill_text)
+    # the trailing points whose splits survive part 1's square, by the
+    # key of that square's column
+    survivors = _Memo(lambda key: [
+        j for j, square in enumerate(columns[key]) if kill_texts[square] is None
+    ])
+    walked_texts = _Memo(_obstruction_text)
+
+    def entries(lead: HalfPoint) -> Iterator[tuple[str, ...]]:
+        """A leading point's entries, each as its pieces in text order."""
+        a, _, (lead1, twice1, lead2, twice2), across, at_cut = lead
+        squares = columns[0, lead1, across]
+        obstructions = list(map(kill_texts.__getitem__, squares))
+        for j in survivors[0, lead1, across]:
+            obstructions[j] = walked_texts[walked[a + trailing[j].coefficients]]
+        values = [
+            squares, columns[1, twice1, across],
+            columns[2, lead2, across], columns[3, twice2, across],
+            *(columns[index, share, ()] for index, share in enumerate(at_cut, 4)),
+            obstructions, *runs,
+        ]
+        pieces: list[Iterable[str]] = [()] * (2 * len(order) + 1)
+        pieces[::2] = map(repeat, leading_texts(lead))
+        pieces[1::2] = [values[i] for i in order]
+        return zip(*pieces)
+
     # a box always holds the split with first part 0, so the array is never empty
     yield head + empty[:-1] + "\n"
-    entries: list[str] = []
-    separator = ""
-    for lead in halves.leading():
-        entry = template(lead)
-        a, _, (lead1, twice_lead1, lead2, twice_lead2), lead_across, lead_cut = lead
-        for (b, (trail1, twice_trail1, trail2, twice_trail2), trail_across, trail_cut,
-             runs) in trailing:
-            cross = sum(map(mul, lead_across, trail_across))
-            square1 = lead1 + trail1 + cross
-            twice1 = twice_lead1 + twice_trail1 + cross
-            twice2 = twice_lead2 + twice_trail2 + cross
-            if (twice1 | twice2) & 1:
-                raise ValueError("residual class has odd self-pairing parity")
-            key = walked[a + b] if square1 > -2 else square1
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = _obstruction_text(key if square1 > -2 else Obstruction(
-                    NEGATIVE_SELF_INTERSECTION, (("part", 1), ("square", square1))
-                ))
-            entry[1::2] = pick((
-                decimal(square1), decimal(twice1 >> 1),
-                decimal(lead2 + trail2 + cross), decimal(twice2 >> 1),
-                *map(decimal, map(add, lead_cut, trail_cut)), text, *runs,
-            ))
-            entries.append("".join(entry))
-            if len(entries) == _BATCH:
-                yield separator + ",\n".join(entries)
-                entries, separator = [], ",\n"
-    yield (separator + ",\n".join(entries) if entries else "") + "\n  ]" + tail
+    stream = chain.from_iterable(map(entries, halves.leading()))
+    cut = len(",\n")  # the first entry takes no separator
+    while len(batch := list(islice(stream, _BATCH))) == _BATCH:
+        yield "".join(chain.from_iterable(batch))[cut:]
+        cut = 0
+    yield "".join(chain.from_iterable(batch))[cut:] + "\n  ]" + tail
 
 
 def certificate_document(cert: TigerCertificate) -> dict[str, Any]:

@@ -127,6 +127,26 @@ def test_stream_renders_an_unobstructed_split(monkeypatch):
     assert "".join(certificate_chunks(cert)) == reference_text(reference_document(cert))
 
 
+def test_interleaved_streams_render_their_own_documents():
+    """D6 at degrees 1 and 2 share a case row and its 1,080-split box but
+    not the residual, so the numbers of their splits differ; A5 at degree
+    1 has another row and box, whose columns differ under the keys it
+    shares with D6.  Drawn chunk by chunk in turn, each stream renders its
+    own document: what one certificate's stream has made is not served to
+    another."""
+    certs = [build_tiger(SurfaceSpec(d, (t,))) for d, t in ((1, "D6"), (2, "D6"), (1, "A5"))]
+    assert certs[0].row == certs[1].row
+    assert prod(c + 1 for c in certs[0].row.coefficients) == 1080
+    assert certs[0].row.residual(1) != certs[1].row.residual(2)
+    texts = ([], [], [])
+    for chunks in zip_longest(*map(certificate_chunks, certs), fillvalue=""):
+        for text, chunk in zip(texts, chunks):
+            text.append(chunk)
+    with collector_paused():
+        for cert, text in zip(certs, texts):
+            assert_same_text("".join(text), reference_text(reference_document(cert)))
+
+
 def test_a_certificate_missing_a_survivor_is_not_rendered():
     """A split whose part-1 square is > -2 must come from the certificate's
     walked splits; rendering it as killed by that square would state a

@@ -7,7 +7,7 @@ path.
 """
 
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from operator import add, mul
 
 import pytest
@@ -45,6 +45,7 @@ from dpcylinders.tigers import (
 )
 
 from box_walk import box, box_survivors, box_walk, every_outcome, redrawn_boxes, split_parts
+from certificate_reference import reference_document, reference_text
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
@@ -251,30 +252,54 @@ def test_residual_parity_guard():
         square_and_dim((2,), (-3,))
 
 
-@pytest.mark.parametrize("term", [1, 3], ids=["part1", "part2"])
-def test_half_walk_checks_parity_at_every_split(term, monkeypatch):
-    """The certificate stream's walk over the box halves checks  P^2 - P.K
-    of both parts at each split: a trailing point whose share of it is
-    odd, which no class has, is refused at the first split that reads it,
-    after every split before it."""
+@pytest.mark.parametrize(
+    "term,half",
+    [(1, "trailing"), (3, "trailing"), (1, "leading"), (3, "leading")],
+    ids=["part1", "part2", "part1-leading", "part2-leading"],
+)
+def test_half_walk_checks_parity_at_every_split(term, half, monkeypatch):
+    """The certificate stream checks  P^2 - P.K  of both parts at each
+    split: a half point whose share of it is odd, which no class has, is
+    refused before the stream writes any entry that reads it.  The check
+    runs on each column of twice a dim over the trailing half as it is
+    made, when a leading point first reads it, so an odd trailing point
+    stops the stream at the first leading point, and an odd leading point
+    at itself."""
+
+    def odd(point):
+        terms = list(point.terms)
+        terms[term] += 1
+        return point._replace(terms=tuple(terms))
 
     class OddHalves(BoxHalves):
         def __init__(self, row, degree):
             super().__init__(row, degree)
-            *others, last = self.trailing
-            terms = list(last.terms)
-            terms[term] += 1
-            self.trailing = (*others, last._replace(terms=tuple(terms)))
+            if half == "trailing":
+                *others, last = self.trailing
+                self.trailing = (*others, odd(last))
+
+        def leading(self):
+            for i, point in enumerate(super().leading()):
+                yield odd(point) if half == "leading" and i == 1 else point
 
     cert = build_tiger(SurfaceSpec(2, ("A3",)))
-    others = len(BoxHalves(cert.row, 2).trailing) - 1
+    document = reference_text(reference_document(cert))
+    size = len(BoxHalves(cert.row, 2).trailing)
+    # the first split that reads the odd point: the last trailing point
+    # under the first leading point, or the first under the second
+    first_odd = size - 1 if half == "trailing" else size
     monkeypatch.setattr(certificate, "BoxHalves", OddHalves)
     # one entry per chunk, after the head
     monkeypatch.setattr(certificate, "_BATCH", 1)
-    chunks = certificate_chunks(cert)
-    assert len(list(islice(chunks, 1 + others))) == 1 + others
+    written = []
     with pytest.raises(ValueError, match="parity"):
-        next(chunks)
+        for chunk in certificate_chunks(cert):
+            written.append(chunk)
+    head, *entries = written
+    assert head.endswith('"decompositions": [\n')
+    assert len(entries) <= first_odd
+    # what was written is the document's own beginning
+    assert document.startswith("".join(written))
 
 
 # ------------------------------------------------------- split enumeration

@@ -298,31 +298,23 @@ def part_numbers(
 ) -> Part:
     """Intersection numbers of  P = multiple*(-K) - sum(c_j C_j).
 
-    The pairings are linear in the multiple and the coefficients, summed
-    from the row's form; the rest follows from them (``square_and_dim``).
-    The relation residual itself is  row.residual(degree).
+    Its pairings (P.K, P.C_1, ..., P.C_n) are those of multiple*(-K), less
+    each curve's row of the row's form times its coefficient; the rest
+    follows from them (``square_and_dim``).  The relation residual itself
+    is  row.residual(degree).
     """
-    return _part(multiple, coefficients, _pairings(row, degree, multiple, coefficients))
+    pairings = [-multiple * degree, *(-multiple * pairs[0] for pairs in row.form)]
+    for c, pairs in zip(coefficients, row.form):
+        if c:
+            for i, v in enumerate(pairs):
+                pairings[i] -= c * v
+    return _part(multiple, coefficients, tuple(pairings))
 
 
 def _part(multiple: int, coefficients: tuple[int, ...], pairings: tuple[int, ...]) -> Part:
     """The part with these weights and pairings; its square and dim follow."""
     return Part(multiple, coefficients, pairings,
                 *square_and_dim((multiple, *coefficients), pairings))
-
-
-def _pairings(
-    row: CaseTable, degree: int, multiple: int, coefficients: tuple[int, ...]
-) -> tuple[int, ...]:
-    """(P.K, P.C_1, ..., P.C_n): the pairings of multiple*(-K), less each
-    curve's pairings times its coefficient.  Coefficients past the given
-    ones count as 0."""
-    pairings = [-multiple * degree, *(-multiple * pairs[0] for pairs in row.form)]
-    for c, pairs in zip(coefficients, row.form):
-        if c:
-            for i, v in enumerate(pairs):
-                pairings[i] -= c * v
-    return tuple(pairings)
 
 
 def square_and_dim(weights: tuple[int, ...], pairings: tuple[int, ...]) -> tuple[int, int]:
@@ -448,7 +440,7 @@ def square_survivors(row: CaseTable, degree: int) -> list[Part]:
     """
     form, box = row.form, row.coefficients
     zero = (0,) * len(box)
-    found = {zero: _part(1, zero, _pairings(row, degree, 1, ()))}
+    found = {zero: part_numbers(row, degree, 1, zero)}
     grow = [found[zero]]
     while grow:
         _, point, pairings, square, _ = grow.pop()

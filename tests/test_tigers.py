@@ -6,9 +6,10 @@ certificate assembly is exercised end to end including the forced-failure
 path.
 """
 
+import json
 from fractions import Fraction
 from itertools import product
-from operator import add, mul
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,7 +46,7 @@ from dpcylinders.tigers import (
 )
 
 from box_walk import box, box_survivors, box_walk, every_outcome, redrawn_boxes, split_parts
-from certificate_reference import reference_document, reference_text
+from certificate_reference import part_block
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
@@ -253,53 +254,55 @@ def test_residual_parity_guard():
 
 
 @pytest.mark.parametrize(
-    "term,half",
-    [(1, "trailing"), (3, "trailing"), (1, "leading"), (3, "leading")],
+    "args,curve,half",
+    [
+        ((2, ("A3",)), "D2", "trailing"),
+        ((1, ("D5",)), "D4", "trailing"),
+        ((2, ("A3",)), "D1", "leading"),
+        ((1, ("D5",)), "D2", "leading"),
+    ],
+    # an odd curve makes both parts of a split odd at once, as part 2 is
+    # N - P and N stays even, so part1 and part2 name the two boxes
     ids=["part1", "part2", "part1-leading", "part2-leading"],
 )
-def test_half_walk_checks_parity_at_every_split(term, half, monkeypatch):
-    """The certificate stream checks  P^2 - P.K  of both parts at each
-    split: a half point whose share of it is odd, which no class has, is
-    refused before the stream writes any entry that reads it.  The check
-    runs on each column of twice a dim over the trailing half as it is
-    made, when a leading point first reads it, so an odd trailing point
-    stops the stream at the first leading point, and an odd leading point
-    at itself."""
-
-    def odd(point):
-        terms = list(point.terms)
-        terms[term] += 1
-        return point._replace(terms=tuple(terms))
-
-    class OddHalves(BoxHalves):
-        def __init__(self, row, degree):
-            super().__init__(row, degree)
-            if half == "trailing":
-                *others, last = self.trailing
-                self.trailing = (*others, odd(last))
-
-        def leading(self):
-            for i, point in enumerate(super().leading()):
-                yield odd(point) if half == "leading" and i == 1 else point
-
-    cert = build_tiger(SurfaceSpec(2, ("A3",)))
-    document = reference_text(reference_document(cert))
-    size = len(BoxHalves(cert.row, 2).trailing)
-    # the first split that reads the odd point: the last trailing point
-    # under the first leading point, or the first under the second
-    first_odd = size - 1 if half == "trailing" else size
-    monkeypatch.setattr(certificate, "BoxHalves", OddHalves)
+def test_half_walk_checks_parity_at_every_split(args, curve, half, monkeypatch):
+    """The certificate stream refuses a box with a class of odd
+    P^2 - P.K, which no class has.  One curve of even relation coefficient
+    takes an odd K-degree in a copy of the row, so the residual stays even
+    and every split that takes the curve an odd number of times is odd.
+    ``tigers.square_and_dim`` refuses such a class as ``BoxHalves`` makes a
+    half point from it: a trailing curve stops the stream before it writes
+    anything, and a leading one at the first leading point with an odd
+    coefficient, after the entries of the points before it, which are the
+    odd row's own."""
+    cert = build_tiger(SurfaceSpec(*args))
+    degree, row = cert.spec.degree, cert.row._replace()
+    k, cut = row.curves.index(curve), len(row.curves) // 2
+    assert row.coefficients[k] % 2 == 0 and (k < cut) == (half == "leading")
+    row.__dict__["form"] = tuple(
+        (1, *pairs[1:]) if j == k else pairs for j, pairs in enumerate(cert.row.form)
+    )
     # one entry per chunk, after the head
     monkeypatch.setattr(certificate, "_BATCH", 1)
     written = []
     with pytest.raises(ValueError, match="parity"):
-        for chunk in certificate_chunks(cert):
+        for chunk in certificate_chunks(cert._replace(row=row)):
             written.append(chunk)
+    if half == "trailing":
+        assert written == []
+        return
     head, *entries = written
     assert head.endswith('"decompositions": [\n')
-    assert len(entries) <= first_odd
-    # what was written is the document's own beginning
-    assert document.startswith("".join(written))
+    size = len(BoxHalves(cert.row, degree).trailing)
+    leading = product(*(range(c + 1) for c in row.coefficients[:cut]))
+    first_odd = next(i for i, a in enumerate(leading) if a[k] % 2)
+    assert len(entries) == first_odd * size <= size
+    doc = json.loads("".join(written) + "\n  ]\n}")
+    for entry, part1 in zip(doc["decompositions"], box(row)):
+        parts = split_parts(row, degree, part1)
+        assert [entry["part1"], entry["part2"]] == [
+            part_block(row, label, part) for label, part in zip(("F1", "F2"), parts)
+        ]
 
 
 # ------------------------------------------------------- split enumeration
@@ -474,28 +477,36 @@ def test_running_sums_match_the_closed_form_beyond_the_table(case):
     a redrawn box, and the two halves run through the box in its
     lexicographic order.
 
-    Each square and twice each dim is the leading share plus the trailing
-    share plus the term across the cut; each number is the leading share
-    plus the trailing one, and each pairing at the cut the two halves'
-    ``at_cut`` shares.  How the certificate stream puts these numbers
-    into a document, survivors included, is checked against the dict
-    builder in ``test_specio``."""
+    Each number is the leading point's plus the trailing point's, and
+    each square adds 2 A.B and each dim A.B, for the pairing A.B of the
+    halves' curves, here summed from the row's form; the halves'
+    ``across`` give it as a dot product, and ``crossing`` gives these
+    multiples.  Outside ``crossing`` one half's numbers are 0 at every
+    point, the trailing half's or, in ``trailing_only``, the leading
+    half's, so the stream reads each such number off the other half.  How
+    the certificate stream puts these numbers into a document, survivors
+    included, is checked against the dict builder in ``test_specio``."""
     row, d = case
     halves = BoxHalves(row, d)
-    splits = list(product(halves.leading(), halves.trailing))
+    leading = list(halves.leading())
+    splits = list(product(leading, halves.trailing))
     assert [lead.coefficients + trail.coefficients for lead, trail in splits] == list(box(row))
+    # a part's coefficients and pairings take no A.B, its square two, its dim one
+    width = 2 * len(row.curves) + 3
+    weights = ((0,) * (width - 2) + (2, 1)) * 2
+    assert all(halves.crossing.get(i, k) == k for i, k in enumerate(weights))
     for lead, trail in splits:
-        expected = split_parts(row, d, lead.coefficients + trail.coefficients)
-        cross = sum(map(mul, lead.across, trail.across))
-        assert [x + y + cross for x, y in zip(lead.terms, trail.terms, strict=True)] == [
-            v for part in expected for v in (part.square, part.square - part.pairings[0])
-        ]
-        numbers = [part.coefficients + part.pairings for part in expected]
-        for p in range(2):
-            assert tuple(map(add, lead.numbers[p], trail.numbers[p])) == numbers[p]
-        assert tuple(map(add, lead.at_cut, trail.at_cut)) == tuple(
-            part[k] for part in numbers for k in halves.at_cut
-        )
+        a, b = lead.coefficients, trail.coefficients
+        ab = sum(x * y * row.form[i][1 + halves.cut + j]
+                 for i, x in enumerate(a) for j, y in enumerate(b))
+        assert sum(map(mul, lead.across, trail.across)) == ab
+        numbers = [v for part in split_parts(row, d, a + b)
+                   for v in (*part.coefficients, *part.pairings, part.square, part.dim)]
+        assert [x + y + k * ab for x, y, k in
+                zip(lead.numbers, trail.numbers, weights, strict=True)] == numbers
+    for i in set(range(2 * width)) - set(halves.crossing):
+        zeros = leading if i in halves.trailing_only else halves.trailing
+        assert all(point.numbers[i] == 0 for point in zeros)
 
 
 def test_enumeration_rejects_wrong_degree():

@@ -30,9 +30,7 @@ _LAZY_NAMES = {
         "NoCaseApplies", "TigerCertificate", "build_tiger", "case_tables",
         "enumerate_decompositions", "narrate", "select_case",
     ), "tigers"),
-    **dict.fromkeys((
-        "certificate_chunks", "certificate_document", "certificate_from_document",
-    ), "certificate"),
+    **dict.fromkeys(("certificate_chunks", "certificate_document"), "certificate"),
 }
 
 
@@ -57,7 +55,6 @@ __all__ = [
     "build_tiger",
     "case_tables",
     "certificate_document",
-    "certificate_from_document",
     "classify",
     "enumerate_decompositions",
     "enumerate_specs",

@@ -18,11 +18,10 @@ from __future__ import annotations
 import json
 import re
 from functools import cache
-from itertools import chain, count, islice, product, repeat, zip_longest
+from itertools import chain, count, islice, product, repeat
 from operator import mul, sub
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
-from .lattice import SurfaceSpec, excerpt
 from .specio import _ENCODER, _spec_block, render_document
 from .tigers import (
     NEGATIVE_SELF_INTERSECTION,
@@ -30,7 +29,6 @@ from .tigers import (
     Obstruction,
     Part,
     TigerCertificate,
-    build_tiger,
     complement,
     part_numbers,
 )
@@ -263,15 +261,14 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
     the value, the leading point's number and, for squares and dims, its
     ``across``: each column is made once per certificate, when a leading
     point first reads it.  Every number is a sum of integers:
-    ``tigers.square_and_dim`` refuses odd parity in each class the half
-    points are made from, so an odd trailing point stops the stream before
-    it writes anything, and an odd leading point before its entries.  A
-    leading point's obstructions are its column of part-1 squares read as
-    the kills they state, with each survivor's walked obstruction put in;
-    a certificate whose splits lack a survivor raises KeyError rather than
-    state a false kill.  A leading point's entries are the rows of its own
-    texts, its columns and the trailing half's runs.  The document's size
-    grows with the box, the memory used here does not.
+    ``CaseTable.form`` refuses a row with a curve of odd parity, so every
+    class has an even  P^2 - P.K  and an integer dim.  A leading point's
+    obstructions are its column of part-1 squares read as the kills they
+    state, with each survivor's walked obstruction put in; a certificate
+    whose splits lack a survivor raises KeyError rather than state a false
+    kill.  A leading point's entries are the rows of its own texts, its
+    columns and the trailing half's runs.  The document's size grows with
+    the box, the memory used here does not.
     """
     empty = '"decompositions": []'
     head, _, tail = render_document(_certificate_shell(cert)).partition(empty)
@@ -345,55 +342,3 @@ def certificate_document(cert: TigerCertificate) -> dict[str, Any]:
     """Full JSON form of a certificate: its document, parsed."""
     return json.loads("".join(certificate_chunks(cert)))
 
-
-def _lines(chunks: Iterable[str]) -> Iterator[str]:
-    """The lines of a text given in chunks, without their line breaks."""
-    rest = ""
-    for chunk in chunks:
-        *lines, rest = (rest + chunk).split("\n")
-        yield from lines
-    if rest:
-        yield rest
-
-
-def _json_lines(doc: dict[Any, Any]) -> Iterator[str]:
-    """The lines of a document's rendering, as they are made.  A key or
-    value JSON cannot render (a key that is not a string beside string
-    keys, a set) raises ValueError naming its line."""
-    number = 0
-    try:
-        for number, line in enumerate(_lines(_ENCODER.iterencode(doc)), start=1):
-            yield line
-    except TypeError as error:
-        raise ValueError(
-            f"not a JSON document: line {number + 1} holds a key or value "
-            f"JSON cannot render ({excerpt(str(error))})"
-        ) from None
-
-
-def certificate_from_document(doc: Any) -> TigerCertificate:
-    """Re-derive the certificate a document states from its spec block.
-
-    The document must render exactly as that certificate's own document,
-    value for value and type for type; anything else raises ValueError
-    naming the first line where the two renderings differ.  The renderings
-    are compared line by line as they are made, so neither is built whole.
-    """
-    if type(doc) is not dict or doc.get("kind") != "tiger_certificate":
-        raise ValueError("not a tiger certificate document")
-    block = doc.get("spec")
-    if (type(block) is not dict or type(block.get("degree")) is not int
-            or type(block.get("singularities")) is not list):
-        raise ValueError(
-            "field 'spec' must be an object with an integer 'degree' "
-            "and a 'singularities' array"
-        )
-    cert = build_tiger(SurfaceSpec(block["degree"], tuple(block["singularities"])))
-    lines = zip_longest(_lines(certificate_chunks(cert)), _json_lines(doc), fillvalue="")
-    for number, (should, found) in enumerate(lines, start=1):
-        if should != found:
-            raise ValueError(
-                f"not the certificate's own rendering: line {number} "
-                f"should read {excerpt(should.strip())}, not {excerpt(found.strip())}"
-            )
-    return cert

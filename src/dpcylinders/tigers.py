@@ -115,12 +115,21 @@ class CaseTable(_CaseFields):
     def form(self) -> tuple[tuple[int, ...], ...]:
         """Each curve's pairings (C_j.K, C_j.C_1, ..., C_j.C_n): the nodes
         are (-2)-curves of K-degree 0 that pair by the Dynkin Gram matrix, E
-        is a (-1)-curve of K-degree -1 taken disjoint from them."""
+        is a (-1)-curve of K-degree -1 taken disjoint from them.
+
+        A curve with odd  C^2 + C.K  raises ValueError.  Without one, every
+        class  P = m(-K) - sum c_j C_j  has an even  P^2 - P.K,  so an
+        integer dim: -K has  d + d,  and mod 2 the cross terms drop and
+        c_j^2 = c_j,  leaving  sum c_j (C_j^2 + C_j.K)."""
         gram = gram_table(self.singularity) if self.singularity else ()
         e = (0,) if self.e_coefficient else ()
-        return tuple((0, *row, *e) for row in gram) + (
+        form = tuple((0, *row, *e) for row in gram) + (
             ((-1, *(0,) * len(gram), -1),) if e else ()
         )
+        for j, pairs in enumerate(form):
+            if (pairs[1 + j] + pairs[0]) % 2:
+                raise ValueError(f"case {self.case_id}: {self.curves[j]} has odd C^2 + C.K")
+        return form
 
     @cached_property
     def point_indices(self) -> tuple[int, ...]:
@@ -260,12 +269,10 @@ class Obstruction(NamedTuple):
         if self.kind == NEGATIVE_SELF_INTERSECTION:
             if "square" in w:
                 return f"part {w['part']} residual has square {w['square']} <= -2"
-            if "pairing" in w:
-                return (
-                    f"part {w['part']} residual pairs {w['pairing']} < 0 "
-                    "with a configuration curve"
-                )
-            return f"part {w['part']} residual has negative expected dimension {w['dim']}"
+            return (
+                f"part {w['part']} residual pairs {w['pairing']} < 0 "
+                "with a configuration curve"
+            )
         if self.kind == DISJOINTNESS:
             return (
                 f"part {w['part']} cannot meet the marked point's curves at all, "
@@ -322,10 +329,7 @@ def square_and_dim(weights: tuple[int, ...], pairings: tuple[int, ...]) -> tuple
     weights (m, c) and its pairings (P.K, P.C_1, ..., P.C_n):
     P^2 = -m (P.K) - sum c_j (P.C_j)  and  dim = (P^2 - P.K)/2."""
     square = -sum(map(mul, weights, pairings))
-    numerator = square - pairings[0]
-    if numerator % 2 != 0:
-        raise ValueError("residual class has odd self-pairing parity")
-    return square, numerator // 2
+    return square, (square - pairings[0]) // 2
 
 
 def complement(residual: Part, part: Part) -> Part:
@@ -352,8 +356,13 @@ def _obstruction_for(row: CaseTable, residual: Part, first: Part) -> Optional[Ob
     certificate)."""
     parts = (first, complement(residual, first))
 
-    # A part with square <= -2, a negative pairing with a configuration
-    # curve, or negative expected dimension cannot occur.
+    # A part with square <= -2 or a negative pairing with a configuration
+    # curve cannot occur.  A part past these has dim >= 0, so no check of
+    # it is needed: for  P = m(-K) - sum c_j C_j  with m, d >= 1 (part 2
+    # has m = multiple - 1),  P^2 = m^2 d - 2m c_E - c_E^2 - (c, c)  for the
+    # positive definite form (,) of the nodes, and  2 dim = P^2 + md - c_E.
+    # So  c_E >= md  would give  P^2 <= -m^2 d (d + 1) <= -2,  and
+    # P^2 >= -1  forces  c_E <= md - 1  and  2 dim >= 0.
     for idx, part in enumerate(parts, start=1):
         if part.square <= -2:
             return Obstruction(
@@ -365,11 +374,6 @@ def _obstruction_for(row: CaseTable, residual: Part, first: Part) -> Optional[Ob
             return Obstruction(
                 NEGATIVE_SELF_INTERSECTION,
                 (("part", idx), ("pairing", worst)),
-            )
-        if part.dim < 0:
-            return Obstruction(
-                NEGATIVE_SELF_INTERSECTION,
-                (("part", idx), ("dim", part.dim)),
             )
 
     mu = row.residual_multiplicity
@@ -436,7 +440,8 @@ def square_survivors(row: CaseTable, degree: int) -> list[Part]:
       (c, a_j) >= 1,  and  P + C_j  has square  P^2 + 2 (c, a_j) - 2 >= P^2.
 
     Every other split of the box dies on that square.  Each survivor's
-    square and dim come from ``square_and_dim``, with its parity check.
+    square and dim come from ``square_and_dim``; the row's ``form`` checks
+    their parity.
     """
     form, box = row.form, row.coefficients
     zero = (0,) * len(box)

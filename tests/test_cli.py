@@ -1,17 +1,16 @@
 """Command line behavior: exit codes, document round-trips, reproducibility."""
 
 import codecs
-import copy
+import contextlib
+import io
 import json
 import os
-import re
 import resource
 import signal
 import stat
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,10 +23,7 @@ from dpcylinders import (
     SpecFileError,
     SurfaceSpec,
     build_tiger,
-    certificate_document,
-    certificate_from_document,
     parse_spec_text,
-    render_document,
 )
 from dpcylinders import cli, tigers
 from dpcylinders.certificate import certificate_chunks
@@ -41,6 +37,8 @@ SPEC_FILES = {
     "missing_degree.txt": "singularities: A1\n",
     "bad_type.txt": "degree: 3\nsingularities: E9\n",
     "rank_overflow.txt": "degree: 7\nsingularities: A4\n",
+    "two_degrees.txt": "degree: 3\nsingularities: A1\ndegree: 3\n",
+    "two_singularities.txt": "degree: 3\nsingularities: A1\nsingularities: A1\n",
 }
 
 
@@ -69,6 +67,8 @@ def test_classify_exit_codes(spec_dir, capsys):
         "missing_degree.txt": cli.EXIT_BAD_FILE,
         "bad_type.txt": cli.EXIT_BAD_SPEC,
         "rank_overflow.txt": cli.EXIT_BAD_SPEC,
+        "two_degrees.txt": cli.EXIT_BAD_FILE,
+        "two_singularities.txt": cli.EXIT_BAD_FILE,
     }
     for name, code in expected.items():
         got, _, _ = run_cli(capsys, "classify", "--spec", str(spec_dir / name))
@@ -106,6 +106,10 @@ def test_error_messages_name_the_problem(spec_dir, capsys):
     assert "invalid spec" in err
     _, _, err = run_cli(capsys, "classify", "--spec", str(spec_dir / "rank_overflow.txt"))
     assert "rank budget exceeded" in err
+    _, _, err = run_cli(capsys, "classify", "--spec", str(spec_dir / "two_degrees.txt"))
+    assert err == "error: line 3: duplicate 'degree'\n"
+    _, _, err = run_cli(capsys, "classify", "--spec", str(spec_dir / "two_singularities.txt"))
+    assert err == "error: line 3: duplicate 'singularities'\n"
     code, _, err = run_cli(capsys, "classify", "--spec", str(spec_dir / "no_such_file.txt"))
     assert code == cli.EXIT_BAD_FILE
     assert "cannot read" in err
@@ -447,113 +451,6 @@ def test_spec_parser_gives_a_spec_or_a_named_refusal(text):
     assert isinstance(spec, SurfaceSpec)
 
 
-def test_certificate_loader_names_a_missing_field():
-    with pytest.raises(ValueError, match="'spec'"):
-        certificate_from_document({"kind": "tiger_certificate"})
-    doc = certificate_document(build_tiger(SurfaceSpec(5, ())))
-    del doc["decompositions"][0]["part1"]["e_coefficient"]
-    with pytest.raises(ValueError, match=re.escape("""should read '"e_coefficient": 0,'""")):
-        certificate_from_document(doc)
-
-
-BAD_SPEC_BLOCK = "field 'spec' must be an object with an integer 'degree'"
-
-
-@pytest.mark.parametrize("path,value,message", [
-    (("decompositions",), 5, """line 8 should read '"decompositions": [', not '"decompositions": 5,'"""),
-    (("decompositions", 0, "obstruction", "witness"), 3,
-     """line 13 should read '"witness": [', not '"witness": 3'"""),
-    (("spec",), [], BAD_SPEC_BLOCK),
-    (("spec", "degree"), True, BAD_SPEC_BLOCK),
-    (("spec", "singularities"), "A1", BAD_SPEC_BLOCK),
-    (("spec", "singularities"), [3], "cannot parse singularity type 3"),
-    (("spec", "degree"), 3, "no construction case covers degree 3, smooth"),
-    (("ratio",), "1/0", """should read '"ratio": "9/4",', not '"ratio": "1/0",'"""),
-    (("ratio",), "1/3", """should read '"ratio": "9/4",', not '"ratio": "1/3",'"""),
-    (("decompositions", 0, "part2", "residual", "dim"), 3,
-     """line 45 should read '"dim": 30,', not '"dim": 3,'"""),
-    (("decompositions", 0, "part2", "residual", "dim"), 4.0,
-     """line 45 should read '"dim": 30,', not '"dim": 4.0,'"""),
-    (("decompositions",), [], """not '"decompositions": [],'"""),
-    (("status",), "discrepancy", """not '"status": "discrepancy",'"""),
-    (("extra",), 1, """not '"extra": 1,'"""),
-], ids=[
-    "decompositions-int", "witness-int", "spec-array", "degree-bool", "singularities-string",
-    "singularity-int", "uncovered-spec", "ratio-1/0", "ratio-1/3", "part2-dim", "part2-dim-float",
-    "no-splits", "status", "extra-field",
-])
-def test_certificate_loader_rejects_a_tampered_document(path, value, message):
-    doc = certificate_document(build_tiger(SurfaceSpec(5, ())))
-    *parents, last = path
-    block = doc
-    for key in parents:
-        block = block[key]
-    block[last] = value
-    with pytest.raises(ValueError, match=re.escape(message)):
-        certificate_from_document(doc)
-
-
-def test_certificate_loader_stops_at_the_first_differing_line():
-    # D8 at degree 1 renders 177,620,068 bytes; the comparison reads two lines
-    doc = {"kind": "tiger_certificate", "spec": {"degree": 1, "singularities": ["D8"]}}
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=re.escape(
-            """line 2 should read '"assumptions": [', not '"kind": "tiger_certificate",'"""
-        )):
-            certificate_from_document(doc)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_certificate_loader_rejects_other_documents():
-    for doc in (None, [], "tiger_certificate", {"kind": "classification"}):
-        with pytest.raises(ValueError, match="not a tiger certificate"):
-            certificate_from_document(doc)
-
-
-DEGREE_FIVE = certificate_document(build_tiger(SurfaceSpec(5, ())))
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=8,
-)
-
-
-def _paths(value, prefix=()):
-    """Every (container path, key or index) of a JSON value."""
-    items = value.items() if isinstance(value, dict) else enumerate(value)
-    for key, child in items:
-        yield prefix, key
-        if isinstance(child, (dict, list)):
-            yield from _paths(child, prefix + (key,))
-
-
-@given(st.sampled_from(list(_paths(DEGREE_FIVE))), st.none() | json_values)
-def test_certificate_loader_takes_one_edit_or_refuses(where, replacement):
-    """Delete one key (None) or replace one value: the loader returns the
-    certificate its spec derives, whose rendering is the edited document,
-    or raises ValueError, and nothing else."""
-    doc = copy.deepcopy(DEGREE_FIVE)
-    prefix, key = where
-    block = doc
-    for step in prefix:
-        block = block[step]
-    if replacement is None:
-        del block[key]
-    else:
-        block[key] = replacement
-    try:
-        cert = certificate_from_document(doc)
-    except ValueError:
-        return
-    assert cert == build_tiger(cert.spec)
-    assert render_document(certificate_document(cert)) == render_document(doc)
-
-
 # -------------------------------------------------------------------- tiger
 
 def test_tiger_roundtrip(spec_dir, tmp_path, capsys):
@@ -570,10 +467,8 @@ def test_tiger_roundtrip(spec_dir, tmp_path, capsys):
     assert doc["status"] == "certified"
     assert doc["ratio"] == "9/4"
 
-    rebuilt = certificate_from_document(doc)
-    assert rebuilt == build_tiger(SurfaceSpec(3, ("A1",)))
-    # rendering the rebuilt certificate reproduces the file byte for byte
-    assert render_document(certificate_document(rebuilt)) == text
+    # the certificate its spec block derives renders the file byte for byte
+    assert "".join(certificate_chunks(build_tiger(SurfaceSpec(3, ("A1",))))) == text
 
 
 def test_tiger_stdout_matches_out_file(spec_dir, tmp_path, capsys):
@@ -662,6 +557,37 @@ def test_tiger_discrepancy_exit(spec_dir, capsys, monkeypatch):
     assert json.loads(out)["status"] == "discrepancy"
 
 
+def test_uncovered_and_unobstructed_specs_are_discrepancies(spec_dir, capsys, monkeypatch):
+    """A spec no case row covers, and a certificate with an unobstructed
+    split, each exit 30: ``tiger`` says so on stderr and writes nothing,
+    ``sweep`` gives each its own report line."""
+    build_tiger = cli.build_tiger
+    uncovered, unobstructed = SurfaceSpec(3, ("A1",)), SurfaceSpec(5, ())
+
+    def stand_in(spec):
+        if spec == uncovered:
+            raise tigers.NoCaseApplies(f"no construction case covers {spec}")
+        cert = build_tiger(spec)
+        if spec == unobstructed:
+            splits = tuple(s._replace(obstruction=None) for s in cert.decompositions)
+            return cert._replace(decompositions=splits)
+        return cert
+
+    monkeypatch.setattr(cli, "build_tiger", stand_in)
+    code, out, err = run_cli(capsys, "tiger", "--spec", str(spec_dir / "node_cubic.txt"))
+    assert (code, out) == (cli.EXIT_DISCREPANCY, "")
+    assert err == f"discrepancy: no construction case covers {uncovered}\n"
+    code, out, _ = run_cli(capsys, "sweep")
+    lines = out.splitlines()
+    assert code == cli.EXIT_DISCREPANCY
+    assert lines[-1] == "250 specs, 2 discrepancies"
+    assert [line for line in lines if "DISCREPANCY" in line] == [
+        f"degree 3 A1: anticanonical=yes polar=yes DISCREPANCY: "
+        f"no construction case covers {uncovered}",
+        "degree 5 smooth: anticanonical=yes polar=yes case=deg5 DISCREPANCY: unobstructed split",
+    ]
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_reports_every_spec(tmp_path, capsys):
@@ -690,6 +616,18 @@ def test_stdout_with_no_reader_exits_4(spec_dir, capsys, monkeypatch):
         code = cli.main(["classify", "--spec", str(spec_dir / "node_cubic.txt")])
     assert code == cli.EXIT_CANNOT_WRITE
     assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_a_text_only_stdout_takes_the_whole_document(spec_dir, tmp_path):
+    """A stdout with no binary layer, such as ``io.StringIO``, is written
+    through its text layer, with the bytes the --out file gets."""
+    target = tmp_path / "out.json"
+    for command in ("classify", "tiger"):
+        argv = [command, "--spec", str(spec_dir / "node_cubic.txt")]
+        assert cli.main(argv + ["--out", str(target)]) == cli.EXIT_OK
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert cli.main(argv) == cli.EXIT_OK
+        assert stdout.getvalue().encode() == target.read_bytes(), command
 
 
 def test_closed_stdout_exits_4(spec_dir, capsys, monkeypatch):

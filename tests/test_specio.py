@@ -19,11 +19,7 @@ from hypothesis import strategies as st
 
 from dpcylinders import SurfaceSpec, build_tiger, case_tables, enumerate_decompositions
 from dpcylinders import certificate, tigers
-from dpcylinders.certificate import (
-    certificate_chunks,
-    certificate_document,
-    certificate_from_document,
-)
+from dpcylinders.certificate import certificate_chunks, certificate_document
 from dpcylinders.tigers import TigerCertificate
 
 from box_walk import redrawn_boxes
@@ -189,27 +185,6 @@ def test_streaming_memory_does_not_grow_with_the_document():
             tracemalloc.stop()
         assert sum(sizes) > 3 * 10**5
         assert peak < 1.5 * 2**20, singularity
-
-
-def test_a_document_with_a_key_json_cannot_sort_is_refused():
-    # sort_keys compares the keys of one object, and an int is not a str
-    doc = {"kind": "tiger_certificate", "spec": {"degree": 5, "singularities": []}, 1: 2}
-    with pytest.raises(ValueError, match="not a JSON document: line 2 holds a key or value"):
-        certificate_from_document(doc)
-
-
-def test_a_key_or_value_json_cannot_render_is_refused_at_its_line():
-    cert = certificate_of(case_tables()[2], 5)
-    lines = "".join(certificate_chunks(cert)).splitlines()
-    doc = certificate_document(cert)
-    doc["decompositions"][0]["part1"][("a", "tuple")] = 0
-    with pytest.raises(ValueError, match="not a JSON document: line "):
-        certificate_from_document(doc)
-    doc = certificate_document(cert)
-    doc["status"] = {"certified"}
-    status = next(n for n, line in enumerate(lines, start=1) if '"status"' in line)
-    with pytest.raises(ValueError, match=f"line {status} holds a key or value .*set"):
-        certificate_from_document(doc)
 
 
 json_values = st.recursive(

@@ -6,7 +6,6 @@ certificate assembly is exercised end to end including the forced-failure
 path.
 """
 
-import json
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -27,8 +26,8 @@ from dpcylinders import (
 )
 from dpcylinders.lattice import gram_table
 from dpcylinders.linear_systems import conditions, max_multiplicity_budget
-from dpcylinders import certificate, tigers
-from dpcylinders.certificate import BoxHalves, certificate_chunks, certificate_document
+from dpcylinders import tigers
+from dpcylinders.certificate import BoxHalves, certificate_document
 from dpcylinders.tigers import (
     ASSUME_E_DISJOINT,
     DIMENSION_GAP,
@@ -41,12 +40,10 @@ from dpcylinders.tigers import (
     fraction_text,
     narrate,
     part_numbers,
-    square_and_dim,
     square_survivors,
 )
 
 from box_walk import box, box_survivors, box_walk, every_outcome, redrawn_boxes, split_parts
-from certificate_reference import part_block
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
@@ -242,67 +239,17 @@ def test_part_numbers_match_pairing_table():
                 assert pairings(table, cls) == dict(numbers["pairings"])
 
 
-def test_residual_parity_guard():
-    # integer inputs always give even parity; the guard catches misuse with
-    # fractional multiples instead of silently flooring the dimension
-    row = row_by_id("deg7plus")
-    with pytest.raises(ValueError, match="parity"):
-        part_numbers(row, 7, Fraction(1, 2), ())
-    # pairings no class has: 2(-K) with K.K = 3/2
-    with pytest.raises(ValueError, match="parity"):
-        square_and_dim((2,), (-3,))
-
-
-@pytest.mark.parametrize(
-    "args,curve,half",
-    [
-        ((2, ("A3",)), "D2", "trailing"),
-        ((1, ("D5",)), "D4", "trailing"),
-        ((2, ("A3",)), "D1", "leading"),
-        ((1, ("D5",)), "D2", "leading"),
-    ],
-    # an odd curve makes both parts of a split odd at once, as part 2 is
-    # N - P and N stays even, so part1 and part2 name the two boxes
-    ids=["part1", "part2", "part1-leading", "part2-leading"],
-)
-def test_half_walk_checks_parity_at_every_split(args, curve, half, monkeypatch):
-    """The certificate stream refuses a box with a class of odd
-    P^2 - P.K, which no class has.  One curve of even relation coefficient
-    takes an odd K-degree in a copy of the row, so the residual stays even
-    and every split that takes the curve an odd number of times is odd.
-    ``tigers.square_and_dim`` refuses such a class as ``BoxHalves`` makes a
-    half point from it: a trailing curve stops the stream before it writes
-    anything, and a leading one at the first leading point with an odd
-    coefficient, after the entries of the points before it, which are the
-    odd row's own."""
-    cert = build_tiger(SurfaceSpec(*args))
-    degree, row = cert.spec.degree, cert.row._replace()
-    k, cut = row.curves.index(curve), len(row.curves) // 2
-    assert row.coefficients[k] % 2 == 0 and (k < cut) == (half == "leading")
-    row.__dict__["form"] = tuple(
-        (1, *pairs[1:]) if j == k else pairs for j, pairs in enumerate(cert.row.form)
-    )
-    # one entry per chunk, after the head
-    monkeypatch.setattr(certificate, "_BATCH", 1)
-    written = []
-    with pytest.raises(ValueError, match="parity"):
-        for chunk in certificate_chunks(cert._replace(row=row)):
-            written.append(chunk)
-    if half == "trailing":
-        assert written == []
-        return
-    head, *entries = written
-    assert head.endswith('"decompositions": [\n')
-    size = len(BoxHalves(cert.row, degree).trailing)
-    leading = product(*(range(c + 1) for c in row.coefficients[:cut]))
-    first_odd = next(i for i, a in enumerate(leading) if a[k] % 2)
-    assert len(entries) == first_odd * size <= size
-    doc = json.loads("".join(written) + "\n  ]\n}")
-    for entry, part1 in zip(doc["decompositions"], box(row)):
-        parts = split_parts(row, degree, part1)
-        assert [entry["part1"], entry["part2"]] == [
-            part_block(row, label, part) for label, part in zip(("F1", "F2"), parts)
-        ]
+def test_a_row_with_a_curve_of_odd_parity_is_refused(monkeypatch):
+    """Every class of a row has an even  P^2 - P.K  when each of its curves
+    has an even  C^2 + C.K  (``test_case_rows_are_internally_consistent``),
+    so its dim is an integer.  ``CaseTable.form`` refuses a row with an odd
+    curve before any number is derived from it: here a node of square -3."""
+    row = row_by_id("A3")
+    odd = [list(pairs) for pairs in gram_table(row.singularity)]
+    odd[1][1] = -3
+    monkeypatch.setattr(tigers, "gram_table", lambda t: tuple(map(tuple, odd)))
+    with pytest.raises(ValueError, match="A3: D2 has odd"):
+        row._replace().form
 
 
 # ------------------------------------------------------- split enumeration
@@ -452,7 +399,10 @@ def test_walk_matches_the_box_walk_beyond_the_table(case):
     assert [(first, complement(residual, first)) for first in walked] == list(
         survivors.values()
     )
-    for part1, (part, _) in survivors.items():
+    for part1, (part, second) in survivors.items():
+        # a part that passes the square test has dim >= 0, so the
+        # obstruction pass needs no dim test (see ``_obstruction_for``)
+        assert all(p.dim >= 0 for p in (part, second) if p.square >= -1), part1
         if not any(part1):
             continue
         lower = (part1[:j] + (c - 1,) + part1[j + 1:] for j, c in enumerate(part1) if c)
@@ -541,20 +491,16 @@ def test_every_witness_recomputes():
                 if obs.kind == NEGATIVE_SELF_INTERSECTION:
                     r = parts[w["part"] - 1]
                     if w["part"] == 2:
-                        # part 1 must have passed all three checks first
+                        # part 1 must have passed both checks first, so its dim is >= 0
                         r1 = parts[0]
                         assert r1.square > -2
                         assert all(v >= 0 for v in curve_pairings(row, r1))
                         assert r1.dim >= 0
                     if "square" in w:
                         assert r.square == w["square"] <= -2
-                    elif "pairing" in w:
-                        assert r.square > -2
-                        assert min(curve_pairings(row, r)) == w["pairing"] < 0
                     else:
                         assert r.square > -2
-                        assert all(v >= 0 for v in curve_pairings(row, r))
-                        assert r.dim == w["dim"] < 0
+                        assert min(curve_pairings(row, r)) == w["pairing"] < 0
                     continue
 
                 # beyond this point both parts are effective-looking

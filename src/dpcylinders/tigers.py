@@ -128,7 +128,7 @@ class CaseTable(_CaseFields):
         )
         for j, pairs in enumerate(form):
             if (pairs[1 + j] + pairs[0]) % 2:
-                raise ValueError(f"case {self.case_id}: {self.curves[j]} has odd C^2 + C.K")
+                raise ValueError(f"case {self.case_id}: {self.curves[j]} has odd C^2 + C.K parity")
         return form
 
     @cached_property

@@ -26,8 +26,8 @@ from dpcylinders import (
 )
 from dpcylinders.lattice import gram_table
 from dpcylinders.linear_systems import conditions, max_multiplicity_budget
-from dpcylinders import tigers
-from dpcylinders.certificate import BoxHalves, certificate_document
+from dpcylinders import certificate, tigers
+from dpcylinders.certificate import BoxHalves, certificate_chunks, certificate_document
 from dpcylinders.tigers import (
     ASSUME_E_DISJOINT,
     DIMENSION_GAP,
@@ -250,6 +250,56 @@ def test_a_row_with_a_curve_of_odd_parity_is_refused(monkeypatch):
     monkeypatch.setattr(tigers, "gram_table", lambda t: tuple(map(tuple, odd)))
     with pytest.raises(ValueError, match="A3: D2 has odd"):
         row._replace().form
+
+
+def test_residual_parity_guard(monkeypatch):
+    """Integer inputs give every class an even  P^2 - P.K,  so a dim is
+    exact, never floored: every row's residual at each of its degrees
+    shows it.  The guard is the row's ``form``, which refuses a curve of
+    odd  C^2 + C.K  before a residual is derived from it."""
+    for row, d in SPLIT_CASES:
+        residual = row.residual(d)
+        assert residual.square - residual.pairings[0] == 2 * residual.dim
+    row = row_by_id("A2")
+    odd = [list(pairs) for pairs in gram_table(row.singularity)]
+    odd[0][0] = -3
+    monkeypatch.setattr(tigers, "gram_table", lambda t: tuple(map(tuple, odd)))
+    with pytest.raises(ValueError, match="parity"):
+        row._replace().residual(3)
+
+
+@pytest.mark.parametrize(
+    "args,curve,half",
+    [
+        ((2, ("A3",)), "D2", "trailing"),
+        ((1, ("D5",)), "D4", "trailing"),
+        ((2, ("A3",)), "D1", "leading"),
+        ((1, ("D5",)), "D2", "leading"),
+    ],
+    # part1 and part2 name the two boxes, and the suffix the half of the box
+    # that holds the odd curve's coefficient
+    ids=["part1", "part2", "part1-leading", "part2-leading"],
+)
+def test_half_walk_checks_parity_at_every_split(args, curve, half, monkeypatch):
+    """The certificate stream refuses a row with a curve of odd  C^2 + C.K
+    before it writes anything, whichever half of the box the curve falls
+    in, so no split of either half reaches the renderer with an odd
+    P^2 - P.K.  The curve has an even relation coefficient, so the
+    residual's own parity stays even: only the row's ``form`` sees it."""
+    cert = build_tiger(SurfaceSpec(*args))
+    row = cert.row
+    k, cut = row.curves.index(curve), len(row.curves) // 2
+    assert row.coefficients[k] % 2 == 0 and (k < cut) == (half == "leading")
+    odd = [list(pairs) for pairs in gram_table(row.singularity)]
+    odd[k][k] = -3
+    monkeypatch.setattr(tigers, "gram_table", lambda t: tuple(map(tuple, odd)))
+    # one entry per chunk, after the head
+    monkeypatch.setattr(certificate, "_BATCH", 1)
+    written = []
+    with pytest.raises(ValueError, match=f"{row.case_id}: {curve} has odd .* parity"):
+        for chunk in certificate_chunks(cert._replace(row=row._replace())):
+            written.append(chunk)
+    assert written == []
 
 
 # ------------------------------------------------------- split enumeration

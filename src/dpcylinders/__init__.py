@@ -54,6 +54,7 @@ __all__ = [
     "Verdict",
     "build_tiger",
     "case_tables",
+    "certificate_chunks",
     "certificate_document",
     "classify",
     "enumerate_decompositions",

@@ -19,18 +19,18 @@ import json
 import re
 from functools import cache
 from itertools import chain, count, islice, product, repeat
-from operator import mul, sub
+from operator import mul
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from .specio import _ENCODER, _spec_block, render_document
 from .tigers import (
-    NEGATIVE_SELF_INTERSECTION,
     CaseTable,
     Obstruction,
     Part,
     TigerCertificate,
     complement,
     part_numbers,
+    square_kill,
 )
 
 
@@ -40,11 +40,10 @@ class HalfPoint(NamedTuple):
 
     ``numbers`` is one flat row: part 1's coefficients over the row's
     curves, its pairings (P.K, P.C_1, ..., P.C_n), square and dim, then
-    part 2's.  They are the numbers of the point's half split, which takes
-    the point's coefficients and 0 on the other half, less the zero split's
-    where ``BoxHalves`` gives those to the other half.  ``across`` is the
-    point's side of A.B, the pairing of the two halves' curves: the dot
-    product of a leading and a trailing point's ``across``.
+    part 2's: those of the point's half split, which takes the point's
+    coefficients and 0 on the other half.  ``across`` is the point's side
+    of A.B, the pairing of the two halves' curves: the dot product of a
+    leading and a trailing point's ``across``.
     """
 
     coefficients: tuple[int, ...]
@@ -62,16 +61,15 @@ class BoxHalves:
     A.B.  For part 1,  P = -K - A - B,  the coefficients and pairings are
     linear and  P^2 = (-K - A)^2 + (-K - B)^2 - K^2 + 2 A.B;  part 2,
     N - P  for the residual N, has linear pairings and the square
-    N^2 - 2 N.P + P^2;  and  2 dim = P^2 - P.K  for either part.  The zero
-    split's numbers come off the trailing half's, or off the leading
-    half's for the numbers that the trailing half moves alone.  A half
+    N^2 - 2 N.P + P^2;  and  2 dim = P^2 - P.K  for either part.  A half
     moves the pairings where its curves' rows of the row's ``form`` are
     nonzero.
 
     ``width`` counts a part's numbers.  ``crossing`` maps each index of
     ``HalfPoint.numbers`` that both halves move to its multiple of A.B: 2
-    for a square, 1 for a dim, 0 for a pairing.  Elsewhere the trailing
-    points' numbers are 0, or, in ``trailing_only``, the leading points'.
+    for a square, 1 for a dim, 0 for a pairing.  Elsewhere one half moves
+    the number alone, the leading half or, in ``trailing_only``, the
+    trailing half, and the other half holds the ``zero`` split's there.
     ``trailing`` lists the trailing half's points; ``leading()`` makes the
     leading half's as a walk reaches them, both in ascending
     lexicographic order.
@@ -92,10 +90,7 @@ class BoxHalves:
         # the trailing curves that meet a leading one
         self._meeting = [i - 1 for i in sorted(lead & trail) if i > self.cut]
         self._residual = row.residual(degree)
-        self._zero = self._split((0,) * n)
-        # each half's numbers are less the zero split's where the other half holds them
-        self._less = {leading: tuple(z * ((i in self.trailing_only) == leading)
-                                     for i, z in enumerate(self._zero)) for leading in (True, False)}
+        self.zero = self._split((0,) * n)
         self.trailing = tuple(self._point(b, False)
                               for b in product(*(range(c + 1) for c in row.coefficients[self.cut:])))
 
@@ -114,12 +109,11 @@ class BoxHalves:
     def _point(self, a: tuple[int, ...], leading: bool) -> HalfPoint:
         n = len(self.row.coefficients)
         zeros = (0,) * (n - len(a))
-        split = self._split(a + zeros if leading else zeros + a)
-        numbers = tuple(map(sub, split, self._less[leading]))
+        numbers = self._split(a + zeros if leading else zeros + a)
         # A.C_j, the zero split's P.C_j less the leading half split's, or
         # the coefficient b_j, for each trailing curve C_j met across the cut
         return HalfPoint(a, numbers, tuple(
-            self._zero[n + 1 + j] - numbers[n + 1 + j] if leading else numbers[j]
+            self.zero[n + 1 + j] - numbers[n + 1 + j] if leading else numbers[j]
             for j in self._meeting
         ))
 
@@ -255,20 +249,20 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
     The splits come in ascending lexicographic order of part 1's
     coefficients: each leading point, then each trailing point under it.
     Each value a split fills in, a number both halves move, is the leading
-    point's number plus the trailing point's, and the squares and dims add
-    A.B, the dot product of the halves' ``across``, twice and once.  So a
-    value's text over the whole trailing half, a column, depends only on
-    the value, the leading point's number and, for squares and dims, its
-    ``across``: each column is made once per certificate, when a leading
-    point first reads it.  Every number is a sum of integers:
-    ``CaseTable.form`` refuses a row with a curve of odd parity, so every
-    class has an even  P^2 - P.K  and an integer dim.  A leading point's
-    obstructions are its column of part-1 squares read as the kills they
-    state, with each survivor's walked obstruction put in; a certificate
-    whose splits lack a survivor raises KeyError rather than state a false
-    kill.  A leading point's entries are the rows of its own texts, its
-    columns and the trailing half's runs.  The document's size grows with
-    the box, the memory used here does not.
+    point's number plus the trailing point's less the zero split's, and the
+    squares and dims add A.B, the dot product of the halves' ``across``,
+    twice and once.  So a value's text over the whole trailing half, a
+    column, depends only on the value, the leading point's number and, for
+    squares and dims, its ``across``: each column is made once per
+    certificate, when a leading point first reads it.  Every number is a
+    sum of integers: ``CaseTable.form`` refuses a row with a curve of odd
+    parity, so every class has an even  P^2 - P.K  and an integer dim.  A
+    split's obstruction is the kill its part-1 square states
+    (``square_kill``) or, where that square kills nothing, its walked
+    obstruction; a certificate whose splits lack a survivor raises KeyError
+    rather than state a false kill.  A leading point's entries are the rows
+    of its own texts, its columns and the trailing half's runs.  The
+    document's size grows with the box, the memory used here does not.
     """
     empty = '"decompositions": []'
     head, _, tail = render_document(_certificate_shell(cert)).partition(empty)
@@ -282,8 +276,8 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
         zip(*([t.format(*point.numbers) for t in runs] for point in trailing)), obstruction + 1
     ))
     walked = {split.part1: split.obstruction for split in cert.decompositions}
-    # the trailing points' shares of each number both halves move
-    shares = {i: [point.numbers[i] for point in trailing] for i in crossing}
+    # the trailing points' shares of each number both halves move, less the zero split's
+    shares = {i: [point.numbers[i] - halves.zero[i] for point in trailing] for i in crossing}
     # each integer's text, shared by the columns
     decimal = cache(str)
     # A.B at each trailing point, by the leading point's ``across``
@@ -292,24 +286,14 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
     @cache
     def column(index: int, share: int, across: tuple[int, ...]) -> list[str]:
         weight = crossing[index]
-        values = [share + s + weight * c for s, c in zip(shares[index], crossed(across))]
-        return list(map(decimal, values))
+        return [decimal(share + s + weight * c) for s, c in zip(shares[index], crossed(across))]
 
     @cache
     def kill_text(square: str) -> Optional[str]:
         """The obstruction text of a split whose part-1 square reads
         ``square``, or None where the split survives that square."""
-        value = int(square)
-        return None if value > -2 else _obstruction_text(
-            Obstruction(NEGATIVE_SELF_INTERSECTION, (("part", 1), ("square", value)))
-        )
-
-    @cache
-    def survivors(share: int, across: tuple[int, ...]) -> list[int]:
-        """The trailing points whose splits survive part 1's square."""
-        return [j for j, text in enumerate(column(square, share, across)) if kill_text(text) is None]
-
-    walked_text = cache(_obstruction_text)
+        kill = square_kill(1, int(square))
+        return None if kill is None else _obstruction_text(kill)
 
     def entries(lead: HalfPoint) -> Iterator[tuple[str, ...]]:
         """A leading point's entries, each as its pieces in text order."""
@@ -318,10 +302,10 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
         values: dict[int, Iterable[str]] = {
             i: column(i, numbers[i], across if weight else ()) for i, weight in crossing.items()
         }
-        obstructions = list(map(kill_text, values[square]))
-        for j in survivors(numbers[square], across):
-            obstructions[j] = walked_text(walked[lead.coefficients + trailing[j].coefficients])
-        values[obstruction] = obstructions
+        values[obstruction] = [
+            kill_text(text) or _obstruction_text(walked[lead.coefficients + point.coefficients])
+            for text, point in zip(values[square], trailing)
+        ]
         values.update(trailing_runs)
         pieces: list[Iterable[str]] = [()] * (2 * len(order) + 1)
         pieces[::2] = [repeat(t.format(*numbers)) for t in fixed]

@@ -22,7 +22,7 @@ by :mod:`dpcylinders.certificate`; this module knows no rendering layout.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, prod
 from operator import mul, sub
 from typing import Iterator, NamedTuple, Optional
@@ -350,6 +350,18 @@ def _point_cap(row: CaseTable, part: Part) -> int:
     ))
 
 
+# the walk asks at every step it could take: 8,365 times over the 40 (case
+# row, degree) boxes, of 37 distinct squares
+@cache
+def square_kill(part: int, square: int) -> Optional[Obstruction]:
+    """The obstruction of a split whose part numbered ``part`` has this
+    square: such a part cannot occur when its square is <= -2.  None where
+    the square kills nothing."""
+    if square <= -2:
+        return Obstruction(NEGATIVE_SELF_INTERSECTION, (("part", part), ("square", square)))
+    return None
+
+
 def _obstruction_for(row: CaseTable, residual: Part, first: Part) -> Optional[Obstruction]:
     """Find the numeric contradiction for the split of the residual whose
     first part is given, or None if there is none (which downgrades the
@@ -364,11 +376,8 @@ def _obstruction_for(row: CaseTable, residual: Part, first: Part) -> Optional[Ob
     # So  c_E >= md  would give  P^2 <= -m^2 d (d + 1) <= -2,  and
     # P^2 >= -1  forces  c_E <= md - 1  and  2 dim >= 0.
     for idx, part in enumerate(parts, start=1):
-        if part.square <= -2:
-            return Obstruction(
-                NEGATIVE_SELF_INTERSECTION,
-                (("part", idx), ("square", part.square)),
-            )
+        if kill := square_kill(idx, part.square):
+            return kill
         worst = min(part.pairings[1:], default=0)
         if worst < 0:
             return Obstruction(
@@ -421,7 +430,8 @@ def _obstruction_for(row: CaseTable, residual: Part, first: Part) -> Optional[Ob
 
 def square_survivors(row: CaseTable, degree: int) -> list[Part]:
     """The first parts of the splits in the row's box whose square is > -2,
-    in ascending lexicographic order of their coefficients.
+    so that ``square_kill`` spares them, in ascending lexicographic order of
+    their coefficients.
 
     They are grown from the zero split, one curve at a time:  P - C_j  has
     square  P^2 - 2 P.C_j + C_j^2,  and its pairings are P's less C_j's,
@@ -450,7 +460,7 @@ def square_survivors(row: CaseTable, degree: int) -> list[Part]:
     while grow:
         _, point, pairings, square, _ = grow.pop()
         for j, pairs in enumerate(form):
-            if point[j] == box[j] or square - 2 * pairings[1 + j] + pairs[1 + j] <= -2:
+            if point[j] == box[j] or square_kill(1, square - 2 * pairings[1 + j] + pairs[1 + j]):
                 continue
             grown = point[:j] + (point[j] + 1,) + point[j + 1:]
             if grown not in found:

@@ -2,6 +2,7 @@
 
 import codecs
 import contextlib
+import errno
 import io
 import json
 import os
@@ -295,6 +296,29 @@ def test_interrupted_stream_leaves_the_out_target_alone(tmp_path, monkeypatch):
         cli.main(["tiger", "--spec", str(spec), "--out", str(target)])
     assert target.read_bytes() == b"the old certificate\n"
     assert [p.name for p in out_dir.iterdir()] == ["cert.json"]
+
+
+@pytest.mark.parametrize("command", ["classify", "tiger"])
+def test_a_failed_rename_exits_4_and_leaves_the_target_alone(
+    spec_dir, tmp_path, capsys, monkeypatch, command
+):
+    """The whole document is written but cannot be renamed over the
+    target: a named error, exit 4, the old target and no temporary file."""
+    target = tmp_path / "out.json"
+    target.write_bytes(b"the old document\n")
+
+    def no_space(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", no_space)
+    code, out, err = run_cli(
+        capsys, command, "--spec", str(spec_dir / "node_cubic.txt"), "--out", str(target)
+    )
+    assert code == cli.EXIT_CANNOT_WRITE
+    assert out == ""
+    assert err == f"error: cannot write {target}: No space left on device\n"
+    assert target.read_bytes() == b"the old document\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_interrupted_stream_leaves_a_prefix_on_stdout(tmp_path, monkeypatch):

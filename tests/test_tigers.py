@@ -477,15 +477,16 @@ def test_running_sums_match_the_closed_form_beyond_the_table(case):
     a redrawn box, and the two halves run through the box in its
     lexicographic order.
 
-    Each number is the leading point's plus the trailing point's, and
-    each square adds 2 A.B and each dim A.B, for the pairing A.B of the
-    halves' curves, here summed from the row's form; the halves'
-    ``across`` give it as a dot product, and ``crossing`` gives these
-    multiples.  Outside ``crossing`` one half's numbers are 0 at every
-    point, the trailing half's or, in ``trailing_only``, the leading
-    half's, so the stream reads each such number off the other half.  How
-    the certificate stream puts these numbers into a document, survivors
-    included, is checked against the dict builder in ``test_specio``."""
+    Each number is the leading point's plus the trailing point's less the
+    zero split's, and each square adds 2 A.B and each dim A.B, for the
+    pairing A.B of the halves' curves, here summed from the row's form;
+    the halves' ``across`` give it as a dot product, and ``crossing``
+    gives these multiples.  Outside ``crossing`` one half holds the zero
+    split's number at every point, the trailing half's or, in
+    ``trailing_only``, the leading half's, so the stream reads each such
+    number off the other half.  How the certificate stream puts these
+    numbers into a document, survivors included, is checked against the
+    dict builder in ``test_specio``."""
     row, d = case
     halves = BoxHalves(row, d)
     leading = list(halves.leading())
@@ -502,11 +503,11 @@ def test_running_sums_match_the_closed_form_beyond_the_table(case):
         assert sum(map(mul, lead.across, trail.across)) == ab
         numbers = [v for part in split_parts(row, d, a + b)
                    for v in (*part.coefficients, *part.pairings, part.square, part.dim)]
-        assert [x + y + k * ab for x, y, k in
-                zip(lead.numbers, trail.numbers, weights, strict=True)] == numbers
+        assert [x + y - z + k * ab for x, y, z, k in
+                zip(lead.numbers, trail.numbers, halves.zero, weights, strict=True)] == numbers
     for i in set(range(2 * width)) - set(halves.crossing):
-        zeros = leading if i in halves.trailing_only else halves.trailing
-        assert all(point.numbers[i] == 0 for point in zeros)
+        still = leading if i in halves.trailing_only else halves.trailing
+        assert all(point.numbers[i] == halves.zero[i] for point in still)
 
 
 def test_enumeration_rejects_wrong_degree():

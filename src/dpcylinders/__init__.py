@@ -37,9 +37,10 @@ _LAZY_NAMES = {
 def __getattr__(name: str) -> object:
     if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f".{_LAZY_NAMES[name]}", __name__)
+    # the import statement's own route, which ``python3 -X importtime``
+    # times; ``importlib.import_module`` goes round it, and a module loaded
+    # that way shows no line there
+    module = __import__(f"{__name__}.{_LAZY_NAMES[name]}", fromlist=[name])
     value = globals()[name] = getattr(module, name)
     return value
 

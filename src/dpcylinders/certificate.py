@@ -220,7 +220,8 @@ def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
         "multiple": row.multiple,
         "configuration": [[lbl, c] for lbl, c in row.configuration],
         "residual": _numbers_block(row, "N", row.residual(degree)),
-        "point": {"kind": row.point.kind, "curves": list(row.point.curves)},
+        "point": {"kind": ("general", "on_curve", "node_intersection")[len(row.point)],
+                  "curves": list(row.point)},
         "residual_multiplicity": row.residual_multiplicity,
         "local_multiplicity": row.local_multiplicity,
         "ratio": row.ratio,

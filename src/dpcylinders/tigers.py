@@ -52,25 +52,6 @@ class NoCaseApplies(ValueError):
     """
 
 
-class PointSpec(NamedTuple):
-    """Marked point of a case, by the named curves through it: none for a
-    general smooth point, one for a general point on that curve, two for
-    their intersection point."""
-
-    curves: tuple[str, ...] = ()
-
-    @property
-    def kind(self) -> str:
-        return ("general", "on_curve", "node_intersection")[len(self.curves)]
-
-    def describe(self) -> str:
-        if not self.curves:
-            return "a general smooth point"
-        if len(self.curves) == 1:
-            return f"a general point on {self.curves[0]}"
-        return f"the intersection of {self.curves[0]} and {self.curves[1]}"
-
-
 class _CaseFields(NamedTuple):
     case_id: str
     degrees: tuple[int, ...]
@@ -78,7 +59,7 @@ class _CaseFields(NamedTuple):
     multiple: int
     node_coefficients: tuple[int, ...]
     e_coefficient: int
-    point: PointSpec
+    point: tuple[str, ...]
     residual_multiplicity: int
     balanced_split: Optional[tuple[int, ...]] = None
     notes: tuple[tuple[str, tuple[int, ...]], ...] = ()
@@ -89,6 +70,9 @@ class CaseTable(_CaseFields):
 
     The row's curves are D1..Dk of the singular point, then E when the row
     uses it; coefficient vectors and pairings run over them in that order.
+    ``point`` names the curves through the marked point: none for a general
+    smooth point, one for a general point on that curve, two for their
+    intersection point.
     ``balanced_split`` is the first part's coefficient vector of the one
     split whose dimension gap is taken against the one-part family through
     the marked point; ``notes`` are certificate notes, each with the degrees
@@ -134,7 +118,7 @@ class CaseTable(_CaseFields):
     @cached_property
     def point_indices(self) -> tuple[int, ...]:
         """Where the curves through the marked point sit among the row's curves."""
-        return tuple(self.curves.index(label) for label in self.point.curves)
+        return tuple(self.curves.index(label) for label in self.point)
 
     @property
     def configuration(self) -> tuple[tuple[str, int], ...]:
@@ -184,10 +168,6 @@ def case_tables() -> tuple[CaseTable, ...]:
     return _CASE_ROWS
 
 
-def _point(*curves: str) -> PointSpec:
-    return PointSpec(curves)
-
-
 ASSUME_VANISHING = (
     "expected-dimension: linear system dimensions come from Riemann-Roch "
     "with vanishing higher cohomology assumed throughout"
@@ -219,28 +199,28 @@ NOTE_OWN_COEFFICIENTS = (
 )
 
 _CASE_ROWS = (
-    CaseTable("deg7plus", (7, 8, 9), None, 2, (), 0, _point(), 5),
-    CaseTable("deg4or6", (4, 6), None, 3, (), 2, _point("E"), 5,
+    CaseTable("deg7plus", (7, 8, 9), None, 2, (), 0, (), 5),
+    CaseTable("deg4or6", (4, 6), None, 3, (), 2, ("E",), 5,
               notes=((NOTE_DEG4_BUDGET, (4,)),)),
-    CaseTable("deg5", (5,), None, 4, (), 0, _point(), 9),
-    CaseTable("A1deg3", (3,), DynkinType("A", 1), 4, (3,), 0, _point("D1"), 6,
+    CaseTable("deg5", (5,), None, 4, (), 0, (), 9),
+    CaseTable("A1deg3", (3,), DynkinType("A", 1), 4, (3,), 0, ("D1",), 6,
               notes=((NOTE_EXACT_BUDGET, (3,)),)),
-    CaseTable("A2", (2, 3), DynkinType("A", 2), 2, (2, 2), 0, _point("D1", "D2"), 1,
+    CaseTable("A2", (2, 3), DynkinType("A", 2), 2, (2, 2), 0, ("D1", "D2"), 1,
               balanced_split=(1, 1)),
-    CaseTable("A3", (2, 3), DynkinType("A", 3), 2, (2, 2, 1), 0, _point("D1", "D2"), 1),
-    CaseTable("D4", (2, 3), DynkinType("D", 4), 3, (4, 3, 2, 2), 0, _point("D1", "D2"), 0),
-    CaseTable("A4", (1, 2, 3), DynkinType("A", 4), 2, (1, 2, 2, 1), 0, _point("D2", "D3"), 1),
-    CaseTable("A5", (1, 2, 3), DynkinType("A", 5), 3, (1, 2, 3, 3, 2), 0, _point("D3", "D4"), 1),
-    CaseTable("A6", (1, 2, 3), DynkinType("A", 6), 3, (1, 2, 3, 3, 2, 1), 0, _point("D3", "D4"), 1),
-    CaseTable("A7", (1, 2), DynkinType("A", 7), 4, (1, 2, 3, 4, 4, 3, 2), 0, _point("D4", "D5"), 1),
-    CaseTable("A8", (1,), DynkinType("A", 8), 4, (1, 2, 3, 4, 4, 3, 2, 1), 0, _point("D4", "D5"), 1),
-    CaseTable("D5", (1, 2, 3), DynkinType("D", 5), 2, (2, 2, 3, 2, 1), 0, _point("D3", "D4"), 0),
-    CaseTable("D6", (1, 2, 3), DynkinType("D", 6), 2, (2, 2, 4, 3, 2, 1), 0, _point("D3", "D4"), 0),
-    CaseTable("D7", (1, 2), DynkinType("D", 7), 3, (3, 3, 6, 5, 4, 3, 2), 0, _point("D3", "D4"), 0),
-    CaseTable("D8", (1,), DynkinType("D", 8), 3, (3, 3, 6, 5, 4, 3, 2, 1), 0, _point("D3", "D4"), 0),
-    CaseTable("E6", (1, 2, 3), DynkinType("E", 6), 2, (2, 1, 2, 3, 2, 1), 0, _point("D4", "D5"), 0),
-    CaseTable("E7", (1, 2), DynkinType("E", 7), 2, (2, 2, 3, 4, 3, 2, 1), 0, _point("D4", "D5"), 0),
-    CaseTable("E8", (1,), DynkinType("E", 8), 2, (3, 2, 4, 6, 5, 4, 3, 2), 0, _point("D4", "D5"), 0,
+    CaseTable("A3", (2, 3), DynkinType("A", 3), 2, (2, 2, 1), 0, ("D1", "D2"), 1),
+    CaseTable("D4", (2, 3), DynkinType("D", 4), 3, (4, 3, 2, 2), 0, ("D1", "D2"), 0),
+    CaseTable("A4", (1, 2, 3), DynkinType("A", 4), 2, (1, 2, 2, 1), 0, ("D2", "D3"), 1),
+    CaseTable("A5", (1, 2, 3), DynkinType("A", 5), 3, (1, 2, 3, 3, 2), 0, ("D3", "D4"), 1),
+    CaseTable("A6", (1, 2, 3), DynkinType("A", 6), 3, (1, 2, 3, 3, 2, 1), 0, ("D3", "D4"), 1),
+    CaseTable("A7", (1, 2), DynkinType("A", 7), 4, (1, 2, 3, 4, 4, 3, 2), 0, ("D4", "D5"), 1),
+    CaseTable("A8", (1,), DynkinType("A", 8), 4, (1, 2, 3, 4, 4, 3, 2, 1), 0, ("D4", "D5"), 1),
+    CaseTable("D5", (1, 2, 3), DynkinType("D", 5), 2, (2, 2, 3, 2, 1), 0, ("D3", "D4"), 0),
+    CaseTable("D6", (1, 2, 3), DynkinType("D", 6), 2, (2, 2, 4, 3, 2, 1), 0, ("D3", "D4"), 0),
+    CaseTable("D7", (1, 2), DynkinType("D", 7), 3, (3, 3, 6, 5, 4, 3, 2), 0, ("D3", "D4"), 0),
+    CaseTable("D8", (1,), DynkinType("D", 8), 3, (3, 3, 6, 5, 4, 3, 2, 1), 0, ("D3", "D4"), 0),
+    CaseTable("E6", (1, 2, 3), DynkinType("E", 6), 2, (2, 1, 2, 3, 2, 1), 0, ("D4", "D5"), 0),
+    CaseTable("E7", (1, 2), DynkinType("E", 7), 2, (2, 2, 3, 4, 3, 2, 1), 0, ("D4", "D5"), 0),
+    CaseTable("E8", (1,), DynkinType("E", 8), 2, (3, 2, 4, 6, 5, 4, 3, 2), 0, ("D4", "D5"), 0,
               notes=((NOTE_OWN_COEFFICIENTS, (1,)),)),
 )
 
@@ -307,7 +287,7 @@ def part_numbers(
 
     Its pairings (P.K, P.C_1, ..., P.C_n) are those of multiple*(-K), less
     each curve's row of the row's form times its coefficient; the rest
-    follows from them (``square_and_dim``).  The relation residual itself
+    follows from them (``_part``).  The relation residual itself
     is  row.residual(degree).
     """
     pairings = [-multiple * degree, *(-multiple * pairs[0] for pairs in row.form)]
@@ -319,17 +299,11 @@ def part_numbers(
 
 
 def _part(multiple: int, coefficients: tuple[int, ...], pairings: tuple[int, ...]) -> Part:
-    """The part with these weights and pairings; its square and dim follow."""
-    return Part(multiple, coefficients, pairings,
-                *square_and_dim((multiple, *coefficients), pairings))
-
-
-def square_and_dim(weights: tuple[int, ...], pairings: tuple[int, ...]) -> tuple[int, int]:
-    """Square and expected dimension of  P = m*(-K) - sum(c_j C_j)  from its
-    weights (m, c) and its pairings (P.K, P.C_1, ..., P.C_n):
-    P^2 = -m (P.K) - sum c_j (P.C_j)  and  dim = (P^2 - P.K)/2."""
-    square = -sum(map(mul, weights, pairings))
-    return square, (square - pairings[0]) // 2
+    """The part  P = m*(-K) - sum(c_j C_j)  with these weights (m, c) and
+    pairings (P.K, P.C_1, ..., P.C_n); its square and expected dimension
+    follow:  P^2 = -m (P.K) - sum c_j (P.C_j)  and  dim = (P^2 - P.K)/2."""
+    square = -sum(map(mul, (multiple, *coefficients), pairings))
+    return Part(multiple, coefficients, pairings, square, (square - pairings[0]) // 2)
 
 
 def complement(residual: Part, part: Part) -> Part:
@@ -450,8 +424,8 @@ def square_survivors(row: CaseTable, degree: int) -> list[Part]:
       (c, a_j) >= 1,  and  P + C_j  has square  P^2 + 2 (c, a_j) - 2 >= P^2.
 
     Every other split of the box dies on that square.  Each survivor's
-    square and dim come from ``square_and_dim``; the row's ``form`` checks
-    their parity.
+    square and dim come from ``_part``; the row's ``form`` checks their
+    parity.
     """
     form, box = row.form, row.coefficients
     zero = (0,) * len(box)
@@ -513,16 +487,16 @@ class TigerCertificate(NamedTuple):
 
 
 def select_case(spec: SurfaceSpec) -> tuple[CaseTable, Optional[int]]:
-    """First case row applying to the spec, plus the index of the matched
-    singularity instance (None for the degree-driven rows)."""
+    """First case row applying to the spec, plus the index of the spec's
+    first instance of the row's singularity type (None for the
+    degree-driven rows)."""
     for row in _CASE_ROWS:
         if spec.degree not in row.degrees:
             continue
         if row.singularity is None:
             return row, None
-        for idx, t in enumerate(spec.singularities):
-            if t == row.singularity:
-                return row, idx
+        if row.singularity in spec.singularities:
+            return row, spec.singularities.index(row.singularity)
     raise NoCaseApplies(
         f"no construction case covers {spec}; "
         "this is a coverage gap if the surface has an anticanonical cylinder"
@@ -545,8 +519,10 @@ def narrate(cert: TigerCertificate) -> Iterator[str]:
     """The derivation behind a certificate, one line per step, as
     ``dpcyl tiger --trace`` prints it."""
     row, d, m = cert.row, cert.spec.degree, cert.row.multiple
-    yield (f"case {row.case_id}: degree {d}, multiple {m}, "
-           f"marked point {row.point.describe()}")
+    point = (f"the intersection of {row.point[0]} and {row.point[1]}" if len(row.point) == 2
+             else f"a general point on {row.point[0]}" if row.point
+             else "a general smooth point")
+    yield f"case {row.case_id}: degree {d}, multiple {m}, marked point {point}"
     terms = [lbl if c == 1 else f"{c}*{lbl}" for lbl, c in row.configuration]
     yield f"relation: {m}*(-K) = {' + '.join(terms + ['N'])}"
 

@@ -38,7 +38,6 @@ from dpcylinders.tigers import (
     NEGATIVE_SELF_INTERSECTION,
     Obstruction,
     Part,
-    PointSpec,
     Split,
     part_numbers,
 )
@@ -150,5 +149,5 @@ def redrawn_boxes(draw, cap):
     return row._replace(
         node_coefficients=tuple(coefficients[:-1]), e_coefficient=e, degrees=(degree,),
         # a marked point on E needs E among the row's curves
-        point=PointSpec(tuple(c for c in row.point.curves if e or c != "E")),
+        point=tuple(c for c in row.point if e or c != "E"),
     ), degree

@@ -38,6 +38,13 @@ def part_block(row, label, part):
     }
 
 
+def point_kind(curves):
+    """The marked point's kind: on no named curve, on one, or where two meet."""
+    if not curves:
+        return "general"
+    return "node_intersection" if len(curves) == 2 else "on_curve"
+
+
 def reference_document(cert):
     """The certificate's document as a dict, every split of the box
     expanded with each part's derived numbers."""
@@ -66,7 +73,7 @@ def reference_document(cert):
         "multiple": row.multiple,
         "configuration": [[lbl, c] for lbl, c in row.configuration],
         "residual": numbers_block(row, "N", row.residual(degree)),
-        "point": {"kind": row.point.kind, "curves": list(row.point.curves)},
+        "point": {"kind": point_kind(row.point), "curves": list(row.point)},
         "residual_multiplicity": row.residual_multiplicity,
         "local_multiplicity": row.local_multiplicity,
         "ratio": str(Fraction(row.local_multiplicity, row.multiple)),

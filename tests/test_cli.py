@@ -266,7 +266,7 @@ def test_out_replaces_the_target_whole(spec_dir, tmp_path, capsys):
 
 def interrupt_the_stream(monkeypatch, written):
     """Break the certificate stream off after its head and 21 chunks of 50
-    entries, 1,050 of the 1,080 splits of D6 at degree 3: ``written()``
+    entries, 1,050 of the 1,080 splits of D6 at degree 2: ``written()``
     must show them."""
 
     def interrupted(cert):
@@ -281,7 +281,7 @@ def interrupt_the_stream(monkeypatch, written):
 
 def test_interrupted_stream_leaves_the_out_target_alone(tmp_path, monkeypatch):
     spec = tmp_path / "d6.txt"
-    spec.write_text("degree: 3\nsingularities: D6\n", encoding="utf-8")
+    spec.write_text("degree: 2\nsingularities: D6\n", encoding="utf-8")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     target = out_dir / "cert.json"
@@ -323,9 +323,9 @@ def test_a_failed_rename_exits_4_and_leaves_the_target_alone(
 
 def test_interrupted_stream_leaves_a_prefix_on_stdout(tmp_path, monkeypatch):
     spec = tmp_path / "d6.txt"
-    spec.write_text("degree: 3\nsingularities: D6\n", encoding="utf-8")
+    spec.write_text("degree: 2\nsingularities: D6\n", encoding="utf-8")
     sink = tmp_path / "stdout"
-    document = "".join(certificate_chunks(build_tiger(SurfaceSpec(3, ("D6",)))))
+    document = "".join(certificate_chunks(build_tiger(SurfaceSpec(2, ("D6",)))))
     with open(sink, "w", encoding="utf-8") as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
         interrupt_the_stream(monkeypatch, lambda: sink.stat().st_size)
@@ -794,11 +794,11 @@ def test_stdout_reader_leaving_early_exits_4(tmp_path, unbuffered):
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_stdout_reader_leaving_after_the_first_chunk_exits_4(tmp_path, unbuffered):
-    # D6 at degree 3 streams in 23 chunks: the head, 21 of 50 entries, and
+    # D6 at degree 2 streams in 23 chunks: the head, 21 of 50 entries, and
     # the last 30 entries with the tail
     spec = tmp_path / "d6.txt"
-    spec.write_text("degree: 3\nsingularities: D6\n", encoding="utf-8")
-    first, *rest = certificate_chunks(build_tiger(SurfaceSpec(3, ("D6",))))
+    spec.write_text("degree: 2\nsingularities: D6\n", encoding="utf-8")
+    first, *rest = certificate_chunks(build_tiger(SurfaceSpec(2, ("D6",))))
     assert len(rest) == 22
     child = run_module(
         "tiger", "--spec", str(spec), env={"PYTHONUNBUFFERED": unbuffered},
@@ -914,6 +914,21 @@ def test_a_certified_tiger_loads_the_certificate_path(spec_dir, tmp_path):
         "dpcylinders.tigers", "dpcylinders.certificate", "dpcylinders.linear_systems",
     } <= loaded
     assert "fractions" not in loaded
+
+
+def test_importtime_times_the_certificate_path(spec_dir, tmp_path):
+    # the lazy names load through the import statement, so
+    # ``python3 -X importtime`` gives the certificate path its own lines
+    src = str(Path(dpcylinders.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "dpcylinders.cli", "tiger",
+         "--spec", str(spec_dir / "node_cubic.txt"), "--out", str(tmp_path / "cert.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == cli.EXIT_OK, result.stderr
+    timed = {line.rsplit("|", 1)[-1].strip()
+             for line in result.stderr.splitlines() if line.startswith("import time:")}
+    assert {"dpcylinders.tigers", "dpcylinders.certificate"} <= timed
 
 
 def test_sweep_loads_the_construction_and_no_certificate(tmp_path):

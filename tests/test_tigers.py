@@ -35,7 +35,6 @@ from dpcylinders.tigers import (
     MULTIPLICITY_BUDGET,
     NEGATIVE_SELF_INTERSECTION,
     NOTE_OWN_COEFFICIENTS,
-    PointSpec,
     complement,
     fraction_text,
     narrate,
@@ -83,7 +82,7 @@ def point_caps(row, parts):
     caps = []
     for part in parts:
         cap = max_multiplicity_budget(part.dim)
-        for label in row.point.curves:
+        for label in row.point:
             cap = min(cap, labelled(row, part)[label])
         caps.append(cap)
     return tuple(caps)
@@ -102,7 +101,7 @@ def test_case_rows_are_internally_consistent():
         assert row.multiple >= 2
         assert all(1 <= d <= 9 for d in row.degrees)
         assert row.residual_multiplicity >= 0
-        for label in row.point.curves:
+        for label in row.point:
             if label == "E":
                 assert row.e_coefficient > 0
             else:
@@ -120,7 +119,7 @@ def test_case_rows_are_internally_consistent():
         assert len(row.coefficients) == len(row.form) == len(row.curves)
         assert row.coefficients[:rank] == row.node_coefficients
         assert row.coefficients[rank:] == ((row.e_coefficient,) if row.e_coefficient else ())
-        assert [row.curves[i] for i in row.point_indices] == list(row.point.curves)
+        assert [row.curves[i] for i in row.point_indices] == list(row.point)
         for d in row.degrees:
             # X^2 = X.K (mod 2) for -K, with K.K = d, and for every curve X,
             # (square, K-degree) read from the form.  So P^2 - P.K is even
@@ -136,22 +135,27 @@ def test_marked_points_lie_on_the_configuration():
     through the marked point, so each such curve must carry one, and the
     two curves of an intersection point must meet."""
     for row in case_tables():
-        for label in row.point.curves:
+        for label in row.point:
             coeff = (row.e_coefficient if label == "E"
                      else row.node_coefficients[int(label[1:]) - 1])
             assert isinstance(coeff, int) and coeff > 0, (row.case_id, label)
-        if row.point.kind == "node_intersection":
-            i, j = (int(label[1:]) - 1 for label in row.point.curves)
+        if len(row.point) == 2:
+            i, j = (int(label[1:]) - 1 for label in row.point)
             assert gram_table(row.singularity)[i][j] == 1, row.case_id
 
 
 def test_point_kind_follows_its_curves():
-    assert PointSpec().kind == "general"
-    assert PointSpec().describe() == "a general smooth point"
-    assert PointSpec(("E",)).kind == "on_curve"
-    assert PointSpec(("E",)).describe() == "a general point on E"
-    assert PointSpec(("D1", "D2")).kind == "node_intersection"
-    assert PointSpec(("D1", "D2")).describe() == "the intersection of D1 and D2"
+    # no curve, one curve and two curves through the marked point: the
+    # document names the kind, the trace says where the point is
+    for spec, kind, curves, where in (
+        (SurfaceSpec(5, ()), "general", [], "a general smooth point"),
+        (SurfaceSpec(6, ()), "on_curve", ["E"], "a general point on E"),
+        (SurfaceSpec(2, ("A2",)), "node_intersection", ["D1", "D2"],
+         "the intersection of D1 and D2"),
+    ):
+        cert = build_tiger(spec)
+        assert certificate_document(cert)["point"] == {"kind": kind, "curves": curves}
+        assert next(narrate(cert)).endswith(f", marked point {where}"), spec
 
 
 # ----------------------------------------------------- residual class numbers
@@ -567,9 +571,9 @@ def test_every_witness_recomputes():
                     if obs.kind == DISJOINTNESS:
                         part = parts[w["part"] - 1]
                         coefficients = dict(zip(row.curves, part.coefficients))
-                        assert row.point.curves
-                        assert all(coefficients[lbl] == 0 for lbl in row.point.curves)
-                        assert any(labelled(row, part)[lbl] == 0 for lbl in row.point.curves)
+                        assert row.point
+                        assert all(coefficients[lbl] == 0 for lbl in row.point)
+                        assert any(labelled(row, part)[lbl] == 0 for lbl in row.point)
                     continue
 
                 assert obs.kind == DIMENSION_GAP
@@ -637,6 +641,8 @@ def test_select_case_fixtures():
         ((1, ("A4", "A3")), "A4", 1),
         ((2, ("E6", "A1")), "E6", 1),
         ((2, ("A3", "A4")), "A3", 0),
+        # the first instance of the row's type
+        ((2, ("A1", "A3", "A3")), "A3", 1),
         ((6, ("A1",)), "deg4or6", None),
         ((8, ()), "deg7plus", None),
         ((5, ()), "deg5", None),
@@ -682,8 +688,7 @@ def test_certificate_e8():
     assert dict(row.configuration) == {
         "D1": 3, "D2": 2, "D3": 4, "D4": 6, "D5": 5, "D6": 4, "D7": 3, "D8": 2,
     }
-    assert row.point.kind == "node_intersection"
-    assert row.point.curves == ("D4", "D5")
+    assert row.point == ("D4", "D5")
     assert row.local_multiplicity == 11
     assert row.ratio == str(Fraction(11, 2))
     assert row.tiger_components == (("N", str(Fraction(1, 2))),)

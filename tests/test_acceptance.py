@@ -23,7 +23,7 @@ from dpcylinders import (
     enumerate_decompositions,
     enumerate_specs,
 )
-from dpcylinders import cli, tigers
+from dpcylinders import cli
 from dpcylinders.lattice import adjacency, all_types, gram_table, picard_rank
 from dpcylinders.tigers import (
     DIMENSION_GAP,
@@ -251,7 +251,7 @@ def test_acceptance_7_classification():
         assert all(picard_rank(s) == 1 for s in refused)
 
 
-def test_acceptance_8_cli_contract(tmp_path, capsys, monkeypatch):
+def test_acceptance_8_cli_contract(tmp_path, capsys):
     with criterion(8, "CLI byte-identical round-trip and exit codes 0/10/20/30/2/3"):
         files = {
             "yes.txt": ("degree: 3\nsingularities: A1\n", cli.EXIT_OK),
@@ -280,11 +280,9 @@ def test_acceptance_8_cli_contract(tmp_path, capsys, monkeypatch):
         assert "".join(certificate_chunks(build_tiger(spec))) == first
 
         # exit 30 is reserved for engine discrepancies; force one
-        monkeypatch.setattr(
-            tigers, "_obstruction_for", lambda row, residual, first: None
-        )
-        assert (
-            cli.main(["tiger", "--spec", str(spec_path)])
-            == cli.EXIT_DISCREPANCY
-        )
+        with conftest.forced_discrepancy():
+            assert (
+                cli.main(["tiger", "--spec", str(spec_path)])
+                == cli.EXIT_DISCREPANCY
+            )
         capsys.readouterr()

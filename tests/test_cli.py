@@ -3,6 +3,7 @@
 import codecs
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -28,6 +29,8 @@ from dpcylinders import (
 )
 from dpcylinders import cli, tigers
 from dpcylinders.certificate import certificate_chunks
+
+from conftest import forced_discrepancy
 
 
 SPEC_FILES = {
@@ -571,14 +574,25 @@ def test_tiger_nothing_to_build(spec_dir, capsys):
         assert "nothing to build" in err
 
 
-def test_tiger_discrepancy_exit(spec_dir, capsys, monkeypatch):
-    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, residual, first: None)
-    code, out, err = run_cli(
-        capsys, "tiger", "--spec", str(spec_dir / "node_cubic.txt")
-    )
+def test_tiger_discrepancy_exit(spec_dir, capsys):
+    with forced_discrepancy():
+        code, out, err = run_cli(
+            capsys, "tiger", "--spec", str(spec_dir / "node_cubic.txt")
+        )
     assert code == cli.EXIT_DISCREPANCY
     assert "carry no obstruction" in err
     assert json.loads(out)["status"] == "discrepancy"
+
+
+def test_forced_discrepancy_follows_a_certified_tiger(spec_dir, capsys):
+    """The walked boxes outlive a call: a box certified before the
+    discrepancy is forced is walked again under it, and a box walked under
+    it is walked again after."""
+    path = str(spec_dir / "node_cubic.txt")
+    assert run_cli(capsys, "tiger", "--spec", path)[0] == cli.EXIT_OK
+    with forced_discrepancy():
+        assert run_cli(capsys, "tiger", "--spec", path)[0] == cli.EXIT_DISCREPANCY
+    assert run_cli(capsys, "tiger", "--spec", path)[0] == cli.EXIT_OK
 
 
 def test_uncovered_and_unobstructed_specs_are_discrepancies(spec_dir, capsys, monkeypatch):
@@ -628,6 +642,30 @@ def test_sweep_reports_every_spec(tmp_path, capsys):
 
     code, _, _ = run_cli(capsys, "sweep", "--out", str(out_path))
     assert out_path.read_text(encoding="utf-8") == report  # reproducible
+
+
+def test_sweep_walks_each_box_once(tmp_path, monkeypatch):
+    """The 188 certified specs fall into the 40 (case row, degree) boxes
+    of the case table: ``sweep`` walks each box once and serves the other
+    148 certificates from the memo, and its report keeps the benchmark's
+    pinned bytes."""
+    walked = []
+    walk = tigers.square_survivors
+
+    def spy(row, degree):
+        walked.append((row, degree))
+        return walk(row, degree)
+
+    monkeypatch.setattr(tigers, "square_survivors", spy)
+    tigers.enumerate_decompositions.cache_clear()
+    out_path = tmp_path / "sweep.txt"
+    assert cli.main(["sweep", "--out", str(out_path)]) == cli.EXIT_OK
+    boxes = [(row, d) for row in tigers.case_tables() for d in row.degrees]
+    assert len(boxes) == len(walked) == 40
+    assert sorted(walked) == sorted(boxes)
+    assert tigers.enumerate_decompositions.cache_info().hits == 148
+    pins = json.loads((Path(__file__).parents[1] / "bench" / "pins.json").read_text())
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == pins["sweep"]["sha256"]
 
 
 # ------------------------------------------------------------------- stdout
@@ -728,9 +766,9 @@ def test_closed_stderr_keeps_the_exit_code(spec_dir, capsys, monkeypatch, args, 
 
 
 def test_closed_stderr_keeps_the_discrepancy_exit(spec_dir, capsys, monkeypatch):
-    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, residual, first: None)
     monkeypatch.setattr(sys, "stderr", None)
-    code = cli.main(["tiger", "--spec", str(spec_dir / "node_cubic.txt")])
+    with forced_discrepancy():
+        code = cli.main(["tiger", "--spec", str(spec_dir / "node_cubic.txt")])
     monkeypatch.undo()
     assert code == cli.EXIT_DISCREPANCY
     assert json.loads(capsys.readouterr().out)["status"] == "discrepancy"

@@ -18,12 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcylinders import SurfaceSpec, build_tiger, case_tables, enumerate_decompositions
-from dpcylinders import certificate, tigers
+from dpcylinders import certificate
 from dpcylinders.certificate import certificate_chunks, certificate_document
 from dpcylinders.tigers import TigerCertificate
 
 from box_walk import redrawn_boxes
 from certificate_reference import reference_document, reference_text
+from conftest import forced_discrepancy
 from residual_fixtures import minimal_spec_args
 
 # every (case row, degree) pair whose box the dict builder renders quickly;
@@ -116,9 +117,9 @@ def test_stream_matches_the_dict_builder_beyond_the_table(cert, batch):
     assert len(chunks) == 2 + splits // batch
 
 
-def test_stream_renders_an_unobstructed_split(monkeypatch):
-    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, residual, first: None)
-    cert = build_tiger(SurfaceSpec(2, ("A2",)))
+def test_stream_renders_an_unobstructed_split():
+    with forced_discrepancy():
+        cert = build_tiger(SurfaceSpec(2, ("A2",)))
     assert cert.status == "discrepancy"
     assert "".join(certificate_chunks(cert)) == reference_text(reference_document(cert))
 

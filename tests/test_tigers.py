@@ -43,6 +43,7 @@ from dpcylinders.tigers import (
 )
 
 from box_walk import box, box_survivors, box_walk, every_outcome, redrawn_boxes, split_parts
+from conftest import forced_discrepancy
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
 
@@ -401,8 +402,9 @@ def test_every_split_everywhere_is_obstructed():
 
 
 def walked_parts(row, d):
-    """The walk's splits, and both parts of each as the obstruction pass
-    has them: part 1 from the survivor walk, part 2 built from it."""
+    """The walk's splits, and the (part 1, part 2) pairs for which the
+    obstruction pass has ``complement`` build part 2.  The walk goes round
+    the memo of walked boxes, so every derivation is seen."""
     parts = []
 
     def spy(residual, first):
@@ -411,7 +413,7 @@ def walked_parts(row, d):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tigers, "complement", spy)
-        splits = enumerate_decompositions(row, d)
+        splits = enumerate_decompositions.__wrapped__(row, d)
     return splits, parts
 
 
@@ -421,10 +423,23 @@ def walked_parts(row, d):
 def test_walk_finds_the_box_walks_survivors(row, d):
     """The growth from the zero split returns exactly the splits of the
     whole box whose first part has square > -2, in the same order, with
-    both parts as ``split_parts`` builds them, and obstructs each."""
+    both parts as ``split_parts`` builds them, and obstructs each.  The
+    obstruction pass builds part 2 only for a survivor whose part 1 pairs
+    with no configuration curve negatively, the one kill part 1 has left."""
     walked, parts = walked_parts(row, d)
+    survivors = box_walk(row, d).survivors
     assert [split.part1 for split in walked] == box_survivors(row, d)
-    assert parts == list(box_walk(row, d).survivors.values())
+    assert parts == [
+        (first, second) for first, second in survivors.values()
+        if min(first.pairings[1:], default=0) >= 0
+    ]
+    firsts = square_survivors(row, d)
+    residual = row.residual(d)
+    assert [(first, complement(residual, first)) for first in firsts] == list(
+        survivors.values()
+    )
+    # the walk's running square is the dot product's
+    assert firsts == [part_numbers(row, d, 1, part.coefficients) for part in firsts]
     assert all(split.obstruction is not None for split in walked)
 
 
@@ -439,7 +454,8 @@ def test_walk_finds_the_box_walks_survivors(row, d):
 def test_walk_matches_the_box_walk_beyond_the_table(case):
     """The growth from the zero split finds the box walk's survivors, with
     each part 1 it hands on, and the part 2 that ``complement`` builds from
-    it for the obstruction pass, equal to ``split_parts``; and its premise
+    it for the obstruction pass, equal to ``split_parts``, and each part 1's
+    numbers, its running square among them, those of ``part_numbers``; and its premise
     holds: every survivor but the zero split has a survivor one unit below
     it, with a square no smaller.  The obstruction pass runs on the drawn
     box too: its splits are the walk's survivors, in order."""
@@ -453,9 +469,11 @@ def test_walk_matches_the_box_walk_beyond_the_table(case):
     assert [(first, complement(residual, first)) for first in walked] == list(
         survivors.values()
     )
+    # the walk's running square is the dot product's
+    assert walked == [part_numbers(row, d, 1, part.coefficients) for part in walked]
     for part1, (part, second) in survivors.items():
         # a part that passes the square test has dim >= 0, so the
-        # obstruction pass needs no dim test (see ``_obstruction_for``)
+        # obstruction pass needs no dim test (see ``_part_kill``)
         assert all(p.dim >= 0 for p in (part, second) if p.square >= -1), part1
         if not any(part1):
             continue
@@ -719,10 +737,10 @@ def test_fraction_text_writes_what_str_fraction_writes(n, d, k):
         assert fraction_text(num, den) == str(Fraction(num, den))
 
 
-def test_unobstructed_split_forces_discrepancy(monkeypatch):
+def test_unobstructed_split_forces_discrepancy():
     # nothing in the real tables is unobstructed, so simulate the failure
-    monkeypatch.setattr(tigers, "_obstruction_for", lambda row, residual, first: None)
-    cert = build_tiger(SurfaceSpec(5, ()))
+    with forced_discrepancy():
+        cert = build_tiger(SurfaceSpec(5, ()))
     assert cert.status == "discrepancy"
     assert all(o.obstruction is None for o in cert.decompositions)
     assert cert.unobstructed == cert.decompositions

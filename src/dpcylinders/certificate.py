@@ -11,7 +11,8 @@ and between them columns over the trailing half, each of the trailing
 points' runs of numbers and each value a split fills in.  A value's column
 is made once per certificate for each leading number it takes; a leading
 point's entries are the rows of its texts and its columns, and a chunk is
-one join of the pieces of its entries."""
+one join of the pieces of its entries.  Each obstruction is worded here,
+from one template per witness shape (``_DESCRIPTIONS``)."""
 
 from __future__ import annotations
 
@@ -24,6 +25,10 @@ from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from .specio import _ENCODER, _spec_block, render_document
 from .tigers import (
+    DIMENSION_GAP,
+    DISJOINTNESS,
+    MULTIPLICITY_BUDGET,
+    NEGATIVE_SELF_INTERSECTION,
     CaseTable,
     Obstruction,
     Part,
@@ -196,14 +201,31 @@ def _entry_form(row: CaseTable, halves: BoxHalves) -> tuple[list[str], list[str]
     return fixed, runs, order
 
 
+# An obstruction's description, one template per witness shape: keyed by
+# the kind or, for a negative self-intersection, by the witness that fired
+# (its second name, "square" or "pairing"), filled from the witness values.
+_DESCRIPTIONS = {
+    "square": "part {part} residual has square {square} <= -2",
+    "pairing": "part {part} residual pairs {pairing} < 0 with a configuration curve",
+    DISJOINTNESS: "part {part} cannot meet the marked point's curves at all, and the parts "
+                  "can carry at most {cap_part1}+{cap_part2} < {required} there",
+    MULTIPLICITY_BUDGET: "parts can carry multiplicity at most {cap_part1}+{cap_part2} "
+                         "< {required} at the marked point",
+    DIMENSION_GAP: "every split family has dimension {parts_dim}, below the candidate "
+                   "family's {candidate_dim}, so a general candidate avoids all such splits",
+}
+
+
 def _obstruction_text(obstruction: Optional[Obstruction]) -> str:
     """An entry's "obstruction" value, indented for its place in the entry."""
     if obstruction is None:
         return "null"
+    kind, witness = obstruction
+    shape = witness[1][0] if kind == NEGATIVE_SELF_INTERSECTION else kind
     block = {
-        "kind": obstruction.kind,
-        "witness": [[k, v] for k, v in obstruction.witness],
-        "description": obstruction.describe(),
+        "kind": kind,
+        "witness": [[k, v] for k, v in witness],
+        "description": _DESCRIPTIONS[shape].format_map(dict(witness)),
     }
     return _ENCODER.encode(block).replace("\n", "\n" + _ENTRY_INDENT + "  ")
 

@@ -16,8 +16,9 @@ alone; growing the first parts from the zero split finds the few that do
 not, with their numbers, and only those are checked further, each against
 the residual less its first part.  A split with no obstruction found
 downgrades the certificate to a discrepancy report; it never passes
-silently.  The certificate's document, which lists every split, is written
-by :mod:`dpcylinders.certificate`; this module knows no rendering layout.
+silently.  The certificate's document, which lists every split and words
+each obstruction, is written by :mod:`dpcylinders.certificate`; this module
+knows no rendering layout.
 """
 
 from __future__ import annotations
@@ -239,36 +240,11 @@ class Part(NamedTuple):
 
 class Obstruction(NamedTuple):
     """Why one split cannot produce an anticanonical part inside a general
-    candidate.  Witness values recompute to the stated contradiction."""
+    candidate: its kind, and the witness values that recompute to the
+    stated contradiction.  The certificate document words it."""
 
     kind: str
     witness: tuple[tuple[str, int], ...]
-
-    def describe(self) -> str:
-        w = dict(self.witness)
-        if self.kind == NEGATIVE_SELF_INTERSECTION:
-            if "square" in w:
-                return f"part {w['part']} residual has square {w['square']} <= -2"
-            return (
-                f"part {w['part']} residual pairs {w['pairing']} < 0 "
-                "with a configuration curve"
-            )
-        if self.kind == DISJOINTNESS:
-            return (
-                f"part {w['part']} cannot meet the marked point's curves at all, "
-                f"and the parts can carry at most {w['cap_part1']}+{w['cap_part2']} "
-                f"< {w['required']} there"
-            )
-        if self.kind == MULTIPLICITY_BUDGET:
-            return (
-                f"parts can carry multiplicity at most {w['cap_part1']}+{w['cap_part2']} "
-                f"< {w['required']} at the marked point"
-            )
-        return (
-            f"every split family has dimension {w['parts_dim']}, below the "
-            f"candidate family's {w['candidate_dim']}, so a general candidate "
-            "avoids all such splits"
-        )
 
 
 class Split(NamedTuple):

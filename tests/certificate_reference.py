@@ -5,10 +5,13 @@ over the two halves of the box.  This module is the tests' second route:
 the dict builder the engine no longer uses, with each split's parts from
 ``split_parts`` over a plain product box, whose
 ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` the stream must match
-byte for byte.
+byte for byte.  What the document states in words it derives with its own
+code: each obstruction's description from its kind and witness, the ratio
+with ``Fraction`` and the marked point's kind with ``point_kind``.
 """
 
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as quote
 
 from box_walk import plain_splits
@@ -45,6 +48,26 @@ def point_kind(curves):
     return "node_intersection" if len(curves) == 2 else "on_curve"
 
 
+@cache
+def description(obstruction):
+    """An obstruction in words, from its kind and witness values alone."""
+    kind, w = obstruction.kind, dict(obstruction.witness)
+    if kind == "negative_self_intersection":
+        if "square" in w:
+            return f"part {w['part']} residual has square {w['square']} <= -2"
+        return f"part {w['part']} residual pairs {w['pairing']} < 0 with a configuration curve"
+    if kind == "dimension_gap":
+        return (f"every split family has dimension {w['parts_dim']}, below the candidate "
+                f"family's {w['candidate_dim']}, so a general candidate avoids all such splits")
+    caps = f"{w['cap_part1']}+{w['cap_part2']} < {w['required']}"
+    if kind == "disjointness":
+        return (f"part {w['part']} cannot meet the marked point's curves at all, "
+                f"and the parts can carry at most {caps} there")
+    if kind == "multiplicity_budget":
+        return f"parts can carry multiplicity at most {caps} at the marked point"
+    raise ValueError(f"no description for an obstruction of kind {kind}")
+
+
 def reference_document(cert):
     """The certificate's document as a dict, every split of the box
     expanded with each part's derived numbers."""
@@ -61,7 +84,7 @@ def reference_document(cert):
             entry["obstruction"] = {
                 "kind": split.obstruction.kind,
                 "witness": [[k, v] for k, v in split.obstruction.witness],
-                "description": split.obstruction.describe(),
+                "description": description(split.obstruction),
             }
         decs.append(entry)
     return {

@@ -94,6 +94,29 @@ def test_sweep_finds_exactly_three_polar_refusals():
     assert all(picard_rank(spec) == 1 for spec in refused)
 
 
+def test_rank_one_verdicts_that_contradict_themselves():
+    """The specs of Picard rank 1 whose verdict is "no anticanonical
+    cylinder, yet an H-polar one", pinned as they stand.
+
+    Both answers cannot hold: on Picard rank 1 every ample class is a
+    multiple of -K, so an H-polar cylinder is an anticanonical one.  All
+    13 types lie outside the du Val del Pezzo types that exist (ROADMAP
+    item 7); its step 2 turns these specs into refusals, and this list
+    goes with them.  No verdict is changed here.
+    """
+    contradictions = [
+        (spec.degree, spec.singularity_label) for spec in enumerate_specs()
+        if picard_rank(spec) == 1
+        and not (v := classify(spec)).anticanonical_cylinder and v.h_polar_cylinder
+    ]
+    assert contradictions == [
+        (1, label) for label in (
+            "8A1", "6A1+A2", "5A1+A3", "4A1+2A2", "4A1+D4", "3A1+A2+A3", "2A1+3A2",
+            "2A1+A2+D4", "A1+2A2+A3", "A1+A3+D4", "2A2+D4", "A2+2A3",
+        )
+    ] + [(2, "7A1")]
+
+
 def test_sweep_anticanonical_refusal_count():
     refused = sum(
         1 for spec in enumerate_specs()

@@ -506,6 +506,17 @@ def test_tiger_stdout_matches_out_file(spec_dir, tmp_path, capsys):
     assert stdout == out_path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["classify", "tiger", "sweep"])
+def test_stdout_matches_out_file(spec_dir, tmp_path, capsysbinary, command):
+    """Every command writes the same bytes to stdout as to its --out file."""
+    target = tmp_path / "out"
+    argv = [command] + ([] if command == "sweep" else ["--spec", str(spec_dir / "node_cubic.txt")])
+    assert cli.main(argv + ["--out", str(target)]) == cli.EXIT_OK
+    assert capsysbinary.readouterr().out == b""
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsysbinary.readouterr().out == target.read_bytes()
+
+
 def test_tiger_trace_on_stderr(spec_dir, capsys):
     code, out, err = run_cli(
         capsys, "tiger", "--spec", str(spec_dir / "node_cubic.txt"), "--trace"

@@ -9,6 +9,7 @@ path.
 from fractions import Fraction
 from itertools import product
 from operator import mul
+from string import Formatter
 
 import pytest
 from hypothesis import example, given, settings
@@ -543,8 +544,12 @@ def test_every_witness_recomputes():
     This is a full reimplementation of the obstruction logic as a check;
     any drift between the two is a real bug in one of them.  The numbers
     are the box walk's: part 1's square at every split, both parts at each
-    split that survives it.
+    split that survives it.  The document words each obstruction with the
+    template of its shape, the kind or the witness that fired, which takes
+    exactly the witness's names.
     """
+    fields = {shape: {name for _, name, _, _ in Formatter().parse(template) if name}
+              for shape, template in certificate._DESCRIPTIONS.items()}
     for row in case_tables():
         mu = row.residual_multiplicity
         for d in row.degrees:
@@ -552,7 +557,8 @@ def test_every_witness_recomputes():
             walk = box_walk(row, d)
             for o, square in zip(every_outcome(row, d), walk.squares, strict=True):
                 obs = o.obstruction
-                assert obs.describe()
+                shape = obs.witness[1][0] if obs.kind == NEGATIVE_SELF_INTERSECTION else obs.kind
+                assert fields[shape] == {name for name, _ in obs.witness}
                 if square <= -2:
                     # killed on part 1's square, the one number the walk keeps
                     assert obs.kind == NEGATIVE_SELF_INTERSECTION

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from dpcylinders import case_tables
+
 Poly = tuple[int, int]  # value at degree d is  a*d + b
 
 
@@ -52,11 +54,14 @@ RESIDUAL_FIXTURES: dict[str, CaseFixture] = {
 }
 
 
+def row_by_id(case_id: str):
+    """The case row with this id."""
+    return next(r for r in case_tables() if r.case_id == case_id)
+
+
 def minimal_spec_args(case_id: str, degree: int):
     """Smallest spec exercising a case at a degree."""
-    from dpcylinders import case_tables
-
-    row = next(r for r in case_tables() if r.case_id == case_id)
+    row = row_by_id(case_id)
     if row.singularity is None:
         return degree, ()
     return degree, (str(row.singularity),)

@@ -1,5 +1,7 @@
 """Classification tests: the exclusion lists and reason tags.  Verdicts are
-reconciled with the construction engine in ``test_acceptance_5``."""
+reconciled with the construction engine in ``test_tigers.py``'s
+``test_build_refuses_specs_without_cylinder`` and
+``test_every_cylinder_spec_certifies``."""
 
 import pytest
 
@@ -32,6 +34,7 @@ FIXTURES = [
 ]
 
 
+@pytest.mark.acceptance(7)
 @pytest.mark.parametrize(
     "degree,sings,anticanonical,polar",
     FIXTURES,
@@ -78,6 +81,7 @@ def test_excluded_collections_are_rank_eight():
         assert tuple(sorted(collection)) == collection  # canonical order
 
 
+@pytest.mark.acceptance(7)
 def test_sweep_finds_exactly_three_polar_refusals():
     refused = [
         spec for spec in enumerate_specs()

@@ -1,5 +1,7 @@
 """Coordinate oracle: independent verification of every pairing table."""
 
+import math
+
 import pytest
 
 from dpcylinders import SurfaceSpec, case_tables
@@ -60,6 +62,7 @@ def test_oracle_is_deterministic():
 UNEMBEDDABLE = {("A6", 3), ("D6", 3), ("D7", 2)}
 
 
+@pytest.mark.acceptance(4)
 @pytest.mark.parametrize(
     "row", case_tables(), ids=lambda r: r.case_id
 )
@@ -68,8 +71,15 @@ def test_case_tables_agree_with_coordinates(row):
     coordinates, is reproduced by an actual root placement."""
     for degree in row.degrees:
         if (row.case_id, degree) in UNEMBEDDABLE:
-            with pytest.raises(OracleUnavailable):
+            with pytest.raises(OracleUnavailable, match="perfect square"):
                 check_row(row, degree)
+            # the provable refusal: full rank, and a discriminant that is not
+            # the degree times a square (A_k: k + 1, D_k: 4, E6/E7/E8: 3/2/1)
+            t = row.singularity
+            assert t.rank == 9 - degree
+            disc = {"A": t.rank + 1, "D": 4, "E": 9 - t.rank}[t.family]
+            quotient, remainder = divmod(disc, degree)
+            assert remainder or math.isqrt(quotient) ** 2 != quotient
         else:
             check_row(row, degree)
 

@@ -32,6 +32,7 @@ def det(matrix) -> Fraction:
 types_param = pytest.mark.parametrize("t", all_types(), ids=str)
 
 
+@pytest.mark.acceptance(1)
 def test_exactly_sixteen_types():
     types = all_types()
     assert len(types) == 16
@@ -84,6 +85,7 @@ def test_adjacency_is_a_tree(t):
     assert reached == set(range(1, t.rank + 1))
 
 
+@pytest.mark.acceptance(1)
 @types_param
 def test_gram_matches_adjacency(t):
     g = gram_table(t)
@@ -95,6 +97,7 @@ def test_gram_matches_adjacency(t):
             assert g[i][j] == g[j][i]
 
 
+@pytest.mark.acceptance(1)
 @types_param
 def test_gram_negative_definite(t):
     g = gram_table(t)

@@ -10,6 +10,7 @@ from dpcylinders.linear_systems import conditions, max_multiplicity_budget
 from pairing_reference import PairingTable
 
 
+@pytest.mark.acceptance(2)
 def test_anticanonical_multiples():
     # dim |m*(-K)| = m(m+1)/2 * d, for every degree and small multiple
     for d in range(1, 10):
@@ -18,12 +19,14 @@ def test_anticanonical_multiples():
             assert table.dim(table.part(m, {})) == m * (m + 1) * d // 2
 
 
+@pytest.mark.acceptance(2)
 def test_dimension_fixtures():
     t5 = PairingTable(5)
     assert t5.dim(t5.part(4, {})) == 50
+    assert t5.dim(t5.part(3, {})) == 30
     t3 = PairingTable(3)
     assert t3.dim(t3.part(4, {})) == 30
-    for d in (1, 4, 9):
+    for d in range(1, 10):
         t = PairingTable(d)
         assert t.dim(t.part(2, {})) == 3 * d
         assert t.dim(t.part(1, {})) == d

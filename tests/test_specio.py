@@ -22,10 +22,10 @@ from dpcylinders import certificate
 from dpcylinders.certificate import certificate_chunks, certificate_document
 from dpcylinders.tigers import TigerCertificate
 
-from box_walk import redrawn_boxes
+from box_walk import redrawn_boxes, smallest_certificate
 from certificate_reference import reference_document, reference_text
 from conftest import forced_discrepancy
-from residual_fixtures import minimal_spec_args
+from residual_fixtures import row_by_id
 
 # every (case row, degree) pair whose box the dict builder renders quickly;
 # the pin gate (bench/pin.py) covers the larger ones, D8 and E8 included
@@ -33,14 +33,6 @@ SMALL_CASES = [
     (row, d) for row in case_tables() for d in row.degrees
     if prod(c + 1 for c in row.coefficients) <= 10**4
 ]
-
-
-def certificate_of(row, degree):
-    return build_tiger(SurfaceSpec(*minimal_spec_args(row.case_id, degree)))
-
-
-def row_by_id(case_id):
-    return next(r for r in case_tables() if r.case_id == case_id)
 
 
 def redrawn(row, degree):
@@ -79,7 +71,7 @@ def assert_same_text(found, expected):
     "row,d", SMALL_CASES, ids=[f"{row.case_id}-d{d}" for row, d in SMALL_CASES]
 )
 def test_stream_matches_the_dict_builder(row, d):
-    cert = certificate_of(row, d)
+    cert = smallest_certificate(row, d)
     with collector_paused():
         reference = reference_document(cert)
         assert_same_text("".join(certificate_chunks(cert)), reference_text(reference))
@@ -90,7 +82,7 @@ def test_stream_matches_the_dict_builder(row, d):
 
 @settings(max_examples=60, deadline=None)
 @given(redrawn_boxes(cap=300).map(lambda case: redrawn(*case)), st.integers(1, 5))
-@example(certificate_of(case_tables()[2], 5), 1)  # deg5: no curves, one split
+@example(smallest_certificate(row_by_id("deg5"), 5), 1)  # no curves, one split
 # E alone, so the leading half is empty
 @example(redrawn(row_by_id("deg4or6"), 6), 2)
 # E in the trailing half beside two nodes
@@ -197,6 +189,6 @@ json_values = st.recursive(
 
 
 @given(json_values)
-@example(reference_document(certificate_of(case_tables()[4], 2)))  # A2: 9 splits
+@example(reference_document(smallest_certificate(row_by_id("A2"), 2)))  # 9 splits
 def test_the_reference_renders_as_json_dumps(value):
     assert reference_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"

@@ -46,7 +46,7 @@ from dpcylinders.tigers import (
 from box_walk import box, box_survivors, box_walk, every_outcome, redrawn_boxes, split_parts
 from conftest import forced_discrepancy
 from pairing_reference import pairings, row_reference
-from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args
+from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args, row_by_id
 
 CASE_IDS = [
     "deg7plus", "deg4or6", "deg5", "A1deg3",
@@ -58,10 +58,6 @@ CASE_IDS = [
 
 # every (case row, degree) pair
 SPLIT_CASES = [(row, d) for row in case_tables() for d in row.degrees]
-
-
-def row_by_id(case_id):
-    return next(r for r in case_tables() if r.case_id == case_id)
 
 
 def labelled(row, part):
@@ -162,6 +158,7 @@ def test_point_kind_follows_its_curves():
 
 # ----------------------------------------------------- residual class numbers
 
+@pytest.mark.acceptance(3)
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_residual_formulas_match_fixtures(case_id):
     row = row_by_id(case_id)
@@ -178,6 +175,7 @@ def test_residual_formulas_match_fixtures(case_id):
         assert numbers.dim == ev(fix.dim, d)
 
 
+@pytest.mark.acceptance(3)
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_certificates_match_fixtures(case_id):
     row = row_by_id(case_id)
@@ -205,6 +203,7 @@ def test_certificates_match_fixtures(case_id):
         assert row.tiger_components[0] == ("N", str(Fraction(1, row.multiple)))
 
 
+@pytest.mark.acceptance(3)
 @pytest.mark.parametrize(
     "row,d", SPLIT_CASES, ids=[f"{row.case_id}-d{d}" for row, d in SPLIT_CASES]
 )
@@ -221,6 +220,12 @@ def test_certificate_residual_matches_symbolic_solve(row, d):
     assert residual.dim == table.dim(n)
     assert (residual.multiple, residual.coefficients) == (row.multiple, row.coefficients)
     assert row.configuration == tuple((label, c) for label, c in config.items() if c)
+
+
+@pytest.mark.acceptance(3)
+def test_a1_cubic_split_squares():
+    """Part 1's square at each split of 4(-K) ~ 3D1 + N, as worked by hand."""
+    assert box_walk(row_by_id("A1deg3"), 3).squares.tolist() == [3, 1, -5, -15]
 
 
 def test_part_numbers_match_pairing_table():
@@ -310,6 +315,7 @@ def test_half_walk_checks_parity_at_every_split(args, curve, half, monkeypatch):
 
 # ------------------------------------------------------- split enumeration
 
+@pytest.mark.acceptance(6)
 def test_a1_cubic_outcomes_exactly():
     """The four splits of 4(-K) ~ 3D1 + N and their four distinct failures."""
     outcomes = every_outcome(row_by_id("A1deg3"), 3)
@@ -325,6 +331,7 @@ def test_a1_cubic_outcomes_exactly():
     ]
 
 
+@pytest.mark.acceptance(6)
 @pytest.mark.parametrize("d", [7, 8, 9])
 def test_high_degree_single_gap(d):
     outcomes = enumerate_decompositions(row_by_id("deg7plus"), d)
@@ -336,6 +343,7 @@ def test_high_degree_single_gap(d):
     }
 
 
+@pytest.mark.acceptance(6)
 def test_degree_five_gap():
     (outcome,) = enumerate_decompositions(row_by_id("deg5"), 5)
     assert outcome.obstruction.kind == DIMENSION_GAP
@@ -384,6 +392,7 @@ def test_a2_splits(d):
     assert by_nodes[(2, 2)] == {"part": 1, "square": d - 8}
 
 
+@pytest.mark.acceptance(6)
 def test_every_split_everywhere_is_obstructed():
     for row in case_tables():
         expected = 1
@@ -681,6 +690,7 @@ def test_select_case_coverage_gap_message():
         select_case(SurfaceSpec(1, ("A1",)))
 
 
+@pytest.mark.acceptance(5)
 def test_build_refuses_specs_without_cylinder():
     # the case table alone refuses every spec the classification excludes
     refused = [s for s in enumerate_specs() if not classify(s).anticanonical_cylinder]
@@ -688,6 +698,19 @@ def test_build_refuses_specs_without_cylinder():
     for spec in refused:
         with pytest.raises(NoCaseApplies, match="no construction case covers"):
             build_tiger(spec)
+
+
+@pytest.mark.acceptance(5)
+def test_every_cylinder_spec_certifies():
+    """Each spec the classification gives a cylinder is certified, with its
+    row's hand-checked ratio and a local multiplicity past 2m."""
+    covered = [s for s in enumerate_specs() if classify(s).anticanonical_cylinder]
+    assert len(covered) == 188
+    for spec in covered:
+        cert = build_tiger(spec)
+        assert cert.status == "certified", spec
+        assert cert.row.ratio == str(RESIDUAL_FIXTURES[cert.row.case_id].ratio), spec
+        assert cert.row.local_multiplicity > 2 * cert.row.multiple, spec
 
 
 # ------------------------------------------------------------ certificates

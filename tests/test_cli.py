@@ -3,7 +3,6 @@
 import codecs
 import contextlib
 import errno
-import hashlib
 import io
 import json
 import os
@@ -58,6 +57,33 @@ def run_cli(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def command_argv(spec_dir, command, spec="node_cubic.txt"):
+    """``command`` on the spec file ``spec``; ``sweep`` takes no --spec."""
+    return [command] + ([] if command == "sweep" else ["--spec", str(spec_dir / spec)])
+
+
+# this checkout's src/, whatever dpcylinders the caller's environment resolves
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python(*args, **kwargs):
+    """Start ``python3 *args`` on this checkout's package; stdout and stderr
+    are text pipes unless the caller gives them."""
+    env = {**os.environ, **kwargs.pop("env", {}), "PYTHONPATH": SRC}
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **kwargs}
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Whatever work a command starts fails the test."""
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("classify", "enumerate_specs", "build_tiger"):
+        monkeypatch.setattr(cli, name, never)
 
 
 # ----------------------------------------------------------------- classify
@@ -213,8 +239,7 @@ def test_any_spec_file_gives_a_documented_exit_code(spec_dir, data):
 @pytest.mark.parametrize("command", ["classify", "tiger", "sweep"])
 def test_unwritable_out_exits_4(spec_dir, tmp_path, capsys, command):
     target = tmp_path / "missing" / "out.json"
-    spec = [] if command == "sweep" else ["--spec", str(spec_dir / "node_cubic.txt")]
-    code, out, err = run_cli(capsys, command, *spec, "--out", str(target))
+    code, out, err = run_cli(capsys, *command_argv(spec_dir, command), "--out", str(target))
     assert code == cli.EXIT_CANNOT_WRITE
     assert out == ""
     assert err == f"error: cannot write {target}: No such file or directory\n"
@@ -222,15 +247,9 @@ def test_unwritable_out_exits_4(spec_dir, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["classify", "tiger", "sweep"])
-def test_unwritable_out_fails_before_any_work(spec_dir, tmp_path, capsys, monkeypatch, command):
-    def never(*args, **kwargs):
-        raise AssertionError("work started before --out was checked")
-
-    for name in ("classify", "enumerate_specs", "build_tiger"):
-        monkeypatch.setattr(cli, name, never)
+def test_unwritable_out_fails_before_any_work(spec_dir, tmp_path, capsys, no_work, command):
     target = tmp_path / "missing" / "out.json"
-    spec = [] if command == "sweep" else ["--spec", str(spec_dir / "node_cubic.txt")]
-    code, _, _ = run_cli(capsys, command, *spec, "--out", str(target))
+    code, _, _ = run_cli(capsys, *command_argv(spec_dir, command), "--out", str(target))
     assert code == cli.EXIT_CANNOT_WRITE
 
 
@@ -376,22 +395,14 @@ def test_out_through_a_dangling_symlink_creates_its_target(spec_dir, tmp_path, c
 
 @pytest.mark.parametrize("kind", ["fifo", "directory", "link-to-fifo"])
 @pytest.mark.parametrize("command", ["classify", "tiger", "sweep"])
-def test_out_refuses_what_is_not_a_regular_file(
-    spec_dir, tmp_path, capsys, monkeypatch, command, kind
-):
-    def never(*args, **kwargs):
-        raise AssertionError("work started before --out was checked")
-
-    for name in ("classify", "enumerate_specs", "build_tiger"):
-        monkeypatch.setattr(cli, name, never)
+def test_out_refuses_what_is_not_a_regular_file(spec_dir, tmp_path, capsys, no_work, command, kind):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     (tmp_path / "directory").mkdir()
     (tmp_path / "link-to-fifo").symlink_to("fifo")
     before = sorted(p.name for p in tmp_path.iterdir())
     target = tmp_path / kind
-    spec = [] if command == "sweep" else ["--spec", str(spec_dir / "node_cubic.txt")]
-    code, out, err = run_cli(capsys, command, *spec, "--out", str(target))
+    code, out, err = run_cli(capsys, *command_argv(spec_dir, command), "--out", str(target))
     assert (code, out) == (cli.EXIT_CANNOT_WRITE, "")
     assert err == f"error: cannot write {target}: not a regular file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
@@ -505,21 +516,11 @@ def test_tiger_roundtrip(spec_dir, tmp_path, capsys):
 def test_stdout_matches_out_file(spec_dir, tmp_path, capsysbinary, command):
     """Every command writes the same bytes to stdout as to its --out file."""
     target = tmp_path / "out"
-    argv = [command] + ([] if command == "sweep" else ["--spec", str(spec_dir / "node_cubic.txt")])
+    argv = command_argv(spec_dir, command)
     assert cli.main(argv + ["--out", str(target)]) == cli.EXIT_OK
     assert capsysbinary.readouterr().out == b""
     assert cli.main(argv) == cli.EXIT_OK
     assert capsysbinary.readouterr().out == target.read_bytes()
-
-
-def test_tiger_trace_on_stderr(spec_dir, capsys):
-    code, out, err = run_cli(
-        capsys, "tiger", "--spec", str(spec_dir / "node_cubic.txt"), "--trace"
-    )
-    assert code == cli.EXIT_OK
-    assert "relation: 4*(-K) = " in err
-    assert "decompositions: 4 splits, 0 unobstructed" in err
-    json.loads(out)  # stdout stays pure JSON
 
 
 # the whole --trace stderr, byte for byte, for a point on a node curve, a
@@ -654,8 +655,8 @@ def test_sweep_reports_every_spec(tmp_path, capsys):
 def test_sweep_walks_each_box_once(tmp_path, monkeypatch):
     """The 188 certified specs fall into the 40 (case row, degree) boxes
     of the case table: ``sweep`` walks each box once and serves the other
-    148 certificates from the memo, and its report keeps the benchmark's
-    pinned bytes."""
+    148 certificates from the memo, and its report is byte for byte the one
+    a sweep writes that walks every box afresh."""
     walked = []
     walk = tigers.square_survivors
 
@@ -665,14 +666,17 @@ def test_sweep_walks_each_box_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tigers, "square_survivors", spy)
     tigers.enumerate_decompositions.cache_clear()
-    out_path = tmp_path / "sweep.txt"
-    assert cli.main(["sweep", "--out", str(out_path)]) == cli.EXIT_OK
+    memo, afresh = tmp_path / "memo.txt", tmp_path / "afresh.txt"
+    assert cli.main(["sweep", "--out", str(memo)]) == cli.EXIT_OK
     boxes = [(row, d) for row in tigers.case_tables() for d in row.degrees]
     assert len(boxes) == len(walked) == 40
     assert sorted(walked) == sorted(boxes)
     assert tigers.enumerate_decompositions.cache_info().hits == 148
-    pins = json.loads((Path(__file__).parents[1] / "bench" / "pins.json").read_text())
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == pins["sweep"]["sha256"]
+    afresh_walk = tigers.enumerate_decompositions.__wrapped__
+    monkeypatch.setattr(tigers, "enumerate_decompositions", afresh_walk)
+    assert cli.main(["sweep", "--out", str(afresh)]) == cli.EXIT_OK
+    assert len(walked) == 40 + 188
+    assert afresh.read_bytes() == memo.read_bytes()
 
 
 # ------------------------------------------------------------------- stdout
@@ -713,9 +717,8 @@ def test_endless_spec_file_is_refused_in_bounded_memory():
     # /dev/zero never ends; under a 256 MiB address space an unbounded read
     # dies with a MemoryError traceback
     limit = 256 * 2**20
-    child = run_module(
-        "classify", "--spec", "/dev/zero",
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    child = python(
+        "-m", "dpcylinders.cli", "classify", "--spec", "/dev/zero",
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     out, err = child.communicate(timeout=60)
@@ -734,9 +737,9 @@ def test_interrupted_run_exits_with_a_named_error_and_no_file(tmp_path, signum, 
     target = out_dir / "cert.json"
     target.write_text("the previous certificate\n", encoding="utf-8")
     # the 177 MB degree 1 D8 certificate takes about a second to write
-    child = run_module(
-        "tiger", "--spec", str(spec), "--out", str(target),
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    child = python(
+        "-m", "dpcylinders.cli", "tiger", "--spec", str(spec), "--out", str(target),
+        stdout=subprocess.DEVNULL,
     )
     deadline = time.monotonic() + 60
     while not list(out_dir.glob(".dpcyl-*")):
@@ -781,14 +784,6 @@ def test_closed_stderr_keeps_the_discrepancy_exit(spec_dir, capsys, monkeypatch)
     assert json.loads(capsys.readouterr().out)["status"] == "discrepancy"
 
 
-def run_module(*args, **kwargs):
-    src = str(Path(dpcylinders.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src, **kwargs.pop("env", {})}
-    return subprocess.Popen(
-        [sys.executable, "-m", "dpcylinders.cli", *args], env=env, **kwargs
-    )
-
-
 @pytest.mark.parametrize(
     "args,code",
     [
@@ -799,9 +794,9 @@ def run_module(*args, **kwargs):
 )
 def test_process_started_with_stderr_closed_keeps_the_exit_code(spec_dir, args, code):
     command, name, *rest = args
-    child = run_module(
-        command, "--spec", str(spec_dir / name), *rest,
-        stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(2),
+    child = python(
+        "-m", "dpcylinders.cli", command, "--spec", str(spec_dir / name), *rest,
+        stdout=subprocess.DEVNULL, stderr=None, preexec_fn=lambda: os.close(2),
     )
     assert child.wait() == code
 
@@ -809,9 +804,9 @@ def test_process_started_with_stderr_closed_keeps_the_exit_code(spec_dir, args, 
 def test_stdout_reader_gone_before_the_write_exits_4(spec_dir):
     read_end, write_end = os.pipe()
     os.close(read_end)
-    child = run_module(
-        "classify", "--spec", str(spec_dir / "node_cubic.txt"),
-        stdout=write_end, stderr=subprocess.PIPE, text=True,
+    child = python(
+        "-m", "dpcylinders.cli", "classify", "--spec", str(spec_dir / "node_cubic.txt"),
+        stdout=write_end,
     )
     os.close(write_end)
     _, err = child.communicate()
@@ -826,9 +821,9 @@ def test_stdout_reader_leaving_early_exits_4(tmp_path, unbuffered):
     # of a short write and exit 0
     spec = tmp_path / "a5.txt"
     spec.write_text("degree: 3\nsingularities: A5\n", encoding="utf-8")
-    child = run_module(
-        "tiger", "--spec", str(spec), env={"PYTHONUNBUFFERED": unbuffered},
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    child = python(
+        "-m", "dpcylinders.cli", "tiger", "--spec", str(spec),
+        env={"PYTHONUNBUFFERED": unbuffered},
     )
     assert child.stdout.read(10) == "{\n  \"assum"
     child.stdout.close()
@@ -845,9 +840,9 @@ def test_stdout_reader_leaving_after_the_first_chunk_exits_4(tmp_path, unbuffere
     spec.write_text("degree: 2\nsingularities: D6\n", encoding="utf-8")
     first, *rest = certificate_chunks(build_tiger(SurfaceSpec(2, ("D6",))))
     assert len(rest) == 22
-    child = run_module(
-        "tiger", "--spec", str(spec), env={"PYTHONUNBUFFERED": unbuffered},
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    child = python(
+        "-m", "dpcylinders.cli", "tiger", "--spec", str(spec),
+        env={"PYTHONUNBUFFERED": unbuffered},
     )
     assert child.stdout.read(len(first)) == first
     child.stdout.close()
@@ -858,130 +853,82 @@ def test_stdout_reader_leaving_after_the_first_chunk_exits_4(tmp_path, unbuffere
 
 # ------------------------------------------------------------- entry point
 
-def test_module_entry_point(spec_dir, tmp_path):
-    result = subprocess.run(
-        [sys.executable, "-m", "dpcylinders.cli",
-         "classify", "--spec", str(spec_dir / "node_cubic.txt")],
-        capture_output=True, text=True,
-    )
-    assert result.returncode == 0
-    assert json.loads(result.stdout)["kind"] == "classification"
+def test_module_entry_point(spec_dir):
+    child = python("-m", "dpcylinders.cli", "classify", "--spec", str(spec_dir / "node_cubic.txt"))
+    out, err = child.communicate()
+    assert child.returncode == 0, err
+    assert json.loads(out)["kind"] == "classification"
 
 
-def package_modules_after(module):
-    """The package's modules a fresh interpreter holds once it has
-    imported ``module``."""
-    probe = (
-        f"import json, sys, {module}; "
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dpcylinders'))))"
-    )
-    src = str(Path(dpcylinders.__file__).parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout))
-
-
-def test_cli_import_leaves_the_symbolic_layer_unloaded():
-    # the construction, its linear systems and the certificate document
-    # load with the command that runs them
-    assert package_modules_after("dpcylinders.cli") == {
-        "dpcylinders", "dpcylinders.cli", "dpcylinders.classify",
-        "dpcylinders.lattice", "dpcylinders.specio",
-    }
-
-
-def test_spec_files_and_verdicts_load_no_certificate_code():
-    # specio reads spec files and writes verdicts: the certificate document
-    # and the construction it renders are other modules
-    loaded = package_modules_after("dpcylinders.specio")
-    assert "dpcylinders.specio" in loaded
-    assert not {"dpcylinders.tigers", "dpcylinders.certificate"} & loaded
-
-
-# What a command loads: the modules a `python -m dpcylinders.cli` run adds
-# to sys.modules, written as JSON to the file named by the first argument.
+# What a fresh interpreter adds to sys.modules of the package, and of the
+# standard modules no command needs, written as JSON to the file named by
+# the first argument. Given `import` and a module name it imports that
+# module, else it runs `python -m dpcylinders.cli` on its arguments, whose
+# cli module is __main__, not dpcylinders.cli.
 LOADS_PROBE = """
 import json, runpy, sys
 out, sys.argv = sys.argv[1], ["dpcyl", *sys.argv[2:]]
 before = set(sys.modules)
 try:
-    runpy.run_module("dpcylinders.cli", run_name="__main__", alter_sys=True)
+    if sys.argv[1] == "import":
+        __import__(sys.argv[2])
+    else:
+        runpy.run_module("dpcylinders.cli", run_name="__main__", alter_sys=True)
 finally:
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(sorted(set(sys.modules) - before), fh)
+        json.dump(sorted(m for m in set(sys.modules) - before if m.startswith("dpcylinders")
+                         or m in ("dataclasses", "inspect", "fractions")), fh)
 """
 
-# the certificate path, and standard modules no command needs: the records
-# are named tuples, not dataclasses (which load inspect), and ratios are
-# written from integers, not Fractions
-CERTIFICATE_PATH_MODULES = {
-    "dpcylinders.tigers", "dpcylinders.certificate", "dataclasses", "inspect", "fractions",
-}
-
-
-def command_loads(tmp_path, *args):
-    out = tmp_path / "loaded.json"
-    src = str(Path(dpcylinders.__file__).parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", LOADS_PROBE, str(out), *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    return result.returncode, set(json.loads(out.read_text(encoding="utf-8")))
+# What `import dpcylinders` loads. The records are named tuples, not
+# dataclasses (which load inspect), and ratios are written from integers,
+# not Fractions, so no run loads those three.
+PACKAGE = {"dpcylinders", "dpcylinders.classify", "dpcylinders.lattice", "dpcylinders.specio"}
+CONSTRUCTION = {"dpcylinders.tigers", "dpcylinders.linear_systems"}
 
 
 @pytest.mark.parametrize(
-    "args,code",
+    "args,code,loaded",
     [
-        (("classify", "node_cubic.txt"), cli.EXIT_OK),
-        (("classify", "unknown_key.txt"), cli.EXIT_BAD_FILE),
-        (("classify", "bad_type.txt"), cli.EXIT_BAD_SPEC),
-        (("tiger", "smooth_cubic.txt"), cli.EXIT_NO_CYLINDER),
+        # the construction, its linear systems and the certificate document
+        # load with the command that runs them
+        (("import", "dpcylinders.cli"), 0, PACKAGE | {"dpcylinders.cli"}),
+        # specio reads spec files and writes verdicts, not certificates
+        (("import", "dpcylinders.specio"), 0, PACKAGE),
+        (("classify", "node_cubic.txt"), cli.EXIT_OK, PACKAGE),
+        (("classify", "unknown_key.txt"), cli.EXIT_BAD_FILE, PACKAGE),
+        (("classify", "bad_type.txt"), cli.EXIT_BAD_SPEC, PACKAGE),
+        (("tiger", "smooth_cubic.txt"), cli.EXIT_NO_CYLINDER, PACKAGE),
+        (("tiger", "node_cubic.txt"), cli.EXIT_OK,
+         PACKAGE | CONSTRUCTION | {"dpcylinders.certificate"}),
+        # the report gives each certified spec's case and ratio, not its document
+        (("sweep",), cli.EXIT_OK, PACKAGE | CONSTRUCTION),
     ],
-    ids=["classify", "malformed", "invalid", "tiger-no-cylinder"],
+    ids=["import-cli", "import-specio", "classify", "malformed", "invalid",
+         "tiger-no-cylinder", "tiger", "sweep"],
 )
-def test_commands_without_a_certificate_leave_its_path_unloaded(spec_dir, tmp_path, args, code):
-    command, spec = args
-    returncode, loaded = command_loads(tmp_path, command, "--spec", str(spec_dir / spec))
-    assert returncode == code
-    assert "dpcylinders.specio" in loaded
-    assert not loaded & CERTIFICATE_PATH_MODULES
-
-
-def test_a_certified_tiger_loads_the_certificate_path(spec_dir, tmp_path):
-    returncode, loaded = command_loads(
-        tmp_path, "tiger", "--spec", str(spec_dir / "node_cubic.txt")
-    )
-    assert returncode == cli.EXIT_OK
-    assert {
-        "dpcylinders.tigers", "dpcylinders.certificate", "dpcylinders.linear_systems",
-    } <= loaded
-    assert "fractions" not in loaded
+def test_each_run_loads_exactly_its_modules(spec_dir, tmp_path, args, code, loaded):
+    out = tmp_path / "loaded.json"
+    what, *rest = args
+    argv = args if what == "import" else command_argv(spec_dir, what, *rest)
+    child = python("-c", LOADS_PROBE, str(out), *argv)
+    _, err = child.communicate()
+    assert child.returncode == code, err
+    assert set(json.loads(out.read_text(encoding="utf-8"))) == loaded
 
 
 def test_importtime_times_the_certificate_path(spec_dir, tmp_path):
     # the lazy names load through the import statement, so
     # ``python3 -X importtime`` gives the certificate path its own lines
-    src = str(Path(dpcylinders.__file__).parents[1])
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "dpcylinders.cli", "tiger",
-         "--spec", str(spec_dir / "node_cubic.txt"), "--out", str(tmp_path / "cert.json")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    child = python(
+        "-X", "importtime", "-m", "dpcylinders.cli", "tiger",
+        "--spec", str(spec_dir / "node_cubic.txt"), "--out", str(tmp_path / "cert.json"),
     )
-    assert result.returncode == cli.EXIT_OK, result.stderr
+    _, err = child.communicate()
+    assert child.returncode == cli.EXIT_OK, err
     timed = {line.rsplit("|", 1)[-1].strip()
-             for line in result.stderr.splitlines() if line.startswith("import time:")}
+             for line in err.splitlines() if line.startswith("import time:")}
     assert {"dpcylinders.tigers", "dpcylinders.certificate"} <= timed
-
-
-def test_sweep_loads_the_construction_and_no_certificate(tmp_path):
-    # the report gives each certified spec's case and ratio, not its document
-    returncode, loaded = command_loads(tmp_path, "sweep")
-    assert returncode == cli.EXIT_OK
-    assert {"dpcylinders.tigers", "dpcylinders.linear_systems"} <= loaded
-    assert not {"dpcylinders.certificate", "fractions"} & loaded
 
 
 def test_cli_serves_exactly_the_package_lazy_names():
@@ -994,14 +941,9 @@ def test_cli_serves_exactly_the_package_lazy_names():
 
 
 def test_star_import_binds_every_exported_name():
-    probe = (
+    child = python("-c", (
         "import dpcylinders; from dpcylinders import *; "
         "print(sorted(n for n in dpcylinders.__all__ if n not in globals()))"
-    )
-    src = str(Path(dpcylinders.__file__).parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    ))
+    out, err = child.communicate()
+    assert (child.returncode, out) == (0, "[]\n"), err

@@ -6,17 +6,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpcylinders.linear_systems import conditions, max_multiplicity_budget
+from dpcylinders.tigers import part_numbers
 
 from pairing_reference import PairingTable
+from residual_fixtures import row_by_id
 
 
 @pytest.mark.acceptance(2)
 def test_anticanonical_multiples():
-    # dim |m*(-K)| = m(m+1)/2 * d, for every degree and small multiple
+    # dim |m*(-K)| = m(m+1)/2 * d, for every degree and small multiple, in
+    # the reference table and in the library's own numbers of a row with no
+    # curves
+    deg5 = row_by_id("deg5")
     for d in range(1, 10):
         table = PairingTable(d)
         for m in range(1, 5):
             assert table.dim(table.part(m, {})) == m * (m + 1) * d // 2
+            assert part_numbers(deg5, d, m, ()).dim == m * (m + 1) * d // 2
 
 
 @pytest.mark.acceptance(2)

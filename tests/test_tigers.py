@@ -715,16 +715,6 @@ def test_every_cylinder_spec_certifies():
 
 # ------------------------------------------------------------ certificates
 
-def test_trace_narrates_the_construction():
-    lines = list(narrate(build_tiger(SurfaceSpec(3, ("A1",)))))
-    assert lines[0].startswith("case A1deg3: degree 3, multiple 4")
-    assert any(line.startswith("relation: 4*(-K) = ") for line in lines)
-    assert "N^2 = 30" in lines
-    assert "conditions(6) = 21; candidate family dim = 0" in lines
-    assert "local multiplicity = 9; ratio = 9/4" in lines
-    assert lines[-1] == "decompositions: 4 splits, 0 unobstructed"
-
-
 def test_certificate_e8():
     cert = build_tiger(SurfaceSpec(1, ("E8",)))
     row = cert.row

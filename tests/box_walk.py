@@ -8,15 +8,13 @@ both parts of a split built from scratch by :func:`split_parts`.
 Each box is walked once per session, by :func:`box_walk`.  It computes part
 1's square at every split with ``part_numbers``, keeps the squares in one
 integer array in box order, and calls ``split_parts`` only for the splits
-whose part-1 square is > -2, keeping both of their parts.  The helpers read
-that walk:
-
-- :func:`box_survivors` is the walk's survivors, in box order;
-- :func:`every_outcome` pairs each split with the obstruction the row's
-  smallest certificate gives it: a survivor's walked obstruction, or the
-  walk's part-1 square for every other split.  It is rebuilt on each call
-  from the walk and the certificate, both kept for the session, so the
-  session holds one array per box, not a ``Split`` per split.
+whose part-1 square is > -2, keeping both of their parts.  Its survivors
+are a dict in box order.  :func:`every_outcome` reads the walk: it pairs
+each split with the obstruction the row's smallest certificate gives it, a
+survivor's walked obstruction, or the walk's part-1 square for every other
+split.  It is rebuilt on each call from the walk and the certificate, both
+kept for the session, so the session holds one array per box, not a
+``Split`` per split.
 
 :func:`plain_splits` is a separate walk, with both parts of every split from
 ``split_parts``, as a v1 document lists them.  It feeds the reference
@@ -97,11 +95,6 @@ def box_walk(row, degree):
         if square > -2:
             survivors[part1] = split_parts(row, degree, part1)
     return BoxWalk(squares, survivors)
-
-
-def box_survivors(row, degree):
-    """The first parts whose square is > -2, from the walk of the whole box."""
-    return list(box_walk(row, degree).survivors)
 
 
 @cache

@@ -180,6 +180,15 @@ def assert_table_matches(table, coords: dict[str, Vector]) -> None:
             assert pairing(coords[a], coords[b]) == table.matrix[i][j], (a, b)
 
 
+def class_vector(coords: dict[str, Vector], multiple: int, config: dict[str, int]) -> Vector:
+    """The class  multiple*(-K) - sum c C  of a configuration {label: c} in
+    the embedding's coordinates."""
+    v = tuple(-multiple * x for x in coords["K"])
+    for label, c in config.items():
+        v = tuple(a - c * b for a, b in zip(v, coords[label]))
+    return v
+
+
 def check_row(row, degree: int) -> None:
     """Check a case row's pairing table at a degree, and its residual class
     expanded in coordinates, against an embedding of the row's minimal spec.
@@ -189,9 +198,7 @@ def check_row(row, degree: int) -> None:
     table, config = row_reference(row, degree)
     assert_table_matches(table, coords)
     n = table.part(row.multiple, config)
-    n_vec = tuple(-row.multiple * x for x in coords["K"])
-    for label, coeff in config.items():
-        n_vec = tuple(a - coeff * b for a, b in zip(n_vec, coords[label]))
+    n_vec = class_vector(coords, row.multiple, config)
     assert pairing(n_vec, n_vec) == table.pair(n, n), (row.case_id, degree)
     by_label = {label: pairing(n_vec, coords[label]) for label in table.labels}
     assert by_label == pairings(table, n), (row.case_id, degree)

@@ -4,18 +4,20 @@ import math
 
 import pytest
 
-from dpcylinders import SurfaceSpec, case_tables
+from dpcylinders import SurfaceSpec, case_tables, enumerate_decompositions
 
 from coordinate_oracle import (
     OracleUnavailable,
     assert_table_matches,
     canonical_vector,
     check_row,
+    class_vector,
     classes,
     oracle_embed,
     pairing,
 )
 from pairing_reference import PairingTable
+from residual_fixtures import minimal_spec_args, row_by_id
 
 
 def test_canonical_vector_squares():
@@ -82,6 +84,56 @@ def test_case_tables_agree_with_coordinates(row):
             assert remainder or math.isqrt(quotient) ** 2 != quotient
         else:
             check_row(row, degree)
+
+
+def nef_defects(row, degree):
+    """Where the residual  N = m(-K) - sum c_i D_i  of a singular row fails
+    to be nef on the oracle's embedding of the row's minimal spec, as
+    (curve, N.C, bound) with N.C < bound: the bound is 0 on each node and
+    on each (-1)-class that pairs >= 0 with every node, a (-1)-curve, and
+    the point's multiplicity on each curve through the marked point, lest
+    a member with that multiplicity there contain the curve."""
+    coords = oracle_embed(SurfaceSpec(*minimal_spec_args(row.case_id, degree)))
+    n = class_vector(coords, row.multiple, dict(row.configuration))
+    nodes = [coords[label] for label in row.curves]
+    minus_one_curves = [
+        e for e in classes(9 - degree, -1, -1) if all(pairing(e, v) >= 0 for v in nodes)
+    ]
+    bounds = [(label, coords[label], 0) for label in row.curves]
+    bounds += [(e, e, 0) for e in minus_one_curves]
+    bounds += [(label, coords[label], row.residual_multiplicity) for label in row.point]
+    return [(curve, pairing(n, v), b) for curve, v, b in bounds if pairing(n, v) < b]
+
+
+# The relation 4(-K) ~ 5D1 + 3D2 + 3D3 + 3D4 + N on degree 1 D4, where the
+# paper finds no cylinder, with its marked point D1 n D2 and mu = 1: every
+# split is obstructed, yet N meets one (-1)-curve negatively.
+NO_CYLINDER_D4 = row_by_id("D4")._replace(
+    multiple=4, node_coefficients=(5, 3, 3, 3), degrees=(1,), residual_multiplicity=1
+)
+NEF_CASES = [
+    (row, d) for row in case_tables() if row.singularity for d in row.degrees
+    if (row.case_id, d) not in UNEMBEDDABLE
+] + [(NO_CYLINDER_D4, 1)]
+
+
+@pytest.mark.parametrize(
+    "row,d", NEF_CASES,
+    ids=[f"{row.case_id}-d{d}" + ("-no-cylinder" if row is NO_CYLINDER_D4 else "")
+         for row, d in NEF_CASES],
+)
+def test_residual_is_nef_on_the_oracles_embedding(row, d):
+    """Every embeddable singular row's residual is nef on the nodes and the
+    (-1)-curves, and meets each curve through the marked point at least mu
+    times, so |N| has none of them as a fixed component.  The numeric pass
+    alone certifies the degree 1 D4 relation above; this check refuses it."""
+    if row is not NO_CYLINDER_D4:
+        assert nef_defects(row, d) == []
+        return
+    assert all(split.obstruction for split in enumerate_decompositions.__wrapped__(row, d))
+    assert row.local_multiplicity == 9 > 2 * row.multiple
+    ((curve, value, bound),) = nef_defects(row, d)
+    assert curve in classes(8, -1, -1) and (value, bound) == (-1, 0)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """Construction engine tests.
 
-The heart of the suite: every case row is checked against hand-derived
-numbers, every decomposition outcome is recomputed from scratch, and the
-certificate assembly is exercised end to end including the forced-failure
-path.
+The heart of the suite, with one check per derivation: every case row is
+checked against hand-derived numbers, the hand-worked split outcomes sit in
+one table, the walk is compared with a plain walk of the whole box, every
+decomposition outcome is recomputed from scratch, and the certificate
+assembly is exercised end to end including the forced-failure path.
 """
 
 from fractions import Fraction
@@ -43,7 +44,7 @@ from dpcylinders.tigers import (
     square_survivors,
 )
 
-from box_walk import box, box_survivors, box_walk, every_outcome, redrawn_boxes, split_parts
+from box_walk import box, box_walk, every_outcome, redrawn_boxes, split_parts
 from conftest import forced_discrepancy
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args, row_by_id
@@ -158,24 +159,9 @@ def test_point_kind_follows_its_curves():
 
 # ----------------------------------------------------- residual class numbers
 
-@pytest.mark.acceptance(3)
-@pytest.mark.parametrize("case_id", CASE_IDS)
-def test_residual_formulas_match_fixtures(case_id):
-    row = row_by_id(case_id)
-    fix = RESIDUAL_FIXTURES[case_id]
-    for d in row.degrees:
-        numbers = part_numbers(row, d, row.multiple, row.coefficients)
-        pairings = labelled(row, numbers)
-        assert pairings["K"] == ev(fix.k_pairing, d)
-        for i, expected in enumerate(fix.node_pairings):
-            assert pairings[f"D{i + 1}"] == expected, (case_id, d, i)
-        if fix.e_pairing is not None:
-            assert pairings["E"] == fix.e_pairing
-        assert numbers.square == ev(fix.square, d)
-        assert numbers.dim == ev(fix.dim, d)
-
-
-@pytest.mark.acceptance(3)
+# a certified status means that no walked split is unobstructed, and every
+# other split of the box dies on part 1's square
+@pytest.mark.acceptance(3, 6)
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_certificates_match_fixtures(case_id):
     row = row_by_id(case_id)
@@ -185,22 +171,24 @@ def test_certificates_match_fixtures(case_id):
         assert cert.row == row
         assert cert.spec.degree == d
         assert cert.status == "certified"
+        # pairings with K, then the nodes, then E
         residual = row.residual(d)
+        e = () if fix.e_pairing is None else (fix.e_pairing,)
+        assert residual.pairings == (ev(fix.k_pairing, d), *fix.node_pairings, *e), d
         assert residual.square == ev(fix.square, d)
         assert residual.dim == ev(fix.dim, d)
         # the residual system affords the marked point's multiplicity
         assert residual.dim >= conditions(row.residual_multiplicity)
-        assert labelled(row, residual)["K"] == ev(fix.k_pairing, d)
-        assert row.local_multiplicity == fix.local_multiplicity
-        assert row.ratio == str(fix.ratio)
-        assert row.local_multiplicity > 2 * row.multiple
-        # configuration records the row coefficients verbatim
-        config = dict(row.configuration)
-        for i, c in enumerate(row.node_coefficients):
-            assert config.get(f"D{i + 1}", 0) == c
-        if row.e_coefficient:
-            assert config["E"] == row.e_coefficient
-        assert row.tiger_components[0] == ("N", str(Fraction(1, row.multiple)))
+    assert row.local_multiplicity == fix.local_multiplicity
+    assert row.ratio == str(fix.ratio)
+    assert row.local_multiplicity > 2 * row.multiple
+    # configuration records the row coefficients verbatim
+    config = dict(row.configuration)
+    for i, c in enumerate(row.node_coefficients):
+        assert config.get(f"D{i + 1}", 0) == c
+    if row.e_coefficient:
+        assert config["E"] == row.e_coefficient
+    assert row.tiger_components[0] == ("N", str(Fraction(1, row.multiple)))
 
 
 @pytest.mark.acceptance(3)
@@ -250,17 +238,22 @@ def test_part_numbers_match_pairing_table():
                 assert pairings(table, cls) == dict(numbers["pairings"])
 
 
+def odd_curve(monkeypatch, row, k):
+    """The row afresh, with no derived number cached, while its curve
+    numbered ``k`` (from 0) has square -3 and so an odd  C^2 + C.K."""
+    odd = [list(pairs) for pairs in gram_table(row.singularity)]
+    odd[k][k] = -3
+    monkeypatch.setattr(tigers, "gram_table", lambda t: tuple(map(tuple, odd)))
+    return row._replace()
+
+
 def test_a_row_with_a_curve_of_odd_parity_is_refused(monkeypatch):
     """Every class of a row has an even  P^2 - P.K  when each of its curves
     has an even  C^2 + C.K  (``test_case_rows_are_internally_consistent``),
     so its dim is an integer.  ``CaseTable.form`` refuses a row with an odd
     curve before any number is derived from it: here a node of square -3."""
-    row = row_by_id("A3")
-    odd = [list(pairs) for pairs in gram_table(row.singularity)]
-    odd[1][1] = -3
-    monkeypatch.setattr(tigers, "gram_table", lambda t: tuple(map(tuple, odd)))
     with pytest.raises(ValueError, match="A3: D2 has odd"):
-        row._replace().form
+        odd_curve(monkeypatch, row_by_id("A3"), 1).form
 
 
 def test_residual_parity_guard(monkeypatch):
@@ -271,12 +264,8 @@ def test_residual_parity_guard(monkeypatch):
     for row, d in SPLIT_CASES:
         residual = row.residual(d)
         assert residual.square - residual.pairings[0] == 2 * residual.dim
-    row = row_by_id("A2")
-    odd = [list(pairs) for pairs in gram_table(row.singularity)]
-    odd[0][0] = -3
-    monkeypatch.setattr(tigers, "gram_table", lambda t: tuple(map(tuple, odd)))
     with pytest.raises(ValueError, match="parity"):
-        row._replace().residual(3)
+        odd_curve(monkeypatch, row_by_id("A2"), 0).residual(3)
 
 
 @pytest.mark.parametrize(
@@ -301,120 +290,82 @@ def test_half_walk_checks_parity_at_every_split(args, curve, half, monkeypatch):
     row = cert.row
     k, cut = row.curves.index(curve), len(row.curves) // 2
     assert row.coefficients[k] % 2 == 0 and (k < cut) == (half == "leading")
-    odd = [list(pairs) for pairs in gram_table(row.singularity)]
-    odd[k][k] = -3
-    monkeypatch.setattr(tigers, "gram_table", lambda t: tuple(map(tuple, odd)))
+    odd = odd_curve(monkeypatch, row, k)
     # one entry per chunk, after the head
     monkeypatch.setattr(certificate, "_BATCH", 1)
     written = []
     with pytest.raises(ValueError, match=f"{row.case_id}: {curve} has odd .* parity"):
-        for chunk in certificate_chunks(cert._replace(row=row._replace())):
+        for chunk in certificate_chunks(cert._replace(row=odd)):
             written.append(chunk)
     assert written == []
 
 
 # ------------------------------------------------------- split enumeration
 
-@pytest.mark.acceptance(6)
-def test_a1_cubic_outcomes_exactly():
-    """The four splits of 4(-K) ~ 3D1 + N and their four distinct failures."""
-    outcomes = every_outcome(row_by_id("A1deg3"), 3)
-    assert [o.part1 for o in outcomes] == [(0,), (1,), (2,), (3,)]
-    kinds = [(o.obstruction.kind, dict(o.obstruction.witness)) for o in outcomes]
-    assert kinds == [
-        (DISJOINTNESS,
-         {"part": 1, "required": 6, "cap_part1": 0, "cap_part2": 3}),
-        (MULTIPLICITY_BUDGET,
-         {"required": 6, "cap_part1": 1, "cap_part2": 4}),
-        (NEGATIVE_SELF_INTERSECTION, {"part": 1, "square": -5}),
-        (NEGATIVE_SELF_INTERSECTION, {"part": 1, "square": -15}),
-    ]
-
-
-@pytest.mark.acceptance(6)
-@pytest.mark.parametrize("d", [7, 8, 9])
-def test_high_degree_single_gap(d):
-    outcomes = enumerate_decompositions(row_by_id("deg7plus"), d)
-    assert len(outcomes) == 1
-    obs = outcomes[0].obstruction
-    assert obs.kind == DIMENSION_GAP
-    assert dict(obs.witness) == {
-        "candidate_dim": 3 * d - 15, "parts_dim": 2 * d - 9,
-    }
-
-
-@pytest.mark.acceptance(6)
-def test_degree_five_gap():
-    (outcome,) = enumerate_decompositions(row_by_id("deg5"), 5)
-    assert outcome.obstruction.kind == DIMENSION_GAP
-    assert dict(outcome.obstruction.witness) == {"candidate_dim": 5, "parts_dim": 4}
-
-
-def test_degree_four_or_six_outcomes():
-    row = row_by_id("deg4or6")
-
+# (case id, degree) -> {part 1: (kind, witness)}, each worked by hand.  A box
+# lists every split, or under OTHERS the one kind its other splits die of.
+OTHERS = "others"
+HAND_CHECKED = {
+    # the four splits of 4(-K) ~ 3D1 + N and their four distinct failures
+    ("A1deg3", 3): {
+        (0,): (DISJOINTNESS, {"part": 1, "required": 6, "cap_part1": 0, "cap_part2": 3}),
+        (1,): (MULTIPLICITY_BUDGET, {"required": 6, "cap_part1": 1, "cap_part2": 4}),
+        (2,): (NEGATIVE_SELF_INTERSECTION, {"part": 1, "square": -5}),
+        (3,): (NEGATIVE_SELF_INTERSECTION, {"part": 1, "square": -15}),
+    },
+    # no curves, so the box is the zero split alone
+    **{("deg7plus", d): {(): (DIMENSION_GAP, {"candidate_dim": 3 * d - 15,
+                                              "parts_dim": 2 * d - 9})} for d in (7, 8, 9)},
+    ("deg5", 5): {(): (DIMENSION_GAP, {"candidate_dim": 5, "parts_dim": 4})},
     # the row's only curve is E, so a split is its coefficient on E
-    by_split = {o.part1[0]: o.obstruction for o in every_outcome(row, 6)}
-    assert by_split[0].kind == DIMENSION_GAP
-    assert dict(by_split[0].witness) == {"candidate_dim": 12, "parts_dim": 6}
-    assert by_split[1].kind == DIMENSION_GAP
-    assert dict(by_split[1].witness) == {"candidate_dim": 12, "parts_dim": 10}
-    assert by_split[2].kind == NEGATIVE_SELF_INTERSECTION
-    assert dict(by_split[2].witness) == {"part": 1, "square": -2}
-
-    by_split = {o.part1[0]: o.obstruction for o in every_outcome(row, 4)}
-    assert by_split[0].kind == MULTIPLICITY_BUDGET
-    assert dict(by_split[0].witness) == {"required": 5, "cap_part1": 1, "cap_part2": 2}
-    assert by_split[1].kind == MULTIPLICITY_BUDGET
-    assert dict(by_split[1].witness) == {"required": 5, "cap_part1": 1, "cap_part2": 3}
-    assert by_split[2].kind == NEGATIVE_SELF_INTERSECTION
-    assert dict(by_split[2].witness) == {"part": 1, "square": -4}
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_a2_splits(d):
-    """Eight splits die on negativity; the balanced one needs the dimension
-    count against the one-part family through the marked point."""
-    outcomes = every_outcome(row_by_id("A2"), d)
-    assert len(outcomes) == 9
-    for o in outcomes:
-        if o.part1 == (1, 1):
-            assert o.obstruction.kind == DIMENSION_GAP
-            assert dict(o.obstruction.witness) == {
-                "candidate_dim": 3 * d - 5, "parts_dim": d - 2,
-            }
-        else:
-            assert o.obstruction.kind == NEGATIVE_SELF_INTERSECTION
-    # spot values
-    by_nodes = {o.part1: dict(o.obstruction.witness) for o in outcomes}
-    assert by_nodes[(0, 0)] == {"part": 2, "square": d - 8}
-    assert by_nodes[(0, 1)] == {"part": 1, "pairing": -1}
-    assert by_nodes[(2, 2)] == {"part": 1, "square": d - 8}
+    ("deg4or6", 4): {
+        (0,): (MULTIPLICITY_BUDGET, {"required": 5, "cap_part1": 1, "cap_part2": 2}),
+        (1,): (MULTIPLICITY_BUDGET, {"required": 5, "cap_part1": 1, "cap_part2": 3}),
+        (2,): (NEGATIVE_SELF_INTERSECTION, {"part": 1, "square": -4}),
+    },
+    ("deg4or6", 6): {
+        (0,): (DIMENSION_GAP, {"candidate_dim": 12, "parts_dim": 6}),
+        (1,): (DIMENSION_GAP, {"candidate_dim": 12, "parts_dim": 10}),
+        (2,): (NEGATIVE_SELF_INTERSECTION, {"part": 1, "square": -2}),
+    },
+    # eight splits die on negativity, three of them spot values; the balanced
+    # one needs the dimension count against the one-part family through the
+    # marked point
+    **{("A2", d): {
+        (1, 1): (DIMENSION_GAP, {"candidate_dim": 3 * d - 5, "parts_dim": d - 2}),
+        (0, 0): (NEGATIVE_SELF_INTERSECTION, {"part": 2, "square": d - 8}),
+        (0, 1): (NEGATIVE_SELF_INTERSECTION, {"part": 1, "pairing": -1}),
+        (2, 2): (NEGATIVE_SELF_INTERSECTION, {"part": 1, "square": d - 8}),
+        OTHERS: NEGATIVE_SELF_INTERSECTION,
+    } for d in (2, 3)},
+}
 
 
 @pytest.mark.acceptance(6)
-def test_every_split_everywhere_is_obstructed():
-    for row in case_tables():
-        expected = 1
-        for c in row.node_coefficients:
-            expected *= c + 1
-        expected *= row.e_coefficient + 1
-        for d in row.degrees:
-            outcomes = every_outcome(row, d)
-            assert len(outcomes) == expected, (row.case_id, d)
-            assert all(o.obstruction is not None for o in outcomes), (row.case_id, d)
-            # ascending lexicographic order, (-1)-curve coefficient last
-            seen = [o.part1 for o in outcomes]
-            assert seen == sorted(seen)
-            assert seen[-1] == row.node_coefficients + (
-                (row.e_coefficient,) if row.e_coefficient else ()
-            )
+@pytest.mark.parametrize(
+    "case_id,d", HAND_CHECKED, ids=[f"{case_id}-d{d}" for case_id, d in HAND_CHECKED]
+)
+def test_hand_checked_outcomes(case_id, d):
+    expected = dict(HAND_CHECKED[case_id, d])
+    others = expected.pop(OTHERS, None)
+    for o in every_outcome(row_by_id(case_id), d):
+        if o.part1 in expected:
+            assert (o.obstruction.kind, dict(o.obstruction.witness)) == expected.pop(o.part1)
+        else:
+            assert o.obstruction.kind == others, o.part1
+    assert expected == {}
 
 
-def walked_parts(row, d):
-    """The walk's splits, and the (part 1, part 2) pairs for which the
-    obstruction pass has ``complement`` build part 2.  The walk goes round
-    the memo of walked boxes, so every derivation is seen."""
+def assert_walk_matches_the_box_walk(row, d):
+    """The growth from the zero split finds the box walk's survivors, in box
+    order, each part 1 with the numbers of ``part_numbers``, its running
+    square among them, and the obstruction pass has ``complement`` build
+    part 2, equal to ``split_parts``'s, for exactly the survivors whose part
+    1 pairs with no configuration curve negatively, the one kill part 1 has
+    left.  Its premises hold: a part that passes the square test has
+    dim >= 0, and every survivor but the zero split has a survivor one unit
+    below it, with a square no smaller.  The walk goes round the memo of
+    walked boxes, so every derivation is seen; its splits are returned."""
     parts = []
 
     def spy(residual, first):
@@ -424,33 +375,35 @@ def walked_parts(row, d):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tigers, "complement", spy)
         splits = enumerate_decompositions.__wrapped__(row, d)
-    return splits, parts
+    survivors = box_walk(row, d).survivors
+    firsts = square_survivors(row, d)
+    assert [split.part1 for split in splits] == [p.coefficients for p in firsts] == list(survivors)
+    assert parts == [
+        (first, second) for first, second in survivors.values()
+        if min(first.pairings[1:], default=0) >= 0
+    ]
+    residual = row.residual(d)
+    assert [(p, complement(residual, p)) for p in firsts] == list(survivors.values())
+    # the walk's running square is the dot product's
+    assert firsts == [part_numbers(row, d, 1, part.coefficients) for part in firsts]
+    for part1, (part, second) in survivors.items():
+        # so the obstruction pass needs no dim test (see ``_part_kill``)
+        assert all(p.dim >= 0 for p in (part, second) if p.square >= -1), part1
+        if not any(part1):
+            continue
+        lower = (part1[:j] + (c - 1,) + part1[j + 1:] for j, c in enumerate(part1) if c)
+        below = [survivors[p][0].square for p in lower if p in survivors]
+        assert below and max(below) >= part.square, part1
+    return splits
 
 
 @pytest.mark.parametrize(
     "row,d", SPLIT_CASES, ids=[f"{row.case_id}-d{d}" for row, d in SPLIT_CASES]
 )
 def test_walk_finds_the_box_walks_survivors(row, d):
-    """The growth from the zero split returns exactly the splits of the
-    whole box whose first part has square > -2, in the same order, with
-    both parts as ``split_parts`` builds them, and obstructs each.  The
-    obstruction pass builds part 2 only for a survivor whose part 1 pairs
-    with no configuration curve negatively, the one kill part 1 has left."""
-    walked, parts = walked_parts(row, d)
-    survivors = box_walk(row, d).survivors
-    assert [split.part1 for split in walked] == box_survivors(row, d)
-    assert parts == [
-        (first, second) for first, second in survivors.values()
-        if min(first.pairings[1:], default=0) >= 0
-    ]
-    firsts = square_survivors(row, d)
-    residual = row.residual(d)
-    assert [(first, complement(residual, first)) for first in firsts] == list(
-        survivors.values()
-    )
-    # the walk's running square is the dot product's
-    assert firsts == [part_numbers(row, d, 1, part.coefficients) for part in firsts]
-    assert all(split.obstruction is not None for split in walked)
+    """The walk of each table box, and every split it finds obstructed."""
+    splits = assert_walk_matches_the_box_walk(row, d)
+    assert all(split.obstruction is not None for split in splits)
 
 
 @settings(max_examples=60, deadline=None)
@@ -462,34 +415,8 @@ def test_walk_finds_the_box_walks_survivors(row, d):
 # a middle node with coefficient 0 parts the chain
 @example((row_by_id("A5")._replace(node_coefficients=(1, 2, 0, 3, 2)), 1))
 def test_walk_matches_the_box_walk_beyond_the_table(case):
-    """The growth from the zero split finds the box walk's survivors, with
-    each part 1 it hands on, and the part 2 that ``complement`` builds from
-    it for the obstruction pass, equal to ``split_parts``, and each part 1's
-    numbers, its running square among them, those of ``part_numbers``; and its premise
-    holds: every survivor but the zero split has a survivor one unit below
-    it, with a square no smaller.  The obstruction pass runs on the drawn
-    box too: its splits are the walk's survivors, in order."""
-    row, d = case
-    survivors = box_walk(row, d).survivors
-    walked = square_survivors(row, d)
-    assert [part.coefficients for part in walked] == box_survivors(row, d)
-    splits = enumerate_decompositions(row, d)
-    assert [split.part1 for split in splits] == [part.coefficients for part in walked]
-    residual = row.residual(d)
-    assert [(first, complement(residual, first)) for first in walked] == list(
-        survivors.values()
-    )
-    # the walk's running square is the dot product's
-    assert walked == [part_numbers(row, d, 1, part.coefficients) for part in walked]
-    for part1, (part, second) in survivors.items():
-        # a part that passes the square test has dim >= 0, so the
-        # obstruction pass needs no dim test (see ``_part_kill``)
-        assert all(p.dim >= 0 for p in (part, second) if p.square >= -1), part1
-        if not any(part1):
-            continue
-        lower = (part1[:j] + (c - 1,) + part1[j + 1:] for j, c in enumerate(part1) if c)
-        below = [survivors[p][0].square for p in lower if p in survivors]
-        assert below and max(below) >= part.square, part1
+    """The walk of a redrawn box, whose splits may go unobstructed."""
+    assert_walk_matches_the_box_walk(*case)
 
 
 @settings(max_examples=60, deadline=None)

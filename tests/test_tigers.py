@@ -159,6 +159,21 @@ def test_point_kind_follows_its_curves():
 
 # ----------------------------------------------------- residual class numbers
 
+@pytest.mark.acceptance(3)
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_residual_formulas_match_fixtures(case_id):
+    """The walk's numbers for the full split, the residual itself, equal the
+    hand-derived fixtures: pairings with K, the nodes and E, square and dim."""
+    row = row_by_id(case_id)
+    fix = RESIDUAL_FIXTURES[case_id]
+    e = () if fix.e_pairing is None else (fix.e_pairing,)
+    for d in row.degrees:
+        numbers = part_numbers(row, d, row.multiple, row.coefficients)
+        assert numbers.pairings == (ev(fix.k_pairing, d), *fix.node_pairings, *e), d
+        assert numbers.square == ev(fix.square, d)
+        assert numbers.dim == ev(fix.dim, d)
+
+
 # a certified status means that no walked split is unobstructed, and every
 # other split of the box dies on part 1's square
 @pytest.mark.acceptance(3, 6)

@@ -278,14 +278,14 @@ def certificate_chunks(cert: TigerCertificate) -> Iterator[str]:
     column, depends only on the value, the leading point's number and, for
     squares and dims, its ``across``: each column is made once per
     certificate, when a leading point first reads it.  Every number is a
-    sum of integers: ``CaseTable.form`` refuses a row with a curve of odd
-    parity, so every class has an even  P^2 - P.K  and an integer dim.  A
-    split's obstruction is the kill its part-1 square states
-    (``square_kill``) or, where that square kills nothing, its walked
-    obstruction; a certificate whose splits lack a survivor raises KeyError
-    rather than state a false kill.  A leading point's entries are the rows
-    of its own texts, its columns and the trailing half's runs.  The
-    document's size grows with the box, the memory used here does not.
+    sum of integers: K is characteristic, so every class has an even
+    P^2 - P.K  and an integer dim (``CaseTable.form``).  A split's
+    obstruction is the kill its part-1 square states (``square_kill``) or,
+    where that square kills nothing, its walked obstruction; a certificate
+    whose splits lack a survivor raises KeyError rather than state a false
+    kill.  A leading point's entries are the rows of its own texts, its
+    columns and the trailing half's runs.  The document's size grows with
+    the box, the memory used here does not.
     """
     empty = '"decompositions": []'
     head, _, tail = render_document(_certificate_shell(cert)).partition(empty)

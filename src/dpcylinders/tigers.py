@@ -102,19 +102,17 @@ class CaseTable(_CaseFields):
         are (-2)-curves of K-degree 0 that pair by the Dynkin Gram matrix, E
         is a (-1)-curve of K-degree -1 taken disjoint from them.
 
-        A curve with odd  C^2 + C.K  raises ValueError.  Without one, every
-        class  P = m(-K) - sum c_j C_j  has an even  P^2 - P.K,  so an
-        integer dim: -K has  d + d,  and mod 2 the cross terms drop and
-        c_j^2 = c_j,  leaving  sum c_j (C_j^2 + C_j.K)."""
+        Every class  P = m(-K) - sum c_j C_j  has an even  P^2 - P.K,  so
+        an integer dim: K is characteristic.  On the lattice  I_{1,n}  of
+        the plane blown up n times,  x = hH + sum a_i E_i  has
+        x^2 + x.K = h(h - 3) - sum a_i (a_i + 1),  which is even.  So are a
+        node, (C^2, C.K) = (-2, 0), E, (-1, -1), and -K, (d, -d);  and mod
+        2 the cross terms of P drop and  c_j^2 = c_j."""
         gram = gram_table(self.singularity) if self.singularity else ()
         e = (0,) if self.e_coefficient else ()
-        form = tuple((0, *row, *e) for row in gram) + (
+        return tuple((0, *row, *e) for row in gram) + (
             ((-1, *(0,) * len(gram), -1),) if e else ()
         )
-        for j, pairs in enumerate(form):
-            if (pairs[1 + j] + pairs[0]) % 2:
-                raise ValueError(f"case {self.case_id}: {self.curves[j]} has odd C^2 + C.K parity")
-        return form
 
     @cached_property
     def point_indices(self) -> tuple[int, ...]:
@@ -370,22 +368,17 @@ def _obstruction_for(row: CaseTable, residual: Part, first: Part) -> Optional[Ob
         )
 
     candidate_dim = residual.dim - conditions(mu)
-
-    # A row's balanced split is compared against the one-part family
-    # through the point, matching the recorded analysis for that case.
     if first.coefficients == row.balanced_split:
-        part_dim = first.dim - conditions(mu)
-        return Obstruction(
-            DIMENSION_GAP,
-            (("candidate_dim", candidate_dim), ("parts_dim", part_dim)),
+        # a row's balanced split is compared against the one-part family
+        # through the point, matching the recorded analysis for that case
+        best = first.dim - conditions(mu)
+    else:
+        # the best share of the multiplicity between the parts; as the caps
+        # are >= 0 and add up to >= mu here, there is at least one share
+        best = max(
+            parts[0].dim - conditions(t1) + parts[1].dim - conditions(mu - t1)
+            for t1 in range(max(0, mu - caps[1]), min(caps[0], mu) + 1)
         )
-
-    # the best share of the multiplicity between the parts; as the caps
-    # are >= 0 and add up to >= mu here, there is at least one share
-    best = max(
-        parts[0].dim - conditions(t1) + parts[1].dim - conditions(mu - t1)
-        for t1 in range(max(0, mu - caps[1]), min(caps[0], mu) + 1)
-    )
     if best < candidate_dim:
         return Obstruction(
             DIMENSION_GAP,
@@ -418,7 +411,7 @@ def square_survivors(row: CaseTable, degree: int) -> list[Part]:
     Every other split of the box dies on that square.  Each survivor's
     ``Part`` is made by ``_part`` from the running square the prune has
     already computed, with no second dot product; ``_part`` adds its dim,
-    and the row's ``form`` checks their parity.
+    an integer, as every class has an even  P^2 - P.K  (``CaseTable.form``).
     """
     form, box = row.form, row.coefficients
     zero = (0,) * len(box)
@@ -536,7 +529,7 @@ def narrate(cert: TigerCertificate) -> Iterator[str]:
     yield f"dim|N| = (N^2 - N.K)/2 = ({square} - ({residual.pairings[0]}))/2 = {dim}"
     mu = row.residual_multiplicity
     yield f"conditions({mu}) = {conditions(mu)}; candidate family dim = {dim - conditions(mu)}"
-    yield f"local multiplicity = {row.local_multiplicity}; ratio = {row.local_multiplicity}/{m}"
+    yield f"local multiplicity = {row.local_multiplicity}; ratio = {row.ratio}"
 
     unobstructed = cert.unobstructed
     k = len(row.node_coefficients)

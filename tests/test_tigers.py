@@ -29,7 +29,7 @@ from dpcylinders import (
 from dpcylinders.lattice import gram_table
 from dpcylinders.linear_systems import conditions, max_multiplicity_budget
 from dpcylinders import certificate, tigers
-from dpcylinders.certificate import BoxHalves, certificate_chunks, certificate_document
+from dpcylinders.certificate import BoxHalves, certificate_document
 from dpcylinders.tigers import (
     ASSUME_E_DISJOINT,
     DIMENSION_GAP,
@@ -37,6 +37,7 @@ from dpcylinders.tigers import (
     MULTIPLICITY_BUDGET,
     NEGATIVE_SELF_INTERSECTION,
     NOTE_OWN_COEFFICIENTS,
+    Obstruction,
     complement,
     fraction_text,
     narrate,
@@ -251,36 +252,16 @@ def test_part_numbers_match_pairing_table():
                 numbers = block["residual"]
                 assert table.pair(cls, cls) == numbers["square"]
                 assert pairings(table, cls) == dict(numbers["pairings"])
+                assert table.dim(cls) == numbers["dim"]
 
 
-def odd_curve(monkeypatch, row, k):
-    """The row afresh, with no derived number cached, while its curve
-    numbered ``k`` (from 0) has square -3 and so an odd  C^2 + C.K."""
-    odd = [list(pairs) for pairs in gram_table(row.singularity)]
-    odd[k][k] = -3
-    monkeypatch.setattr(tigers, "gram_table", lambda t: tuple(map(tuple, odd)))
-    return row._replace()
-
-
-def test_a_row_with_a_curve_of_odd_parity_is_refused(monkeypatch):
-    """Every class of a row has an even  P^2 - P.K  when each of its curves
-    has an even  C^2 + C.K  (``test_case_rows_are_internally_consistent``),
-    so its dim is an integer.  ``CaseTable.form`` refuses a row with an odd
-    curve before any number is derived from it: here a node of square -3."""
-    with pytest.raises(ValueError, match="A3: D2 has odd"):
-        odd_curve(monkeypatch, row_by_id("A3"), 1).form
-
-
-def test_residual_parity_guard(monkeypatch):
+def test_residual_parity_guard():
     """Integer inputs give every class an even  P^2 - P.K,  so a dim is
     exact, never floored: every row's residual at each of its degrees
-    shows it.  The guard is the row's ``form``, which refuses a curve of
-    odd  C^2 + C.K  before a residual is derived from it."""
+    shows it."""
     for row, d in SPLIT_CASES:
         residual = row.residual(d)
         assert residual.square - residual.pairings[0] == 2 * residual.dim
-    with pytest.raises(ValueError, match="parity"):
-        odd_curve(monkeypatch, row_by_id("A2"), 0).residual(3)
 
 
 @pytest.mark.parametrize(
@@ -292,27 +273,22 @@ def test_residual_parity_guard(monkeypatch):
         ((1, ("D5",)), "D2", "leading"),
     ],
     # part1 and part2 name the two boxes, and the suffix the half of the box
-    # that holds the odd curve's coefficient
+    # that holds the named curve's coefficient
     ids=["part1", "part2", "part1-leading", "part2-leading"],
 )
-def test_half_walk_checks_parity_at_every_split(args, curve, half, monkeypatch):
-    """The certificate stream refuses a row with a curve of odd  C^2 + C.K
-    before it writes anything, whichever half of the box the curve falls
-    in, so no split of either half reaches the renderer with an odd
-    P^2 - P.K.  The curve has an even relation coefficient, so the
-    residual's own parity stays even: only the row's ``form`` sees it."""
+def test_half_walk_checks_parity_at_every_split(args, curve, half):
+    """Each curve of a row has an even  C^2 + C.K,  whichever half of the
+    box it falls in, so every class has an even  P^2 - P.K:  both parts of
+    every split the certificate stream writes, its squares and dims summed
+    from the two halves, state an exact dim."""
     cert = build_tiger(SurfaceSpec(*args))
     row = cert.row
     k, cut = row.curves.index(curve), len(row.curves) // 2
-    assert row.coefficients[k] % 2 == 0 and (k < cut) == (half == "leading")
-    odd = odd_curve(monkeypatch, row, k)
-    # one entry per chunk, after the head
-    monkeypatch.setattr(certificate, "_BATCH", 1)
-    written = []
-    with pytest.raises(ValueError, match=f"{row.case_id}: {curve} has odd .* parity"):
-        for chunk in certificate_chunks(cert._replace(row=odd)):
-            written.append(chunk)
-    assert written == []
+    assert (k < cut) == (half == "leading")
+    assert (row.form[k][1 + k] + row.form[k][0]) % 2 == 0
+    for entry in certificate_document(cert)["decompositions"]:
+        for block in (entry["part1"]["residual"], entry["part2"]["residual"]):
+            assert block["square"] - dict(block["pairings"])["K"] == 2 * block["dim"], entry
 
 
 # ------------------------------------------------------- split enumeration
@@ -369,6 +345,24 @@ def test_hand_checked_outcomes(case_id, d):
         else:
             assert o.obstruction.kind == others, o.part1
     assert expected == {}
+
+
+def test_a_balanced_split_needs_a_true_gap():
+    """The balanced split is compared against the one-part family through
+    the marked point, and is obstructed only where that family's dimension
+    falls below the candidate family's.  On a hand-made A2 row at degree 1
+    with no multiplicity at the point, the residual has dim -1 and the
+    balanced part 1 dim 0, so (1, 1) keeps no obstruction; the other three
+    splits keep their kills."""
+    row = row_by_id("A2")._replace(degrees=(1,), residual_multiplicity=0)
+    assert row.residual(1).dim == -1
+    splits = enumerate_decompositions.__wrapped__(row, 1)
+    assert {split.part1: split.obstruction for split in splits} == {
+        (0, 0): Obstruction(NEGATIVE_SELF_INTERSECTION, (("part", 2), ("square", -7))),
+        (0, 1): Obstruction(NEGATIVE_SELF_INTERSECTION, (("part", 1), ("pairing", -1))),
+        (1, 0): Obstruction(NEGATIVE_SELF_INTERSECTION, (("part", 1), ("pairing", -1))),
+        (1, 1): None,
+    }
 
 
 def assert_walk_matches_the_box_walk(row, d):

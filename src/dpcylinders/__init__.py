@@ -48,21 +48,14 @@ def __getattr__(name: str) -> object:
 __all__ = [
     "DynkinType",
     "InvalidSpec",
-    "NoCaseApplies",
     "SpecFileError",
     "SurfaceSpec",
-    "TigerCertificate",
     "Verdict",
-    "build_tiger",
-    "case_tables",
-    "certificate_chunks",
-    "certificate_document",
     "classify",
-    "enumerate_decompositions",
     "enumerate_specs",
     "parse_spec_text",
     "render_document",
-    "select_case",
     "verdict_document",
+    *_LAZY_NAMES,
     "__version__",
 ]

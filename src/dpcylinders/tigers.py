@@ -24,12 +24,11 @@ knows no rendering layout.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import mul, sub
 from typing import Iterator, NamedTuple, Optional
 
 from .lattice import DynkinType, SurfaceSpec, gram_table
-from .linear_systems import conditions, max_multiplicity_budget
 
 # Obstruction kinds
 NEGATIVE_SELF_INTERSECTION = "negative_self_intersection"
@@ -291,6 +290,25 @@ def complement(residual: Part, part: Part) -> Part:
     return _part(residual.multiple - part.multiple,
                  tuple(map(sub, residual.coefficients, part.coefficients)),
                  tuple(map(sub, residual.pairings, part.pairings)))
+
+
+# Multiplicity m at a point cuts at most m(m+1)/2 dimensions from a linear
+# system on a rational surface with vanishing higher cohomology: exact
+# integer bookkeeping of expected dimensions, as ASSUME_VANISHING states.
+def conditions(m: int) -> int:
+    """Number of linear conditions imposed by multiplicity >= m at a point."""
+    if m < 0:
+        raise ValueError(f"multiplicity must be nonnegative, got {m}")
+    return m * (m + 1) // 2
+
+
+def max_multiplicity_budget(dim: int) -> int:
+    """Largest m with conditions(m) <= dim, i.e. the biggest multiplicity a
+    system of that dimension can afford at one point."""
+    if dim < 0:
+        raise ValueError(f"dimension must be nonnegative, got {dim}")
+    # m(m+1)/2 <= dim  <=>  m <= (sqrt(8*dim + 1) - 1)/2, exactly in integers
+    return (isqrt(8 * dim + 1) - 1) // 2
 
 
 def _point_cap(row: CaseTable, part: Part) -> int:

@@ -61,15 +61,11 @@ def pytest_terminal_summary(terminalreporter, config):
 
 @contextmanager
 def forced_discrepancy():
-    """Inside the block no split finds its obstruction, as if the engine
-    had a discrepancy.  ``enumerate_decompositions`` keeps each walked box
-    for the life of the process, so the memo is emptied on entry, lest a
-    box walked before the block be served inside it, and on exit, lest a
-    box walked inside it be served after."""
-    tigers.enumerate_decompositions.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tigers, "_obstruction_for", lambda row, residual, first: None)
-            yield
-    finally:
-        tigers.enumerate_decompositions.cache_clear()
+    """Inside the block no split carries its obstruction, as if the engine
+    had a discrepancy.  The splits are stripped as ``build_tiger`` reads
+    them, so the memo of walked boxes keeps only true ones."""
+    walk = tigers.enumerate_decompositions
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tigers, "enumerate_decompositions", lambda row, degree: tuple(
+            split._replace(obstruction=None) for split in walk(row, degree)))
+        yield

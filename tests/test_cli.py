@@ -594,8 +594,8 @@ def test_tiger_discrepancy_exit(spec_dir, capsys):
 
 def test_forced_discrepancy_follows_a_certified_tiger(spec_dir, capsys):
     """The walked boxes outlive a call: a box certified before the
-    discrepancy is forced is walked again under it, and a box walked under
-    it is walked again after."""
+    discrepancy is forced reads unobstructed under it, and no box read
+    under it reaches the memo."""
     path = str(spec_dir / "node_cubic.txt")
     assert run_cli(capsys, "tiger", "--spec", path)[0] == cli.EXIT_OK
     with forced_discrepancy():
@@ -884,14 +884,14 @@ finally:
 # dataclasses (which load inspect), and ratios are written from integers,
 # not Fractions, so no run loads those three.
 PACKAGE = {"dpcylinders", "dpcylinders.classify", "dpcylinders.lattice", "dpcylinders.specio"}
-CONSTRUCTION = {"dpcylinders.tigers", "dpcylinders.linear_systems"}
+CONSTRUCTION = {"dpcylinders.tigers"}
 
 
 @pytest.mark.parametrize(
     "args,code,loaded",
     [
-        # the construction, its linear systems and the certificate document
-        # load with the command that runs them
+        # the construction and the certificate document load with the
+        # command that runs them
         (("import", "dpcylinders.cli"), 0, PACKAGE | {"dpcylinders.cli"}),
         # specio reads spec files and writes verdicts, not certificates
         (("import", "dpcylinders.specio"), 0, PACKAGE),

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from dpcylinders import SurfaceSpec, case_tables, enumerate_decompositions
+from dpcylinders.lattice import gram_table
 
 from coordinate_oracle import (
     OracleUnavailable,
@@ -86,16 +87,16 @@ def test_case_tables_agree_with_coordinates(row):
             check_row(row, degree)
 
 
-def nef_defects(row, degree):
+def nef_defects(row, degree, nodes):
     """Where the residual  N = m(-K) - sum c_i D_i  of a singular row fails
-    to be nef on the oracle's embedding of the row's minimal spec, as
-    (curve, N.C, bound) with N.C < bound: the bound is 0 on each node and
-    on each (-1)-class that pairs >= 0 with every node, a (-1)-curve, and
-    the point's multiplicity on each curve through the marked point, lest
-    a member with that multiplicity there contain the curve."""
-    coords = oracle_embed(SurfaceSpec(*minimal_spec_args(row.case_id, degree)))
+    to be nef on an embedding of the row's nodes, given as the vectors of
+    D1..Dk, as (curve, N.C, bound) with N.C < bound: the bound is 0 on each
+    node and on each (-1)-class that pairs >= 0 with every node, a
+    (-1)-curve, and the point's multiplicity on each curve through the
+    marked point, lest a member with that multiplicity there contain the
+    curve."""
+    coords = {"K": canonical_vector(9 - degree), **dict(zip(row.curves, nodes))}
     n = class_vector(coords, row.multiple, dict(row.configuration))
-    nodes = [coords[label] for label in row.curves]
     minus_one_curves = [
         e for e in classes(9 - degree, -1, -1) if all(pairing(e, v) >= 0 for v in nodes)
     ]
@@ -127,13 +128,43 @@ def test_residual_is_nef_on_the_oracles_embedding(row, d):
     (-1)-curves, and meets each curve through the marked point at least mu
     times, so |N| has none of them as a fixed component.  The numeric pass
     alone certifies the degree 1 D4 relation above; this check refuses it."""
+    coords = oracle_embed(SurfaceSpec(*minimal_spec_args(row.case_id, d)))
+    defects = nef_defects(row, d, [coords[label] for label in row.curves])
     if row is not NO_CYLINDER_D4:
-        assert nef_defects(row, d) == []
+        assert defects == []
         return
     assert all(split.obstruction for split in enumerate_decompositions.__wrapped__(row, d))
     assert row.local_multiplicity == 9 > 2 * row.multiple
-    ((curve, value, bound),) = nef_defects(row, d)
+    ((curve, value, bound),) = defects
     assert curve in classes(8, -1, -1) and (value, bound) == (-1, 0)
+
+
+def root_embeddings(gram, roots):
+    """Every tuple of roots that pairs by the Gram table, D1 the first root."""
+    def grow(placed):
+        if len(placed) == len(gram):
+            yield placed
+            return
+        wanted = gram[len(placed)]
+        for r in roots:
+            if all(pairing(r, v) == w for v, w in zip(placed, wanted)):
+                yield from grow(placed + (r,))
+    return grow((roots[0],))
+
+
+def test_every_degree_3_embedding_leaves_the_residual_nef():
+    """At degree 3 each embeddable singular row's residual is nef on every
+    embedding of its type's simple roots among the 72 roots of E6, not only
+    the oracle's.  W(E6) is transitive on the roots and the check is
+    W-invariant, so D1 is fixed to the first root."""
+    roots = classes(6, -2, 0)
+    checked = 0
+    for row in case_tables():
+        if row.singularity and 3 in row.degrees and (row.case_id, 3) not in UNEMBEDDABLE:
+            for nodes in root_embeddings(gram_table(row.singularity), roots):
+                assert nef_defects(row, 3, nodes) == [], (row.case_id, nodes)
+                checked += 1
+    assert checked == 5241
 
 
 @pytest.mark.parametrize(

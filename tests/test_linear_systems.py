@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dpcylinders.linear_systems import conditions, max_multiplicity_budget
-from dpcylinders.tigers import part_numbers
+from dpcylinders.tigers import conditions, max_multiplicity_budget, part_numbers
 
 from pairing_reference import PairingTable
 from residual_fixtures import row_by_id

@@ -27,7 +27,6 @@ from dpcylinders import (
     select_case,
 )
 from dpcylinders.lattice import gram_table
-from dpcylinders.linear_systems import conditions, max_multiplicity_budget
 from dpcylinders import certificate, tigers
 from dpcylinders.certificate import BoxHalves, certificate_document
 from dpcylinders.tigers import (
@@ -39,7 +38,9 @@ from dpcylinders.tigers import (
     NOTE_OWN_COEFFICIENTS,
     Obstruction,
     complement,
+    conditions,
     fraction_text,
+    max_multiplicity_budget,
     narrate,
     part_numbers,
     square_survivors,

@@ -10,7 +10,9 @@ complement of K (square -2, K-degree 0); a (-1)-curve among the classes of
 square -1 and K-degree -1 that avoid every placed root.  The search is a
 deterministic depth-first walk over sorted candidate lists that checks each
 node against every node placed before it, so a given spec always produces
-the same coordinates and no node order can make them wrong.
+the same coordinates and no node order can make them wrong.  That walk,
+``embeddings``, is the tests' one search over roots, and ``nef_defects``
+reads a row's residual on the embeddings it finds.
 
 A full-rank singularity configuration (total rank 9 - d) embeds in the
 orthogonal complement of K only if the product of the type discriminants
@@ -87,6 +89,43 @@ def classes(n: int, square: int, k_degree: int) -> tuple[Vector, ...]:
     return tuple(found)
 
 
+def embeddings(gram, roots, placed: tuple[Vector, ...] = ()):
+    """Every tuple of roots that extends ``placed`` and pairs by the Gram
+    table ``gram``, depth first, taking the roots in order at each node.
+
+    Each check built on this is invariant under the Weyl group W of K^perp,
+    which preserves K, the pairing and the (-1)-classes.  Fixing D1 to the
+    first root, ``placed=roots[:1]``, still meets every W-orbit only where
+    K^perp is irreducible, so that W is transitive on its roots: every
+    degree but 6.  At degree 6, K^perp = A2 + A1, the first root lies in
+    the A1, and no embedding of A2 contains it.
+    """
+    if len(placed) == len(gram):
+        yield placed
+        return
+    wanted = gram[len(placed)]
+    for r in roots:
+        if all(pairing(r, v) == w for v, w in zip(placed, wanted)):
+            yield from embeddings(gram, roots, placed + (r,))
+
+
+class _Counted:
+    """The roots, each one handed to the search counted against
+    STEP_LIMIT."""
+
+    def __init__(self, roots: tuple[Vector, ...], spec: SurfaceSpec):
+        self.roots, self.spec, self.steps = roots, spec, 0
+
+    def __iter__(self):
+        for r in self.roots:
+            self.steps += 1
+            if self.steps > STEP_LIMIT:
+                raise OracleUnavailable(
+                    f"embedding search for {self.spec} exceeded {STEP_LIMIT} steps"
+                )
+            yield r
+
+
 def _type_discriminant(t: DynkinType) -> int:
     """Determinant of the positive definite form of the type's root lattice."""
     if t.family == "A":
@@ -122,44 +161,21 @@ def oracle_embed(spec: SurfaceSpec, with_minus_one_curve: bool = False) -> dict[
                 f"got {product}"
             )
 
-    # the exceptional curves in label order, as (label, point, node)
+    # the exceptional curves in label order, as (point, node); curves over
+    # different singular points are disjoint
     grams = [gram_table(t) for t in spec.singularities]
-    nodes = [
-        (f"D{i + 1}{'' if s == 0 else f'_{s + 1}'}", s, i)
-        for s, gram in enumerate(grams)
-        for i in range(len(gram))
-    ]
-    roots = classes(n, -2, 0)
-    placed: list[Vector] = []
-    steps = 0
-
-    def walk() -> bool:
-        nonlocal steps
-        if len(placed) == len(nodes):
-            return True
-        _, s, i = nodes[len(placed)]
-        # curves over different singular points are disjoint
-        wanted = [grams[s][i][j] if s == t else 0 for _, t, j in nodes[:len(placed)]]
-        for candidate in roots:
-            steps += 1
-            if steps > STEP_LIMIT:
-                raise OracleUnavailable(
-                    f"embedding search for {spec} exceeded {STEP_LIMIT} steps"
-                )
-            if all(pairing(candidate, v) == w for v, w in zip(placed, wanted)):
-                placed.append(candidate)
-                if walk():
-                    return True
-                placed.pop()
-        return False
-
-    if not walk():
+    nodes = [(s, i) for s, gram in enumerate(grams) for i in range(len(gram))]
+    gram = [[grams[s][i][j] if s == t else 0 for t, j in nodes] for s, i in nodes]
+    placed = next(embeddings(gram, _Counted(classes(n, -2, 0), spec)), None)
+    if placed is None:
         raise OracleUnavailable(
             f"no root embedding exists for {spec} in rank {n} "
             "(the orthogonal complement of K is too small)"
         )
     coords = {"K": canonical_vector(n)}
-    coords.update((label, v) for (label, _, _), v in zip(nodes, placed))
+    coords.update(
+        (f"D{i + 1}{'' if s == 0 else f'_{s + 1}'}", v) for (s, i), v in zip(nodes, placed)
+    )
 
     if with_minus_one_curve:
         for candidate in classes(n, -1, -1):
@@ -187,6 +203,25 @@ def class_vector(coords: dict[str, Vector], multiple: int, config: dict[str, int
     for label, c in config.items():
         v = tuple(a - c * b for a, b in zip(v, coords[label]))
     return v
+
+
+def nef_defects(row, degree, nodes):
+    """Where the residual  N = m(-K) - sum c_i D_i  of a singular row fails
+    to be nef on an embedding of the row's nodes, given as the vectors of
+    D1..Dk, as (curve, N.C, bound) with N.C < bound: the bound is 0 on each
+    node and on each (-1)-class that pairs >= 0 with every node, a
+    (-1)-curve, and the point's multiplicity on each curve through the
+    marked point, lest a member with that multiplicity there contain the
+    curve."""
+    coords = {"K": canonical_vector(9 - degree), **dict(zip(row.curves, nodes))}
+    n = class_vector(coords, row.multiple, dict(row.configuration))
+    minus_one_curves = [
+        e for e in classes(9 - degree, -1, -1) if all(pairing(e, v) >= 0 for v in nodes)
+    ]
+    bounds = [(label, coords[label], 0) for label in row.curves]
+    bounds += [(e, e, 0) for e in minus_one_curves]
+    bounds += [(label, coords[label], row.residual_multiplicity) for label in row.point]
+    return [(curve, pairing(n, v), b) for curve, v, b in bounds if pairing(n, v) < b]
 
 
 def check_row(row, degree: int) -> None:

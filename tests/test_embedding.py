@@ -6,14 +6,16 @@ import pytest
 
 from dpcylinders import SurfaceSpec, case_tables, enumerate_decompositions
 from dpcylinders.lattice import gram_table
+from dpcylinders.tigers import conditions
 
 from coordinate_oracle import (
     OracleUnavailable,
     assert_table_matches,
     canonical_vector,
     check_row,
-    class_vector,
     classes,
+    embeddings,
+    nef_defects,
     oracle_embed,
     pairing,
 )
@@ -87,25 +89,6 @@ def test_case_tables_agree_with_coordinates(row):
             check_row(row, degree)
 
 
-def nef_defects(row, degree, nodes):
-    """Where the residual  N = m(-K) - sum c_i D_i  of a singular row fails
-    to be nef on an embedding of the row's nodes, given as the vectors of
-    D1..Dk, as (curve, N.C, bound) with N.C < bound: the bound is 0 on each
-    node and on each (-1)-class that pairs >= 0 with every node, a
-    (-1)-curve, and the point's multiplicity on each curve through the
-    marked point, lest a member with that multiplicity there contain the
-    curve."""
-    coords = {"K": canonical_vector(9 - degree), **dict(zip(row.curves, nodes))}
-    n = class_vector(coords, row.multiple, dict(row.configuration))
-    minus_one_curves = [
-        e for e in classes(9 - degree, -1, -1) if all(pairing(e, v) >= 0 for v in nodes)
-    ]
-    bounds = [(label, coords[label], 0) for label in row.curves]
-    bounds += [(e, e, 0) for e in minus_one_curves]
-    bounds += [(label, coords[label], row.residual_multiplicity) for label in row.point]
-    return [(curve, pairing(n, v), b) for curve, v, b in bounds if pairing(n, v) < b]
-
-
 # The relation 4(-K) ~ 5D1 + 3D2 + 3D3 + 3D4 + N on degree 1 D4, where the
 # paper finds no cylinder, with its marked point D1 n D2 and mu = 1: every
 # split is obstructed, yet N meets one (-1)-curve negatively.
@@ -139,32 +122,66 @@ def test_residual_is_nef_on_the_oracles_embedding(row, d):
     assert curve in classes(8, -1, -1) and (value, bound) == (-1, 0)
 
 
-def root_embeddings(gram, roots):
-    """Every tuple of roots that pairs by the Gram table, D1 the first root."""
-    def grow(placed):
-        if len(placed) == len(gram):
-            yield placed
-            return
-        wanted = gram[len(placed)]
-        for r in roots:
-            if all(pairing(r, v) == w for v, w in zip(placed, wanted)):
-                yield from grow(placed + (r,))
-    return grow((roots[0],))
+# The search's counts are checked without a second search: the ordered
+# simple-root tuples of a type T in a root system number (its subsystems of
+# type T) * |W(T)| * (automorphisms of T's diagram), and fixing D1 keeps
+# 1/(number of roots) of them where the Weyl group is transitive on roots.
 
 
 def test_every_degree_3_embedding_leaves_the_residual_nef():
     """At degree 3 each embeddable singular row's residual is nef on every
     embedding of its type's simple roots among the 72 roots of E6, not only
     the oracle's.  W(E6) is transitive on the roots and the check is
-    W-invariant, so D1 is fixed to the first root."""
+    W-invariant, so D1 is fixed to the first root.  E6 lies once in E6,
+    with |W(E6)| = 51,840 and 2 diagram automorphisms."""
     roots = classes(6, -2, 0)
-    checked = 0
+    counts = {}
     for row in case_tables():
         if row.singularity and 3 in row.degrees and (row.case_id, 3) not in UNEMBEDDABLE:
-            for nodes in root_embeddings(gram_table(row.singularity), roots):
+            counts[row.case_id] = 0
+            for nodes in embeddings(gram_table(row.singularity), roots, roots[:1]):
                 assert nef_defects(row, 3, nodes) == [], (row.case_id, nodes)
-                checked += 1
-    assert checked == 5241
+                counts[row.case_id] += 1
+    assert counts == {
+        "A1deg3": 1, "A2": 20, "A3": 180, "D4": 720, "A4": 720, "A5": 720,
+        "D5": 1440, "E6": 1440,
+    }
+    assert counts["E6"] * len(roots) == 51_840 * 2
+
+
+# Table rows whose relation, unchanged, also certifies at a degree the row
+# does not list (ROADMAP item 19), with the embeddings of the row's type:
+# with D1 fixed to the first of D5's 40 roots at degree 4, and every one at
+# degree 6, where K^perp = A2 + A1 is reducible.
+NEW_DEGREES = {
+    ("A2", 4): 12, ("A3", 4): 60, ("D4", 4): 144, ("A4", 4): 96, ("D5", 4): 96,
+    ("A1deg3", 6): 8, ("A2", 6): 12,
+}
+
+
+def test_rows_also_certify_with_a_nef_residual_at_degrees_4_and_6():
+    """Each relation above obstructs every split at its new degree, affords
+    its marked point's multiplicity, and leaves a residual that is nef on
+    every embedding of its type, so on every spec that contains the type.
+    D4 lies 5 times in D5, with |W(D4)| = 192 and 6 diagram automorphisms;
+    D5 once, with |W(D5)| = 1,920 and 2.  A1deg3's relation leaves split
+    (1,) unobstructed at degree 4."""
+    counts = {}
+    for case_id, d in NEW_DEGREES:
+        row = row_by_id(case_id)._replace(degrees=(d,))
+        assert all(split.obstruction for split in enumerate_decompositions.__wrapped__(row, d))
+        assert row.residual(d).dim >= conditions(row.residual_multiplicity)
+        roots = classes(9 - d, -2, 0)
+        found = list(embeddings(gram_table(row.singularity), roots, roots[:1] if d == 4 else ()))
+        for nodes in found:
+            assert nef_defects(row, d, nodes) == [], (case_id, d, nodes)
+        counts[case_id, d] = len(found)
+    assert counts == NEW_DEGREES
+    assert counts["D4", 4] * 40 == 5 * 192 * 6
+    assert counts["D5", 4] * 40 == 1_920 * 2
+    a1 = row_by_id("A1deg3")._replace(degrees=(4,))
+    splits = enumerate_decompositions.__wrapped__(a1, 4)
+    assert [split.part1 for split in splits if split.obstruction is None] == [(1,)]
 
 
 @pytest.mark.parametrize(
@@ -194,6 +211,10 @@ def test_oracle_reports_impossible_configuration():
     # rank 2 leaves no room for an A2 root pair at degree 7
     with pytest.raises(OracleUnavailable):
         oracle_embed(SurfaceSpec(7, ("A2",)))
+    # rank 3 < 4 passes the discriminant test, but A4 holds at most two
+    # orthogonal roots, so the search itself runs out
+    with pytest.raises(OracleUnavailable, match="no root embedding exists"):
+        oracle_embed(SurfaceSpec(5, ("A1", "A1", "A1")))
 
 
 def test_oracle_rejects_degree_nine_minus_one_curve():

@@ -5,17 +5,16 @@ existence classification and re-checkable non-log-canonical certificates
 ("tigers") with exhaustive decomposition obstructions.
 
 The top level exports the product path, parse -> classify -> build_tiger ->
-document.  ``import dpcylinders`` loads the first half, ``lattice``,
-``classify`` and ``specio``: a spec file is read, classified and its
-verdict written without the certificate path.  The certificate names,
-``build_tiger`` and the rest from ``tigers``, and the certificate
-documents of ``certificate``, load their module when first read.
+document.  ``import dpcylinders`` loads the first half, ``lattice``, which
+holds the specs and their verdicts, and ``specio``: a spec file is read,
+classified and its verdict written without the certificate path.  The
+certificate names, ``build_tiger`` and the rest from ``tigers``, and the
+certificate documents of ``certificate``, load their module when first read.
 Everything else is imported from its own module and is not loaded by
 ``import dpcylinders``.
 """
 
-from .classify import Verdict, classify
-from .lattice import DynkinType, InvalidSpec, SurfaceSpec, enumerate_specs
+from .lattice import DynkinType, InvalidSpec, SurfaceSpec, Verdict, classify, enumerate_specs
 from .specio import SpecFileError, parse_spec_text, render_document, verdict_document
 
 __version__ = "0.1.0"
@@ -23,8 +22,7 @@ __version__ = "0.1.0"
 # Read through ``__getattr__``, which imports the name's module on first
 # use.  A lazy name must not be the name of a submodule: once the
 # submodule is imported, the import system binds it on the package, and
-# ``__getattr__`` is never asked.  That is why ``classify`` is imported
-# above.
+# ``__getattr__`` is never asked.
 _LAZY_NAMES = {
     **dict.fromkeys((
         "NoCaseApplies", "TigerCertificate", "build_tiger", "case_tables",

@@ -34,8 +34,7 @@ from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import _LAZY_NAMES
-from .classify import classify
-from .lattice import InvalidSpec, SurfaceSpec, enumerate_specs
+from .lattice import InvalidSpec, SurfaceSpec, classify, enumerate_specs
 from .specio import SpecFileError, parse_spec_text, render_document, verdict_document
 
 

@@ -13,8 +13,7 @@ import json
 import re
 from typing import Any, Optional
 
-from .classify import Verdict
-from .lattice import InvalidSpec, SurfaceSpec, excerpt
+from .lattice import InvalidSpec, SurfaceSpec, Verdict, excerpt
 
 
 class SpecFileError(ValueError):

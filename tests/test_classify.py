@@ -6,8 +6,7 @@ reconciled with the construction engine in ``test_tigers.py``'s
 import pytest
 
 from dpcylinders import SurfaceSpec, classify, enumerate_specs
-from dpcylinders.classify import NO_POLAR_COLLECTIONS
-from dpcylinders.lattice import picard_rank
+from dpcylinders.lattice import NO_POLAR_COLLECTIONS, picard_rank
 
 # degree, singularities, anticanonical cylinder, polar cylinder
 FIXTURES = [

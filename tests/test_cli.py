@@ -3,9 +3,11 @@
 import codecs
 import contextlib
 import errno
+import importlib
 import io
 import json
 import os
+import pkgutil
 import resource
 import signal
 import stat
@@ -883,7 +885,7 @@ finally:
 # What `import dpcylinders` loads. The records are named tuples, not
 # dataclasses (which load inspect), and ratios are written from integers,
 # not Fractions, so no run loads those three.
-PACKAGE = {"dpcylinders", "dpcylinders.classify", "dpcylinders.lattice", "dpcylinders.specio"}
+PACKAGE = {"dpcylinders", "dpcylinders.lattice", "dpcylinders.specio"}
 CONSTRUCTION = {"dpcylinders.tigers"}
 
 
@@ -915,6 +917,15 @@ def test_each_run_loads_exactly_its_modules(spec_dir, tmp_path, args, code, load
     _, err = child.communicate()
     assert child.returncode == code, err
     assert set(json.loads(out.read_text(encoding="utf-8"))) == loaded
+
+
+def test_every_submodule_is_the_package_attribute_of_its_name():
+    # ``import dpcylinders.<name> as m`` binds the package's attribute
+    # ``<name>``, so a package name that is also a submodule's means two things
+    modules = {info.name: importlib.import_module(f"dpcylinders.{info.name}")
+               for info in pkgutil.iter_modules(dpcylinders.__path__)}
+    assert [name for name, module in modules.items()
+            if getattr(dpcylinders, name) is not module] == []
 
 
 def test_importtime_times_the_certificate_path(spec_dir, tmp_path):

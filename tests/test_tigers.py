@@ -549,7 +549,7 @@ def test_every_witness_recomputes():
                 assert obs.kind == DIMENSION_GAP
                 assert caps[0] + caps[1] >= mu
                 assert w["candidate_dim"] == full.dim - conditions(mu)
-                if row.case_id == "A2" and o.part1 == (1, 1):
+                if o.part1 == row.balanced_split:
                     expected = parts[0].dim - conditions(mu)
                 else:
                     expected = max(

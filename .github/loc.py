@@ -4,8 +4,11 @@
 # repo root:
 #   python3 .github/loc.py [BASE]
 # where BASE, when given, is a tree of the base to report the net change against.
-import ast, sys, tokenize
+import ast, signal, sys, tokenize
 from pathlib import Path
+# a reader that leaves early, as `| head` does, ends the count as it ends
+# any other command's, without a traceback
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 DIRS = ("src/dpcylinders", "tests")

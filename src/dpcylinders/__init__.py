@@ -9,7 +9,8 @@ document.  ``import dpcylinders`` loads the first half, ``lattice``, which
 holds the specs and their verdicts, and ``specio``: a spec file is read,
 classified and its verdict written without the certificate path.  The
 certificate names, ``build_tiger`` and the rest from ``tigers``, and the
-certificate documents of ``certificate``, load their module when first read.
+certificate documents and ``--trace`` lines (``narrate``) of ``certificate``,
+load their module when first read.
 Everything else is imported from its own module and is not loaded by
 ``import dpcylinders``.
 """
@@ -19,17 +20,17 @@ from .specio import SpecFileError, parse_spec_text, render_document, verdict_doc
 
 __version__ = "0.1.0"
 
-# Read through ``__getattr__``, which imports the name's module on first
-# use.  A lazy name must not be the name of a submodule: once the
-# submodule is imported, the import system binds it on the package, and
-# ``__getattr__`` is never asked.
-_LAZY_NAMES = {
-    **dict.fromkeys((
-        "NoCaseApplies", "TigerCertificate", "build_tiger", "case_tables",
-        "enumerate_decompositions", "narrate", "select_case",
-    ), "tigers"),
-    **dict.fromkeys(("certificate_chunks", "certificate_document"), "certificate"),
-}
+# Each lazy name and its module, in the order ``__all__`` lists them.  Read
+# through ``__getattr__``, which imports the name's module on first use.  A
+# lazy name must not be the name of a submodule: once the submodule is
+# imported, the import system binds it on the package, and ``__getattr__``
+# is never asked.
+_LAZY_NAMES = dict(
+    NoCaseApplies="tigers", TigerCertificate="tigers", build_tiger="tigers",
+    case_tables="tigers", enumerate_decompositions="tigers", narrate="certificate",
+    select_case="tigers", certificate_chunks="certificate",
+    certificate_document="certificate",
+)
 
 
 def __getattr__(name: str) -> object:

@@ -1,4 +1,5 @@
-"""The v1 certificate document: every split of a tiger's box, written out.
+"""What a certificate says: its v1 document, every split of a tiger's box
+written out, its assumptions and its ``--trace`` lines.
 
 A certificate holds only the splits that survive part 1's square test; its
 document lists every split of the box with both parts' numbers and its
@@ -12,7 +13,9 @@ points' runs of numbers and each value a split fills in.  A value's column
 is made once per certificate for each leading number it takes; a leading
 point's entries are the rows of its texts and its columns, and a chunk is
 one join of the pieces of its entries.  Each obstruction is worded here,
-from one template per witness shape (``_DESCRIPTIONS``)."""
+from one template per witness shape (``_DESCRIPTIONS``), and so is what the
+construction leans on (``ASSUME_*``) and its derivation (``narrate``):
+``tigers`` computes the numbers and obstructions and words none of them."""
 
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import json
 import re
 from functools import cache
 from itertools import chain, count, islice, product, repeat
+from math import prod
 from operator import mul
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
@@ -34,6 +38,8 @@ from .tigers import (
     Part,
     TigerCertificate,
     complement,
+    conditions,
+    fraction_text,
     part_numbers,
     square_kill,
 )
@@ -230,9 +236,39 @@ def _obstruction_text(obstruction: Optional[Obstruction]) -> str:
     return _ENCODER.encode(block).replace("\n", "\n" + _ENTRY_INDENT + "  ")
 
 
+ASSUME_VANISHING = (
+    "expected-dimension: linear system dimensions come from Riemann-Roch "
+    "with vanishing higher cohomology assumed throughout"
+)
+ASSUME_GENERALITY = (
+    "asserted-generality: existence and generality of members of the counted "
+    "families is asserted by dimension budget, not constructed"
+)
+ASSUME_E_DISJOINT = (
+    "minus-one-curve: E is taken disjoint from every exceptional curve"
+)
+NOTE_BALANCED_SPLIT = (
+    "balanced-split: the even split is excluded by comparing point-constrained "
+    "family dimensions, candidate against one anticanonical part"
+)
+
+
 def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
-    """A certificate's document with an empty "decompositions" array."""
+    """A certificate's document with an empty "decompositions" array.
+
+    Its tiger is N, and E where the row uses it, each over the multiple.
+    What the construction leans on comes before the row's notes at the
+    degree: the two assumptions of every construction, E's when the row
+    uses it, and the balanced split's when the row has one."""
     row, degree = cert.row, cert.spec.degree
+    components = [["N", fraction_text(1, row.multiple)]]
+    assumptions = [ASSUME_VANISHING, ASSUME_GENERALITY]
+    if row.e_coefficient:
+        components.append(["E", fraction_text(row.e_coefficient, row.multiple)])
+        assumptions.append(ASSUME_E_DISJOINT)
+    if row.balanced_split is not None:
+        assumptions.append(NOTE_BALANCED_SPLIT)
+    assumptions.extend(text for text, degrees in row.notes if degree in degrees)
     return {
         "kind": "tiger_certificate",
         "spec": _spec_block(cert.spec),
@@ -247,9 +283,9 @@ def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
         "residual_multiplicity": row.residual_multiplicity,
         "local_multiplicity": row.local_multiplicity,
         "ratio": row.ratio,
-        "tiger_components": [[lbl, c] for lbl, c in row.tiger_components],
+        "tiger_components": components,
         "decompositions": [],
-        "assumptions": list(row.assumptions(degree)),
+        "assumptions": assumptions,
         "status": cert.status,
     }
 
@@ -349,3 +385,33 @@ def certificate_document(cert: TigerCertificate) -> dict[str, Any]:
     """Full JSON form of a certificate: its document, parsed."""
     return json.loads("".join(certificate_chunks(cert)))
 
+
+def narrate(cert: TigerCertificate) -> Iterator[str]:
+    """The derivation behind a certificate, one line per step, as
+    ``dpcyl tiger --trace`` prints it."""
+    row, d, m = cert.row, cert.spec.degree, cert.row.multiple
+    point = (f"the intersection of {row.point[0]} and {row.point[1]}" if len(row.point) == 2
+             else f"a general point on {row.point[0]}" if row.point
+             else "a general smooth point")
+    yield f"case {row.case_id}: degree {d}, multiple {m}, marked point {point}"
+    terms = [lbl if c == 1 else f"{c}*{lbl}" for lbl, c in row.configuration]
+    yield f"relation: {m}*(-K) = {' + '.join(terms + ['N'])}"
+
+    residual = row.residual(d)
+    square, dim = residual.square, residual.dim
+    for lbl, v in zip(("K",) + row.curves, residual.pairings):
+        yield f"N.{lbl} = {v}"
+    yield f"N^2 = {square}"
+    yield f"dim|N| = (N^2 - N.K)/2 = ({square} - ({residual.pairings[0]}))/2 = {dim}"
+    mu = row.residual_multiplicity
+    yield f"conditions({mu}) = {conditions(mu)}; candidate family dim = {dim - conditions(mu)}"
+    yield f"local multiplicity = {row.local_multiplicity}; ratio = {row.ratio}"
+
+    unobstructed = cert.unobstructed
+    k = len(row.node_coefficients)
+    for split in unobstructed:
+        e = split.part1[k] if row.e_coefficient else 0
+        yield f"split nodes={split.part1[:k]} e={e}: NO OBSTRUCTION"
+    # every split of the box, as the document lists them
+    splits = prod(c + 1 for c in row.coefficients)
+    yield f"decompositions: {splits} splits, {len(unobstructed)} unobstructed"

@@ -16,17 +16,19 @@ alone; growing the first parts from the zero split finds the few that do
 not, with their numbers, and only those are checked further, each against
 the residual less its first part.  A split with no obstruction found
 downgrades the certificate to a discrepancy report; it never passes
-silently.  The certificate's document, which lists every split and words
-each obstruction, is written by :mod:`dpcylinders.certificate`; this module
-knows no rendering layout.
+silently.  This module computes numbers and obstructions; everything a
+certificate says in words, its document, its ``--trace`` lines and its
+assumptions, is written by :mod:`dpcylinders.certificate`.  Its only texts
+are the ratio, which ``sweep`` prints without loading ``certificate``, the
+case table's notes, which are case data, and its error messages.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from operator import mul, sub
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .lattice import DynkinType, SurfaceSpec, gram_table
 
@@ -134,26 +136,9 @@ class CaseTable(_CaseFields):
     def ratio(self) -> str:
         return fraction_text(self.local_multiplicity, self.multiple)
 
-    @property
-    def tiger_components(self) -> tuple[tuple[str, str], ...]:
-        components = (("N", fraction_text(1, self.multiple)),)
-        if self.e_coefficient:
-            components += (("E", fraction_text(self.e_coefficient, self.multiple)),)
-        return components
-
     def residual(self, degree: int) -> Part:
         """The relation's residual class N at a degree."""
         return part_numbers(self, degree, self.multiple, self.coefficients)
-
-    def assumptions(self, degree: int) -> tuple[str, ...]:
-        """What the construction leans on at a degree, notes last."""
-        assumptions = [ASSUME_VANISHING, ASSUME_GENERALITY]
-        if self.e_coefficient:
-            assumptions.append(ASSUME_E_DISJOINT)
-        if self.balanced_split is not None:
-            assumptions.append(NOTE_BALANCED_SPLIT)
-        assumptions.extend(text for text, degrees in self.notes if degree in degrees)
-        return tuple(assumptions)
 
 
 def case_tables() -> tuple[CaseTable, ...]:
@@ -166,19 +151,6 @@ def case_tables() -> tuple[CaseTable, ...]:
     return _CASE_ROWS
 
 
-ASSUME_VANISHING = (
-    "expected-dimension: linear system dimensions come from Riemann-Roch "
-    "with vanishing higher cohomology assumed throughout"
-)
-ASSUME_GENERALITY = (
-    "asserted-generality: existence and generality of members of the counted "
-    "families is asserted by dimension budget, not constructed"
-)
-ASSUME_E_DISJOINT = (
-    "minus-one-curve: E is taken disjoint from every exceptional curve"
-)
-
-
 NOTE_DEG4_BUDGET = (
     "degree-4-budget: at degree 4 two splits fail the multiplicity budget "
     "outright; the dimension comparison only bites at degree 6"
@@ -186,10 +158,6 @@ NOTE_DEG4_BUDGET = (
 NOTE_EXACT_BUDGET = (
     "exact-budget: the candidate family at the marked point has dimension "
     "exactly 0 (21 conditions against a 21-dimensional system)"
-)
-NOTE_BALANCED_SPLIT = (
-    "balanced-split: the even split is excluded by comparing point-constrained "
-    "family dimensions, candidate against one anticanonical part"
 )
 NOTE_OWN_COEFFICIENTS = (
     "multiplicity-recount: the local multiplicity uses this configuration's "
@@ -294,7 +262,8 @@ def complement(residual: Part, part: Part) -> Part:
 
 # Multiplicity m at a point cuts at most m(m+1)/2 dimensions from a linear
 # system on a rational surface with vanishing higher cohomology: exact
-# integer bookkeeping of expected dimensions, as ASSUME_VANISHING states.
+# integer bookkeeping of expected dimensions, which the certificate lists
+# among its assumptions as expected-dimension.
 def conditions(m: int) -> int:
     """Number of linear conditions imposed by multiplicity >= m at a point."""
     if m < 0:
@@ -321,8 +290,9 @@ def _point_cap(row: CaseTable, part: Part) -> int:
     ))
 
 
-# the walk asks at every step it could take: 8,365 times over the 40 (case
-# row, degree) boxes, of 37 distinct squares
+# over the 40 (case row, degree) boxes, the walk asks 6,992 times, at every
+# step it could take, and the obstruction pass 1,373 times; they ask of 37
+# distinct (part, square) keys, 22 distinct squares
 @cache
 def square_kill(part: int, square: int) -> Optional[Obstruction]:
     """The obstruction of a split whose part numbered ``part`` has this
@@ -526,34 +496,3 @@ def build_tiger(spec: SurfaceSpec) -> TigerCertificate:
     return TigerCertificate(
         spec, row, sing_index, enumerate_decompositions(row, spec.degree)
     )
-
-
-def narrate(cert: TigerCertificate) -> Iterator[str]:
-    """The derivation behind a certificate, one line per step, as
-    ``dpcyl tiger --trace`` prints it."""
-    row, d, m = cert.row, cert.spec.degree, cert.row.multiple
-    point = (f"the intersection of {row.point[0]} and {row.point[1]}" if len(row.point) == 2
-             else f"a general point on {row.point[0]}" if row.point
-             else "a general smooth point")
-    yield f"case {row.case_id}: degree {d}, multiple {m}, marked point {point}"
-    terms = [lbl if c == 1 else f"{c}*{lbl}" for lbl, c in row.configuration]
-    yield f"relation: {m}*(-K) = {' + '.join(terms + ['N'])}"
-
-    residual = row.residual(d)
-    square, dim = residual.square, residual.dim
-    for lbl, v in zip(("K",) + row.curves, residual.pairings):
-        yield f"N.{lbl} = {v}"
-    yield f"N^2 = {square}"
-    yield f"dim|N| = (N^2 - N.K)/2 = ({square} - ({residual.pairings[0]}))/2 = {dim}"
-    mu = row.residual_multiplicity
-    yield f"conditions({mu}) = {conditions(mu)}; candidate family dim = {dim - conditions(mu)}"
-    yield f"local multiplicity = {row.local_multiplicity}; ratio = {row.ratio}"
-
-    unobstructed = cert.unobstructed
-    k = len(row.node_coefficients)
-    for split in unobstructed:
-        e = split.part1[k] if row.e_coefficient else 0
-        yield f"split nodes={split.part1[:k]} e={e}: NO OBSTRUCTION"
-    # every split of the box, as the document lists them
-    splits = prod(c + 1 for c in row.coefficients)
-    yield f"decompositions: {splits} splits, {len(unobstructed)} unobstructed"

@@ -7,12 +7,17 @@ the dict builder the engine no longer uses, with each split's parts from
 ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` the stream must match
 byte for byte.  What the document states in words it derives with its own
 code: each obstruction's description from its kind and witness, the ratio
-with ``Fraction`` and the marked point's kind with ``point_kind``.
+with ``Fraction``, the marked point's kind with ``point_kind`` and the list
+of assumptions with ``assumptions``.
 """
 
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as quote
+
+from dpcylinders.certificate import (
+    ASSUME_E_DISJOINT, ASSUME_GENERALITY, ASSUME_VANISHING, NOTE_BALANCED_SPLIT,
+)
 
 from box_walk import plain_splits
 
@@ -46,6 +51,19 @@ def point_kind(curves):
     if not curves:
         return "general"
     return "node_intersection" if len(curves) == 2 else "on_curve"
+
+
+def assumptions(row, degree):
+    """What a construction leans on, in the document's order: the two
+    assumptions of every construction, E's when the row uses E, the
+    balanced split's when the row has one, then the row's notes at the
+    degree."""
+    return (
+        [ASSUME_VANISHING, ASSUME_GENERALITY]
+        + ([ASSUME_E_DISJOINT] if row.e_coefficient else [])
+        + ([NOTE_BALANCED_SPLIT] if row.balanced_split is not None else [])
+        + [text for text, degrees in row.notes if degree in degrees]
+    )
 
 
 @cache
@@ -104,7 +122,7 @@ def reference_document(cert):
             [["E", str(Fraction(row.e_coefficient, row.multiple))]] if row.e_coefficient else []
         ),
         "decompositions": decs,
-        "assumptions": list(row.assumptions(degree)),
+        "assumptions": assumptions(row, degree),
         "status": cert.status,
     }
 

@@ -6,8 +6,9 @@ existence classification and re-checkable non-log-canonical certificates
 
 The top level exports the product path, parse -> classify -> build_tiger ->
 document.  ``import dpcylinders`` loads the first half, ``lattice``, which
-holds the specs and their verdicts, and ``specio``: a spec file is read,
-classified and its verdict written without the certificate path.  The
+holds the specs and their verdicts with their text and JSON forms: a spec
+file is read, classified and its verdict written without the certificate
+path.  The
 certificate names, ``build_tiger`` and the rest from ``tigers``, and the
 certificate documents and ``--trace`` lines (``narrate``) of ``certificate``,
 load their module when first read.
@@ -15,8 +16,10 @@ Everything else is imported from its own module and is not loaded by
 ``import dpcylinders``.
 """
 
-from .lattice import DynkinType, InvalidSpec, SurfaceSpec, Verdict, classify, enumerate_specs
-from .specio import SpecFileError, parse_spec_text, render_document, verdict_document
+from .lattice import (
+    DynkinType, InvalidSpec, SpecFileError, SurfaceSpec, Verdict, classify, enumerate_specs,
+    parse_spec_text, render_document, verdict_document,
+)
 
 __version__ = "0.1.0"
 

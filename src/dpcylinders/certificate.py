@@ -6,16 +6,17 @@ document lists every split of the box with both parts' numbers and its
 obstruction, so it is checkable on its own.  It streams in chunks.  A
 split's numbers come from the parts ``tigers`` derives for three splits:
 its two half splits, each 0 on one half, and the zero split (``BoxHalves``).
-An entry is ``specio``'s encoding of a skeleton, cut by one regular
-expression into templates: the texts of a point of the box's leading half,
-and between them columns over the trailing half, each of the trailing
-points' runs of numbers and each value a split fills in.  A value's column
-is made once per certificate for each leading number it takes; a leading
-point's entries are the rows of its texts and its columns, and a chunk is
-one join of the pieces of its entries.  Each obstruction is worded here,
-from one template per witness shape (``_DESCRIPTIONS``), and so is what the
-construction leans on (``ASSUME_*``) and its derivation (``narrate``):
-``tigers`` computes the numbers and obstructions and words none of them."""
+An entry is a skeleton in the encoding of ``lattice``'s one encoder, cut
+by one regular expression into templates: the texts of a point of the box's
+leading half, and between them columns over the trailing half, each of the
+trailing points' runs of numbers and each value a split fills in.  A value's
+column is made once per certificate for each leading number it takes; a
+leading point's entries are the rows of its texts and its columns, and a
+chunk is one join of the pieces of its entries.  Each obstruction is worded
+here, from one template per witness shape (``_DESCRIPTIONS``), and so is
+what the construction leans on (``ASSUME_*``) and its derivation
+(``narrate``): ``tigers`` computes the numbers and obstructions and words
+none of them."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from math import prod
 from operator import mul
 from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
-from .specio import _ENCODER, _spec_block, render_document
+from .lattice import _ENCODER, _spec_block, render_document
 from .tigers import (
     DIMENSION_GAP,
     DISJOINTNESS,

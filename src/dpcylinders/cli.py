@@ -34,8 +34,10 @@ from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import _LAZY_NAMES
-from .lattice import InvalidSpec, SurfaceSpec, classify, enumerate_specs
-from .specio import SpecFileError, parse_spec_text, render_document, verdict_document
+from .lattice import (
+    InvalidSpec, SpecFileError, SurfaceSpec, classify, enumerate_specs, parse_spec_text,
+    render_document, verdict_document,
+)
 
 
 # The certificate path: the package's lazy names (``build_tiger``,

@@ -885,7 +885,7 @@ finally:
 # What `import dpcylinders` loads. The records are named tuples, not
 # dataclasses (which load inspect), and ratios are written from integers,
 # not Fractions, so no run loads those three.
-PACKAGE = {"dpcylinders", "dpcylinders.lattice", "dpcylinders.specio"}
+PACKAGE = {"dpcylinders", "dpcylinders.lattice"}
 CONSTRUCTION = {"dpcylinders.tigers"}
 
 
@@ -895,8 +895,8 @@ CONSTRUCTION = {"dpcylinders.tigers"}
         # the construction and the certificate document load with the
         # command that runs them
         (("import", "dpcylinders.cli"), 0, PACKAGE | {"dpcylinders.cli"}),
-        # specio reads spec files and writes verdicts, not certificates
-        (("import", "dpcylinders.specio"), 0, PACKAGE),
+        # lattice reads spec files and writes verdicts, not certificates
+        (("import", "dpcylinders.lattice"), 0, PACKAGE),
         (("classify", "node_cubic.txt"), cli.EXIT_OK, PACKAGE),
         (("classify", "unknown_key.txt"), cli.EXIT_BAD_FILE, PACKAGE),
         (("classify", "bad_type.txt"), cli.EXIT_BAD_SPEC, PACKAGE),
@@ -906,7 +906,7 @@ CONSTRUCTION = {"dpcylinders.tigers"}
         # the report gives each certified spec's case and ratio, not its document
         (("sweep",), cli.EXIT_OK, PACKAGE | CONSTRUCTION),
     ],
-    ids=["import-cli", "import-specio", "classify", "malformed", "invalid",
+    ids=["import-cli", "import-lattice", "classify", "malformed", "invalid",
          "tiger-no-cylinder", "tiger", "sweep"],
 )
 def test_each_run_loads_exactly_its_modules(spec_dir, tmp_path, args, code, loaded):

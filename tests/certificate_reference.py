@@ -8,18 +8,33 @@ the dict builder the engine no longer uses, with each split's parts from
 byte for byte.  What the document states in words it derives with its own
 code: each obstruction's description from its kind and witness, the ratio
 with ``Fraction``, the marked point's kind with ``point_kind`` and the list
-of assumptions with ``assumptions``.
+of assumptions with ``assumptions``, in its own copy of their words
+(``WORDING``), so a reworded assumption or note is a moved byte here.
 """
 
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as quote
 
-from dpcylinders.certificate import (
-    ASSUME_E_DISJOINT, ASSUME_GENERALITY, ASSUME_VANISHING, NOTE_BALANCED_SPLIT,
-)
-
 from box_walk import plain_splits
+
+# Every assumption and note a certificate states, by its tag, the text
+# before the colon: a row's notes are looked up here by their tag.
+WORDING = {text.partition(":")[0]: text for text in (
+    "expected-dimension: linear system dimensions come from Riemann-Roch "
+    "with vanishing higher cohomology assumed throughout",
+    "asserted-generality: existence and generality of members of the counted "
+    "families is asserted by dimension budget, not constructed",
+    "minus-one-curve: E is taken disjoint from every exceptional curve",
+    "balanced-split: the even split is excluded by comparing point-constrained "
+    "family dimensions, candidate against one anticanonical part",
+    "degree-4-budget: at degree 4 two splits fail the multiplicity budget "
+    "outright; the dimension comparison only bites at degree 6",
+    "exact-budget: the candidate family at the marked point has dimension "
+    "exactly 0 (21 conditions against a 21-dimensional system)",
+    "multiplicity-recount: the local multiplicity uses this configuration's "
+    "own coefficients at the marked point",
+)}
 
 
 def spec_block(spec):
@@ -58,12 +73,13 @@ def assumptions(row, degree):
     assumptions of every construction, E's when the row uses E, the
     balanced split's when the row has one, then the row's notes at the
     degree."""
-    return (
-        [ASSUME_VANISHING, ASSUME_GENERALITY]
-        + ([ASSUME_E_DISJOINT] if row.e_coefficient else [])
-        + ([NOTE_BALANCED_SPLIT] if row.balanced_split is not None else [])
-        + [text for text, degrees in row.notes if degree in degrees]
+    tags = (
+        ["expected-dimension", "asserted-generality"]
+        + (["minus-one-curve"] if row.e_coefficient else [])
+        + (["balanced-split"] if row.balanced_split is not None else [])
+        + [text.partition(":")[0] for text, degrees in row.notes if degree in degrees]
     )
+    return [WORDING[tag] for tag in tags]
 
 
 @cache

@@ -882,9 +882,10 @@ finally:
                          or m in ("dataclasses", "inspect", "fractions")), fh)
 """
 
-# What `import dpcylinders` loads. The records are named tuples, not
-# dataclasses (which load inspect), and ratios are written from integers,
-# not Fractions, so no run loads those three.
+# What `import dpcylinders` loads: the package and `lattice`, which holds
+# the specs and verdicts with their text and JSON forms. The records are
+# named tuples, not dataclasses (which load inspect), and ratios are written
+# from integers, not Fractions, so no run loads those three.
 PACKAGE = {"dpcylinders", "dpcylinders.lattice"}
 CONSTRUCTION = {"dpcylinders.tigers"}
 

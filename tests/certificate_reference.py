@@ -9,7 +9,7 @@ byte for byte.  What the document states in words it derives with its own
 code: each obstruction's description from its kind and witness, the ratio
 with ``Fraction``, the marked point's kind with ``point_kind`` and the list
 of assumptions with ``assumptions``, in its own copy of their words
-(``WORDING``), so a reworded assumption or note is a moved byte here.
+(``WORDING``), so a reworded assumption or note fails the byte comparison.
 """
 
 from fractions import Fraction

@@ -14,9 +14,10 @@ column is made once per certificate for each leading number it takes; a
 leading point's entries are the rows of its texts and its columns, and a
 chunk is one join of the pieces of its entries.  Each obstruction is worded
 here, from one template per witness shape (``_DESCRIPTIONS``), and so is
-what the construction leans on (``ASSUME_*``) and its derivation
-(``narrate``): ``tigers`` computes the numbers and obstructions and words
-none of them."""
+its derivation (``narrate``) and what the construction leans on: one table
+(``ASSUMPTIONS``) words each tag, whether the certificate states it for
+every construction or a case row names it.  ``tigers`` computes the
+numbers and obstructions and words none of them."""
 
 from __future__ import annotations
 
@@ -237,39 +238,44 @@ def _obstruction_text(obstruction: Optional[Obstruction]) -> str:
     return _ENCODER.encode(block).replace("\n", "\n" + _ENTRY_INDENT + "  ")
 
 
-ASSUME_VANISHING = (
+# What a construction leans on, each text by its tag, the text before the
+# colon: the two assumptions of every construction, E's, the balanced
+# split's and the notes a case row names by tag.
+ASSUMPTIONS = {text.partition(":")[0]: text for text in (
     "expected-dimension: linear system dimensions come from Riemann-Roch "
-    "with vanishing higher cohomology assumed throughout"
-)
-ASSUME_GENERALITY = (
+    "with vanishing higher cohomology assumed throughout",
     "asserted-generality: existence and generality of members of the counted "
-    "families is asserted by dimension budget, not constructed"
-)
-ASSUME_E_DISJOINT = (
-    "minus-one-curve: E is taken disjoint from every exceptional curve"
-)
-NOTE_BALANCED_SPLIT = (
+    "families is asserted by dimension budget, not constructed",
+    "minus-one-curve: E is taken disjoint from every exceptional curve",
     "balanced-split: the even split is excluded by comparing point-constrained "
-    "family dimensions, candidate against one anticanonical part"
-)
+    "family dimensions, candidate against one anticanonical part",
+    "degree-4-budget: at degree 4 two splits fail the multiplicity budget "
+    "outright; the dimension comparison only bites at degree 6",
+    "exact-budget: the candidate family at the marked point has dimension "
+    "exactly 0 (21 conditions against a 21-dimensional system)",
+    "multiplicity-recount: the local multiplicity uses this configuration's "
+    "own coefficients at the marked point",
+)}
 
 
 def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
     """A certificate's document with an empty "decompositions" array.
 
     Its tiger is N, and E where the row uses it, each over the multiple.
-    What the construction leans on comes before the row's notes at the
-    degree: the two assumptions of every construction, E's when the row
-    uses it, and the balanced split's when the row has one."""
+    What the construction leans on, by tag, comes before the row's notes at
+    the degree: the two assumptions of every construction; E's when the row
+    uses it, as ``CaseTable.form`` places E disjoint from every node; and
+    the balanced split's when the row has one, which ``tigers`` compares
+    against the one-part family.  Each tag is worded by ``ASSUMPTIONS``."""
     row, degree = cert.row, cert.spec.degree
     components = [["N", fraction_text(1, row.multiple)]]
-    assumptions = [ASSUME_VANISHING, ASSUME_GENERALITY]
+    tags = ["expected-dimension", "asserted-generality"]
     if row.e_coefficient:
         components.append(["E", fraction_text(row.e_coefficient, row.multiple)])
-        assumptions.append(ASSUME_E_DISJOINT)
+        tags.append("minus-one-curve")
     if row.balanced_split is not None:
-        assumptions.append(NOTE_BALANCED_SPLIT)
-    assumptions.extend(text for text, degrees in row.notes if degree in degrees)
+        tags.append("balanced-split")
+    tags.extend(tag for tag, degrees in row.notes if degree in degrees)
     return {
         "kind": "tiger_certificate",
         "spec": _spec_block(cert.spec),
@@ -286,7 +292,7 @@ def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
         "ratio": row.ratio,
         "tiger_components": components,
         "decompositions": [],
-        "assumptions": assumptions,
+        "assumptions": [ASSUMPTIONS[tag] for tag in tags],
         "status": cert.status,
     }
 

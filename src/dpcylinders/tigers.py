@@ -19,8 +19,8 @@ downgrades the certificate to a discrepancy report; it never passes
 silently.  This module computes numbers and obstructions; everything a
 certificate says in words, its document, its ``--trace`` lines and its
 assumptions, is written by :mod:`dpcylinders.certificate`.  Its only texts
-are the ratio, which ``sweep`` prints without loading ``certificate``, the
-case table's notes, which are case data, and its error messages.
+are the ratio, which ``sweep`` prints without loading ``certificate``, and
+its error messages: a case row names its notes by tag.
 """
 
 from __future__ import annotations
@@ -77,9 +77,11 @@ class CaseTable(_CaseFields):
     intersection point.
     ``balanced_split`` is the first part's coefficient vector of the one
     split whose dimension gap is taken against the one-part family through
-    the marked point; ``notes`` are certificate notes, each with the degrees
-    it applies at.  A row keeps no ``__slots__``: its derived numbers are
-    cached in its ``__dict__``.
+    the marked point; ``notes`` are the row's own certificate notes, each a
+    (tag, degrees) pair, such as ``(("exact-budget", (3,)),)``: the tag of
+    a text of ``certificate.ASSUMPTIONS`` and the degrees it applies at.
+    A row keeps no ``__slots__``: its derived numbers are cached in its
+    ``__dict__``.
     """
 
     @cached_property
@@ -151,26 +153,13 @@ def case_tables() -> tuple[CaseTable, ...]:
     return _CASE_ROWS
 
 
-NOTE_DEG4_BUDGET = (
-    "degree-4-budget: at degree 4 two splits fail the multiplicity budget "
-    "outright; the dimension comparison only bites at degree 6"
-)
-NOTE_EXACT_BUDGET = (
-    "exact-budget: the candidate family at the marked point has dimension "
-    "exactly 0 (21 conditions against a 21-dimensional system)"
-)
-NOTE_OWN_COEFFICIENTS = (
-    "multiplicity-recount: the local multiplicity uses this configuration's "
-    "own coefficients at the marked point"
-)
-
 _CASE_ROWS = (
     CaseTable("deg7plus", (7, 8, 9), None, 2, (), 0, (), 5),
     CaseTable("deg4or6", (4, 6), None, 3, (), 2, ("E",), 5,
-              notes=((NOTE_DEG4_BUDGET, (4,)),)),
+              notes=(("degree-4-budget", (4,)),)),
     CaseTable("deg5", (5,), None, 4, (), 0, (), 9),
     CaseTable("A1deg3", (3,), DynkinType("A", 1), 4, (3,), 0, ("D1",), 6,
-              notes=((NOTE_EXACT_BUDGET, (3,)),)),
+              notes=(("exact-budget", (3,)),)),
     CaseTable("A2", (2, 3), DynkinType("A", 2), 2, (2, 2), 0, ("D1", "D2"), 1,
               balanced_split=(1, 1)),
     CaseTable("A3", (2, 3), DynkinType("A", 3), 2, (2, 2, 1), 0, ("D1", "D2"), 1),
@@ -187,7 +176,7 @@ _CASE_ROWS = (
     CaseTable("E6", (1, 2, 3), DynkinType("E", 6), 2, (2, 1, 2, 3, 2, 1), 0, ("D4", "D5"), 0),
     CaseTable("E7", (1, 2), DynkinType("E", 7), 2, (2, 2, 3, 4, 3, 2, 1), 0, ("D4", "D5"), 0),
     CaseTable("E8", (1,), DynkinType("E", 8), 2, (3, 2, 4, 6, 5, 4, 3, 2), 0, ("D4", "D5"), 0,
-              notes=((NOTE_OWN_COEFFICIENTS, (1,)),)),
+              notes=(("multiplicity-recount", (1,)),)),
 )
 
 

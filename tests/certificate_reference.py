@@ -9,7 +9,9 @@ byte for byte.  What the document states in words it derives with its own
 code: each obstruction's description from its kind and witness, the ratio
 with ``Fraction``, the marked point's kind with ``point_kind`` and the list
 of assumptions with ``assumptions``, in its own copy of their words
-(``WORDING``), so a reworded assumption or note fails the byte comparison.
+(``WORDING``) and its own record of which case states which note
+(``CASE_NOTES``), so a reworded, dropped or added assumption or note fails
+the byte comparison.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from json.encoder import encode_basestring_ascii as quote
 from box_walk import plain_splits
 
 # Every assumption and note a certificate states, by its tag, the text
-# before the colon: a row's notes are looked up here by their tag.
+# before the colon.
 WORDING = {text.partition(":")[0]: text for text in (
     "expected-dimension: linear system dimensions come from Riemann-Roch "
     "with vanishing higher cohomology assumed throughout",
@@ -35,6 +37,15 @@ WORDING = {text.partition(":")[0]: text for text in (
     "multiplicity-recount: the local multiplicity uses this configuration's "
     "own coefficients at the marked point",
 )}
+
+# The cases that state notes of their own, each note's tag with the degrees
+# it applies at, by case id: a row redrawn from a case keeps its notes, and
+# a note dropped from or added to a case row fails the byte comparison.
+CASE_NOTES = {
+    "deg4or6": (("degree-4-budget", (4,)),),
+    "A1deg3": (("exact-budget", (3,)),),
+    "E8": (("multiplicity-recount", (1,)),),
+}
 
 
 def spec_block(spec):
@@ -71,13 +82,13 @@ def point_kind(curves):
 def assumptions(row, degree):
     """What a construction leans on, in the document's order: the two
     assumptions of every construction, E's when the row uses E, the
-    balanced split's when the row has one, then the row's notes at the
-    degree."""
+    balanced split's when the row has one, then its case's notes at the
+    degree (``CASE_NOTES``)."""
     tags = (
         ["expected-dimension", "asserted-generality"]
         + (["minus-one-curve"] if row.e_coefficient else [])
         + (["balanced-split"] if row.balanced_split is not None else [])
-        + [text.partition(":")[0] for text, degrees in row.notes if degree in degrees]
+        + [tag for tag, degrees in CASE_NOTES.get(row.case_id, ()) if degree in degrees]
     )
     return [WORDING[tag] for tag in tags]
 

@@ -23,7 +23,7 @@ from dpcylinders.certificate import certificate_chunks, certificate_document
 from dpcylinders.tigers import TigerCertificate
 
 from box_walk import redrawn_boxes, smallest_certificate
-from certificate_reference import reference_document, reference_text
+from certificate_reference import assumptions, reference_document, reference_text
 from conftest import forced_discrepancy
 from residual_fixtures import row_by_id
 
@@ -78,6 +78,18 @@ def test_stream_matches_the_dict_builder(row, d):
         # a bool, so that a failure does not print the two documents whole
         same = certificate_document(cert) == reference
         assert same
+
+
+def test_every_head_states_the_references_assumptions():
+    """The assumption list of every (case row, degree) pair, D8 and E8
+    included, against the dict builder's rule and its own record of each
+    case's notes: the head alone, as the largest documents are 333 MB."""
+    pairs = [(row, d) for row in case_tables() for d in row.degrees]
+    assert len(pairs) == 40
+    wrong = [f"{row.case_id}-d{d}" for row, d in pairs
+             if certificate._certificate_shell(smallest_certificate(row, d))["assumptions"]
+             != assumptions(row, d)]
+    assert not wrong
 
 
 @settings(max_examples=60, deadline=None)

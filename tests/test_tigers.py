@@ -28,13 +28,12 @@ from dpcylinders import (
 )
 from dpcylinders.lattice import gram_table
 from dpcylinders import certificate, tigers
-from dpcylinders.certificate import ASSUME_E_DISJOINT, BoxHalves, certificate_document, narrate
+from dpcylinders.certificate import BoxHalves, certificate_document, narrate
 from dpcylinders.tigers import (
     DIMENSION_GAP,
     DISJOINTNESS,
     MULTIPLICITY_BUDGET,
     NEGATIVE_SELF_INTERSECTION,
-    NOTE_OWN_COEFFICIENTS,
     Obstruction,
     complement,
     conditions,
@@ -45,6 +44,7 @@ from dpcylinders.tigers import (
 )
 
 from box_walk import box, box_walk, every_outcome, redrawn_boxes, split_parts
+from certificate_reference import WORDING
 from conftest import forced_discrepancy
 from pairing_reference import pairings, row_reference
 from residual_fixtures import RESIDUAL_FIXTURES, ev, minimal_spec_args, row_by_id
@@ -107,7 +107,9 @@ def test_case_rows_are_internally_consistent():
                 assert 1 <= int(label[1:]) <= rank
         # the only auxiliary-curve case is the degree 4/6 construction
         assert (row.e_coefficient > 0) == (row.case_id == "deg4or6")
-        for _, degrees in row.notes:
+        for tag, degrees in row.notes:
+            # a tag that names no text would fail only where its document is built
+            assert tag in certificate.ASSUMPTIONS, (row.case_id, tag)
             assert set(degrees) <= set(row.degrees)
         if row.balanced_split is not None:
             assert len(row.balanced_split) == len(row.curves)
@@ -667,7 +669,7 @@ def test_certificate_e8():
     assert row.ratio == str(Fraction(11, 2))
     head = certificate._certificate_shell(cert)
     assert head["tiger_components"] == [["N", str(Fraction(1, 2))]]
-    assert NOTE_OWN_COEFFICIENTS in head["assumptions"]
+    assert WORDING["multiplicity-recount"] in head["assumptions"]
     assert cert.status == "certified"
 
 
@@ -682,7 +684,7 @@ def test_certificate_degree_six_smooth():
     assert head["tiger_components"] == [
         ["N", str(Fraction(1, 3))], ["E", str(Fraction(2, 3))],
     ]
-    assert ASSUME_E_DISJOINT in head["assumptions"]
+    assert WORDING["minus-one-curve"] in head["assumptions"]
     assert row.ratio == str(Fraction(7, 3))
 
 

@@ -266,7 +266,9 @@ def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
     the degree: the two assumptions of every construction; E's when the row
     uses it, as ``CaseTable.form`` places E disjoint from every node; and
     the balanced split's when the row has one, which ``tigers`` compares
-    against the one-part family.  Each tag is worded by ``ASSUMPTIONS``."""
+    against the one-part family.  Each tag is worded by ``ASSUMPTIONS``.
+    The status is "discrepancy" when a walked split is unobstructed, else
+    "certified"."""
     row, degree = cert.row, cert.spec.degree
     components = [["N", fraction_text(1, row.multiple)]]
     tags = ["expected-dimension", "asserted-generality"]
@@ -293,7 +295,7 @@ def _certificate_shell(cert: TigerCertificate) -> dict[str, Any]:
         "tiger_components": components,
         "decompositions": [],
         "assumptions": [ASSUMPTIONS[tag] for tag in tags],
-        "status": cert.status,
+        "status": "discrepancy" if cert.unobstructed else "certified",
     }
 
 

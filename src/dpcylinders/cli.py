@@ -233,9 +233,9 @@ def _cmd_tiger(args: argparse.Namespace, spec: SurfaceSpec, write: Writer) -> in
     if args.trace:
         _write_stderr("".join(line + "\n" for line in narrate(cert)))
     write(certificate_chunks(cert))
-    if cert.status != "certified":
+    if unobstructed := cert.unobstructed:
         _write_stderr(
-            f"{spec}: {len(cert.unobstructed)} decomposition(s) carry no obstruction\n"
+            f"{spec}: {len(unobstructed)} decomposition(s) carry no obstruction\n"
         )
         return EXIT_DISCREPANCY
     return EXIT_OK
@@ -261,7 +261,7 @@ def _cmd_sweep(args: argparse.Namespace, _: None, write: Writer) -> int:
             failures += 1
             lines.append(f"{head} DISCREPANCY: {exc}")
             continue
-        if cert.status != "certified":
+        if cert.unobstructed:
             failures += 1
             lines.append(f"{head} case={cert.row.case_id} DISCREPANCY: unobstructed split")
             continue

@@ -333,7 +333,7 @@ def _obstruction_for(row: CaseTable, residual: Part, first: Part) -> Optional[Ob
         for idx, part in enumerate(parts, start=1):
             carries_nothing = all(part.coefficients[i] == 0 for i in row.point_indices)
             pairs_zero = any(part.pairings[1 + i] == 0 for i in row.point_indices)
-            if row.point_indices and carries_nothing and pairs_zero:
+            if carries_nothing and pairs_zero:
                 return Obstruction(
                     DISJOINTNESS,
                     (("part", idx), ("required", mu),
@@ -434,14 +434,17 @@ def enumerate_decompositions(row: CaseTable, degree: int) -> tuple[Split, ...]:
 
 
 class TigerCertificate(NamedTuple):
-    """Complete, re-checkable record of one construction: the spec, the
-    case row that builds its tiger, the matched singularity instance (None
-    for the degree-driven rows) and the splits that survive part 1's square
-    test, each with its obstruction.
+    """Complete, re-checkable record of one construction: its ``spec``,
+    the case ``row`` that builds its tiger, the ``singularity_index`` of the
+    matched singularity instance (None for the degree-driven rows) and the
+    ``decompositions``, the splits that survive part 1's square test, each
+    with its obstruction.
 
     Every other split dies on part 1's square (the certificate document
     lists them all), and every other number of the certificate is read off
-    the case row.
+    the case row.  ``unobstructed`` holds the walked splits with no
+    obstruction: the certificate holds exactly when it is empty, and the
+    document's status is worded from it by :mod:`dpcylinders.certificate`.
     """
 
     spec: SurfaceSpec
@@ -452,10 +455,6 @@ class TigerCertificate(NamedTuple):
     @property
     def unobstructed(self) -> tuple[Split, ...]:
         return tuple(s for s in self.decompositions if s.obstruction is None)
-
-    @property
-    def status(self) -> str:
-        return "discrepancy" if self.unobstructed else "certified"
 
 
 def select_case(spec: SurfaceSpec) -> tuple[CaseTable, Optional[int]]:

@@ -7,11 +7,11 @@ the dict builder the engine no longer uses, with each split's parts from
 ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` the stream must match
 byte for byte.  What the document states in words it derives with its own
 code: each obstruction's description from its kind and witness, the ratio
-with ``Fraction``, the marked point's kind with ``point_kind`` and the list
-of assumptions with ``assumptions``, in its own copy of their words
-(``WORDING``) and its own record of which case states which note
-(``CASE_NOTES``), so a reworded, dropped or added assumption or note fails
-the byte comparison.
+with ``Fraction``, the status from its own split entries, the marked
+point's kind with ``point_kind`` and the list of assumptions with
+``assumptions``, in its own copy of their words (``WORDING``) and its own
+record of which case states which note (``CASE_NOTES``), so a reworded,
+dropped or added assumption or note fails the byte comparison.
 """
 
 from fractions import Fraction
@@ -150,7 +150,7 @@ def reference_document(cert):
         ),
         "decompositions": decs,
         "assumptions": assumptions(row, degree),
-        "status": cert.status,
+        "status": "discrepancy" if any(d["obstruction"] is None for d in decs) else "certified",
     }
 
 

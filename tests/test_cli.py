@@ -26,12 +26,16 @@ from dpcylinders import (
     SpecFileError,
     SurfaceSpec,
     build_tiger,
+    classify,
+    enumerate_specs,
     parse_spec_text,
+    select_case,
 )
 from dpcylinders import cli, tigers
 from dpcylinders.certificate import certificate_chunks
 
 from conftest import forced_discrepancy
+from residual_fixtures import RESIDUAL_FIXTURES
 
 
 SPEC_FILES = {
@@ -639,6 +643,8 @@ def test_uncovered_and_unobstructed_specs_are_discrepancies(spec_dir, capsys, mo
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_reports_every_spec(tmp_path, capsys):
+    """Every line of the report, each rebuilt from the spec's verdict, the
+    case row ``select_case`` picks and that row's hand-checked ratio."""
     out_path = tmp_path / "sweep.txt"
     code, _, _ = run_cli(capsys, "sweep", "--out", str(out_path))
     assert code == cli.EXIT_OK
@@ -649,6 +655,18 @@ def test_sweep_reports_every_spec(tmp_path, capsys):
     assert "degree 1 2D4: anticanonical=no polar=no" in lines
     assert "degree 3 smooth: anticanonical=no polar=yes" in lines
     assert sum(1 for line in lines if line.endswith("certified")) == 188
+    expected = []
+    for spec in enumerate_specs():
+        verdict = classify(spec)
+        line = (f"degree {spec.degree} {spec.singularity_label}: "
+                f"anticanonical={'yes' if verdict.anticanonical_cylinder else 'no'} "
+                f"polar={'yes' if verdict.h_polar_cylinder else 'no'}")
+        if verdict.anticanonical_cylinder:
+            case_id = select_case(spec)[0].case_id
+            line += f" case={case_id} ratio={RESIDUAL_FIXTURES[case_id].ratio} certified"
+        expected.append(line)
+    expected.append(f"{len(expected)} specs, 0 discrepancies")
+    assert report == "\n".join(expected) + "\n"
 
     code, _, _ = run_cli(capsys, "sweep", "--out", str(out_path))
     assert out_path.read_text(encoding="utf-8") == report  # reproducible

@@ -187,7 +187,7 @@ def test_certificates_match_fixtures(case_id):
         cert = build_tiger(SurfaceSpec(*minimal_spec_args(case_id, d)))
         assert cert.row == row
         assert cert.spec.degree == d
-        assert cert.status == "certified"
+        assert not cert.unobstructed
         # pairings with K, then the nodes, then E
         residual = row.residual(d)
         e = () if fix.e_pairing is None else (fix.e_pairing,)
@@ -647,7 +647,7 @@ def test_every_cylinder_spec_certifies():
     assert len(covered) == 188
     for spec in covered:
         cert = build_tiger(spec)
-        assert cert.status == "certified", spec
+        assert not cert.unobstructed, spec
         assert cert.row.ratio == str(RESIDUAL_FIXTURES[cert.row.case_id].ratio), spec
         assert cert.row.local_multiplicity > 2 * cert.row.multiple, spec
 
@@ -670,7 +670,7 @@ def test_certificate_e8():
     head = certificate._certificate_shell(cert)
     assert head["tiger_components"] == [["N", str(Fraction(1, 2))]]
     assert WORDING["multiplicity-recount"] in head["assumptions"]
-    assert cert.status == "certified"
+    assert not cert.unobstructed
 
 
 def test_certificate_degree_six_smooth():
@@ -701,7 +701,7 @@ def test_unobstructed_split_forces_discrepancy():
     # nothing in the real tables is unobstructed, so simulate the failure
     with forced_discrepancy():
         cert = build_tiger(SurfaceSpec(5, ()))
-    assert cert.status == "discrepancy"
+    assert cert.unobstructed
     assert all(o.obstruction is None for o in cert.decompositions)
     assert cert.unobstructed == cert.decompositions
     lines = list(narrate(cert))

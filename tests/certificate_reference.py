@@ -14,9 +14,9 @@ record of which case states which note (``CASE_NOTES``), so a reworded,
 dropped or added assumption or note fails the byte comparison.
 """
 
+import json
 from fractions import Fraction
 from functools import cache
-from json.encoder import encode_basestring_ascii as quote
 
 from box_walk import plain_splits
 
@@ -155,35 +155,5 @@ def reference_document(cert):
 
 
 def reference_text(doc):
-    """A document as ``dpcyl`` writes it:
-    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``."""
-    return indented(doc) + "\n"
-
-
-LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def indented(value, indent="\n"):
-    """``json.dumps(value, indent=2, sort_keys=True)`` for a value built of
-    dicts with string keys, lists, strings, integers, booleans and None.
-
-    With an indent, json renders in pure Python, one token at a time
-    through a generator per level of nesting; this joins each container's
-    items at once, in half the time on the large references.
-    """
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return quote(value)
-    if kind is list or kind is dict:
-        brackets = "[]" if kind is list else "{}"
-        if not value:
-            return brackets
-        inner = indent + "  "
-        if kind is list:
-            items = [indented(item, inner) for item in value]
-        else:
-            items = [quote(key) + ": " + indented(value[key], inner) for key in sorted(value)]
-        return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
-    return LITERALS[value]
+    """A document as ``dpcyl`` writes it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -4,12 +4,12 @@ The heart of the suite, with one check per derivation: every case row is
 checked against hand-derived numbers, the hand-worked split outcomes sit in
 one table, the walk is compared with a plain walk of the whole box, every
 decomposition outcome is recomputed from scratch, and the certificate
-assembly is exercised end to end including the forced-failure path.
+assembly is exercised end to end including the forced-failure path.  The
+tests that read the v1 document or its renderer's box halves are in
+``test_certificate``.
 """
 
 from fractions import Fraction
-from itertools import product
-from operator import mul
 from string import Formatter
 
 import pytest
@@ -28,7 +28,7 @@ from dpcylinders import (
 )
 from dpcylinders.lattice import gram_table
 from dpcylinders import certificate, tigers
-from dpcylinders.certificate import BoxHalves, certificate_document, narrate
+from dpcylinders.certificate import narrate
 from dpcylinders.tigers import (
     DIMENSION_GAP,
     DISJOINTNESS,
@@ -43,7 +43,7 @@ from dpcylinders.tigers import (
     square_survivors,
 )
 
-from box_walk import box, box_walk, every_outcome, redrawn_boxes, split_parts
+from box_walk import box_walk, every_outcome, redrawn_boxes, split_parts
 from certificate_reference import WORDING
 from conftest import forced_discrepancy
 from pairing_reference import pairings, row_reference
@@ -145,20 +145,6 @@ def test_marked_points_lie_on_the_configuration():
             assert gram_table(row.singularity)[i][j] == 1, row.case_id
 
 
-def test_point_kind_follows_its_curves():
-    # no curve, one curve and two curves through the marked point: the
-    # document names the kind, the trace says where the point is
-    for spec, kind, curves, where in (
-        (SurfaceSpec(5, ()), "general", [], "a general smooth point"),
-        (SurfaceSpec(6, ()), "on_curve", ["E"], "a general point on E"),
-        (SurfaceSpec(2, ("A2",)), "node_intersection", ["D1", "D2"],
-         "the intersection of D1 and D2"),
-    ):
-        cert = build_tiger(spec)
-        assert certificate_document(cert)["point"] == {"kind": kind, "curves": curves}
-        assert next(narrate(cert)).endswith(f", marked point {where}"), spec
-
-
 # ----------------------------------------------------- residual class numbers
 
 @pytest.mark.acceptance(3)
@@ -235,29 +221,6 @@ def test_a1_cubic_split_squares():
     assert box_walk(row_by_id("A1deg3"), 3).squares.tolist() == [3, 1, -5, -15]
 
 
-def test_part_numbers_match_pairing_table():
-    # closed forms against the literal pairing table, for every split of a
-    # few structurally different cases
-    checks = [("A2", 3), ("A3", 2), ("D4", 3), ("A1deg3", 3), ("E6", 1), ("deg4or6", 6)]
-    for case_id, d in checks:
-        row = row_by_id(case_id)
-        table, _ = row_reference(row, d)
-        # both parts of every split, as the v1 document lists them
-        cert = build_tiger(SurfaceSpec(*minimal_spec_args(case_id, d)))
-        for entry in certificate_document(cert)["decompositions"]:
-            for block in (entry["part1"], entry["part2"]):
-                coefficients = block["node_coefficients"] + (
-                    [block["e_coefficient"]] if row.e_coefficient else []
-                )
-                cls = table.part(
-                    block["multiple"], dict(zip(row.curves, coefficients, strict=True))
-                )
-                numbers = block["residual"]
-                assert table.pair(cls, cls) == numbers["square"]
-                assert pairings(table, cls) == dict(numbers["pairings"])
-                assert table.dim(cls) == numbers["dim"]
-
-
 def test_residual_parity_guard():
     """Integer inputs give every class an even  P^2 - P.K,  so a dim is
     exact, never floored: every row's residual at each of its degrees
@@ -265,33 +228,6 @@ def test_residual_parity_guard():
     for row, d in SPLIT_CASES:
         residual = row.residual(d)
         assert residual.square - residual.pairings[0] == 2 * residual.dim
-
-
-@pytest.mark.parametrize(
-    "args,curve,half",
-    [
-        ((2, ("A3",)), "D2", "trailing"),
-        ((1, ("D5",)), "D4", "trailing"),
-        ((2, ("A3",)), "D1", "leading"),
-        ((1, ("D5",)), "D2", "leading"),
-    ],
-    # part1 and part2 name the two boxes, and the suffix the half of the box
-    # that holds the named curve's coefficient
-    ids=["part1", "part2", "part1-leading", "part2-leading"],
-)
-def test_half_walk_checks_parity_at_every_split(args, curve, half):
-    """Each curve of a row has an even  C^2 + C.K,  whichever half of the
-    box it falls in, so every class has an even  P^2 - P.K:  both parts of
-    every split the certificate stream writes, its squares and dims summed
-    from the two halves, state an exact dim."""
-    cert = build_tiger(SurfaceSpec(*args))
-    row = cert.row
-    k, cut = row.curves.index(curve), len(row.curves) // 2
-    assert (k < cut) == (half == "leading")
-    assert (row.form[k][1 + k] + row.form[k][0]) % 2 == 0
-    for entry in certificate_document(cert)["decompositions"]:
-        for block in (entry["part1"]["residual"], entry["part2"]["residual"]):
-            assert block["square"] - dict(block["pairings"])["K"] == 2 * block["dim"], entry
 
 
 # ------------------------------------------------------- split enumeration
@@ -429,56 +365,6 @@ def test_walk_finds_the_box_walks_survivors(row, d):
 def test_walk_matches_the_box_walk_beyond_the_table(case):
     """The walk of a redrawn box, whose splits may go unobstructed."""
     assert_walk_matches_the_box_walk(*case)
-
-
-@settings(max_examples=60, deadline=None)
-@given(redrawn_boxes(cap=2000))
-# E alone, so the leading half is empty
-@example((row_by_id("deg4or6"), 6))
-# E in the trailing half beside two nodes
-@example((row_by_id("A3")._replace(e_coefficient=2), 2))
-# the branch node D1 leads and meets D3 and D4 across the cut
-@example((row_by_id("D4"), 2))
-# the branch node D3 trails and meets D1 and D2 across the cut
-@example((row_by_id("D5"), 1))
-# the branch node D4 trails and meets D1 and D3 across the cut
-@example((row_by_id("E6"), 1))
-def test_running_sums_match_the_closed_form_beyond_the_table(case):
-    """The box halves' numbers add up to ``split_parts`` at every split of
-    a redrawn box, and the two halves run through the box in its
-    lexicographic order.
-
-    Each number is the leading point's plus the trailing point's less the
-    zero split's, and each square adds 2 A.B and each dim A.B, for the
-    pairing A.B of the halves' curves, here summed from the row's form;
-    the halves' ``across`` give it as a dot product, and ``crossing``
-    gives these multiples.  Outside ``crossing`` one half holds the zero
-    split's number at every point, the trailing half's or, in
-    ``trailing_only``, the leading half's, so the stream reads each such
-    number off the other half.  How the certificate stream puts these
-    numbers into a document, survivors included, is checked against the
-    dict builder in ``test_specio``."""
-    row, d = case
-    halves = BoxHalves(row, d)
-    leading = list(halves.leading())
-    splits = list(product(leading, halves.trailing))
-    assert [lead.coefficients + trail.coefficients for lead, trail in splits] == list(box(row))
-    # a part's coefficients and pairings take no A.B, its square two, its dim one
-    width = 2 * len(row.curves) + 3
-    weights = ((0,) * (width - 2) + (2, 1)) * 2
-    assert all(halves.crossing.get(i, k) == k for i, k in enumerate(weights))
-    for lead, trail in splits:
-        a, b = lead.coefficients, trail.coefficients
-        ab = sum(x * y * row.form[i][1 + halves.cut + j]
-                 for i, x in enumerate(a) for j, y in enumerate(b))
-        assert sum(map(mul, lead.across, trail.across)) == ab
-        numbers = [v for part in split_parts(row, d, a + b)
-                   for v in (*part.coefficients, *part.pairings, part.square, part.dim)]
-        assert [x + y - z + k * ab for x, y, z, k in
-                zip(lead.numbers, trail.numbers, halves.zero, weights, strict=True)] == numbers
-    for i in set(range(2 * width)) - set(halves.crossing):
-        still = leading if i in halves.trailing_only else halves.trailing
-        assert all(point.numbers[i] == halves.zero[i] for point in still)
 
 
 def test_enumeration_rejects_wrong_degree():

@@ -115,6 +115,8 @@ def _write_stdout(chunks: Iterable[str]) -> None:
 
     The bytes go to the binary layer in a loop: an unbuffered stdout may
     take only part of a write, and the text layer would drop the rest.
+    They are UTF-8, the bytes --out writes, whatever stdout's encoding: a
+    stateful one such as utf-16 would start every chunk with a BOM.
     """
     stream = sys.stdout
     if stream is None:  # the process started with stdout closed
@@ -126,7 +128,7 @@ def _write_stdout(chunks: Iterable[str]) -> None:
             stream.writelines(chunks)
             return
         for text in chunks:
-            data = memoryview(text.encode(stream.encoding, stream.errors))
+            data = memoryview(text.encode("utf-8"))
             while data:
                 data = data[binary.write(data):]
         binary.flush()

@@ -723,6 +723,20 @@ def test_a_text_only_stdout_takes_the_whole_document(spec_dir, tmp_path):
         assert stdout.getvalue().encode() == target.read_bytes(), command
 
 
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+def test_stdout_takes_the_documents_bytes_whatever_the_io_encoding(spec_dir, encoding):
+    # a stateful encoding starts each encoded chunk with a BOM, so stdout
+    # encoded chunk by chunk in it parsed as no JSON; it takes UTF-8, as --out
+    child = python(
+        "-m", "dpcylinders.cli", "tiger", "--spec", str(spec_dir / "node_cubic.txt"),
+        env={"PYTHONIOENCODING": encoding}, text=False,
+    )
+    out, err = child.communicate()
+    assert child.returncode == cli.EXIT_OK, err
+    cert = build_tiger(SurfaceSpec(3, ("A1",)))
+    assert out == "".join(certificate_chunks(cert)).encode()
+
+
 def test_closed_stdout_exits_4(spec_dir, capsys, monkeypatch):
     # the interpreter sets sys.stdout to None when fd 1 is closed at start
     monkeypatch.setattr(sys, "stdout", None)

@@ -142,10 +142,8 @@ def test_interleaved_streams_render_their_own_documents():
     assert certs[0].row == certs[1].row
     assert prod(c + 1 for c in certs[0].row.coefficients) == 1080
     assert certs[0].row.residual(1) != certs[1].row.residual(2)
-    texts = ([], [], [])
-    for chunks in zip_longest(*map(certificate_chunks, certs), fillvalue=""):
-        for text, chunk in zip(texts, chunks):
-            text.append(chunk)
+    # zip_longest draws a chunk of each stream in turn; zip(*) regroups them
+    texts = zip(*zip_longest(*map(certificate_chunks, certs), fillvalue=""))
     with collector_paused():
         for cert, text in zip(certs, texts):
             assert_same_text("".join(text), reference_text(reference_document(cert)))

@@ -727,14 +727,11 @@ def test_a_text_only_stdout_takes_the_whole_document(spec_dir, tmp_path):
 def test_stdout_takes_the_documents_bytes_whatever_the_io_encoding(spec_dir, encoding):
     # a stateful encoding starts each encoded chunk with a BOM, so stdout
     # encoded chunk by chunk in it parsed as no JSON; it takes UTF-8, as --out
-    child = python(
-        "-m", "dpcylinders.cli", "tiger", "--spec", str(spec_dir / "node_cubic.txt"),
-        env={"PYTHONIOENCODING": encoding}, text=False,
-    )
+    child = python("-m", "dpcylinders.cli", *command_argv(spec_dir, "tiger"),
+                   env={"PYTHONIOENCODING": encoding}, text=False)
     out, err = child.communicate()
     assert child.returncode == cli.EXIT_OK, err
-    cert = build_tiger(SurfaceSpec(3, ("A1",)))
-    assert out == "".join(certificate_chunks(cert)).encode()
+    assert out == "".join(certificate_chunks(build_tiger(SurfaceSpec(3, ("A1",))))).encode()
 
 
 def test_closed_stdout_exits_4(spec_dir, capsys, monkeypatch):

@@ -28,7 +28,6 @@ from dpcylinders import (
 )
 from dpcylinders.lattice import gram_table
 from dpcylinders import certificate, tigers
-from dpcylinders.certificate import narrate
 from dpcylinders.tigers import (
     DIMENSION_GAP,
     DISJOINTNESS,
@@ -590,7 +589,7 @@ def test_unobstructed_split_forces_discrepancy():
     assert cert.unobstructed
     assert all(o.obstruction is None for o in cert.decompositions)
     assert cert.unobstructed == cert.decompositions
-    lines = list(narrate(cert))
+    lines = list(certificate.narrate(cert))
     assert lines[-2:] == [
         "split nodes=() e=0: NO OBSTRUCTION",
         "decompositions: 1 splits, 1 unobstructed",

@@ -725,8 +725,8 @@ def test_a_text_only_stdout_takes_the_whole_document(spec_dir, tmp_path):
 
 @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
 def test_stdout_takes_the_documents_bytes_whatever_the_io_encoding(spec_dir, encoding):
-    # a stateful encoding starts each encoded chunk with a BOM, so stdout
-    # encoded chunk by chunk in it parsed as no JSON; it takes UTF-8, as --out
+    # a stateful encoding would start each encoded chunk with a BOM, and
+    # stdout would parse as no JSON; it takes UTF-8, as --out does
     child = python("-m", "dpcylinders.cli", *command_argv(spec_dir, "tiger"),
                    env={"PYTHONIOENCODING": encoding}, text=False)
     out, err = child.communicate()
